@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ..errors import NumericError
+from ..specfun import _leggauss_cached
 from ..swipt import IM_IC
 from .coefficients import build_case
 
@@ -19,13 +20,9 @@ _TAIL_CUT = 800.0      # exp(-x) below ~1e-300: integrand support cut-off
 _LEVELS = ((64, 64, 160), (96, 96, 288), (144, 144, 512))
 
 
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _dest_nodes(case, n_per_piece):
     us, ws = [], []
-    x, w = _leggauss(n_per_piece)
+    x, w = _leggauss_cached(n_per_piece)
     for lo, hi, coeff, q in case.dest_pieces:
         half = 0.5 * (hi - lo)
         u = half * (x + 1.0) + lo
@@ -35,7 +32,7 @@ def _dest_nodes(case, n_per_piece):
 
 
 def _sat_nodes(case, n_w):
-    x, w = _leggauss(n_w)
+    x, w = _leggauss_cached(n_w)
     half = 0.5 * (case.w_max_m - case.w_min_m)
     wm = half * (x + 1.0) + case.w_min_m
     return wm, (wm / case.w_norm_m2) * w * half
@@ -59,7 +56,7 @@ def _sat_factor(case, z, w_nodes, w_wts):
 
 
 def _log_grid(z_lo, z_hi, n_z):
-    x, w = _leggauss(n_z)
+    x, w = _leggauss_cached(n_z)
     s_lo, s_hi = math.log(z_lo), math.log(z_hi)
     half = 0.5 * (s_hi - s_lo)
     s = half * (x + 1.0) + s_lo

@@ -16,7 +16,7 @@ def throughput_from_ops(cfg, op_s2g, op_a2a):
 
 
 def avg_throughput(cfg, method="closed", ic_mode=IM_IC):
-    """Average throughput with the outage terms from the chosen analytic path."""
+    """Average throughput with the outage terms from the chosen path."""
     if method == "closed":
         op_s = op_s2g_closed(cfg.gamma_s, cfg)
         op_a = op_a2a_closed(cfg.gamma_a, cfg, ic_mode=ic_mode)
@@ -24,9 +24,8 @@ def avg_throughput(cfg, method="closed", ic_mode=IM_IC):
         op_s = op_s2g_integral(cfg.gamma_s, cfg)
         op_a = op_a2a_integral(cfg.gamma_a, cfg, ic_mode=ic_mode)
     elif method == "mc":
-        from ..mc import simulate_op
-        op_s = simulate_op(cfg, "s2g").value
-        op_a = simulate_op(cfg, "a2a", ic_mode=ic_mode).value
+        from ..mc import simulate_throughput
+        return simulate_throughput(cfg, ic_mode=ic_mode)
     else:
         raise ConfigError(f"unknown method {method!r}")
     return throughput_from_ops(cfg, op_s, op_a)

@@ -165,8 +165,10 @@ class ScenarioConfig:
                 raise ConfigError(f"run.methods: unknown method {meth!r}")
         if g("run.trials") < 1:
             raise ConfigError("run.trials must be >= 1")
-        if g("run.seed") < 0:
-            raise ConfigError("run.seed must be a nonnegative integer")
+        # grid point i draws from seed run.seed + i, a 64-bit Philox key
+        if not 0 <= g("run.seed") <= 2 ** 64 - self._grid_size():
+            raise ConfigError("run.seed must be a nonnegative integer with "
+                              "run.seed + (grid points - 1) below 2**64")
         if g("run.cgq_n") < 4:
             raise ConfigError("run.cgq_n must be >= 4")
         if self.methods and "closed" in self.methods and not float(g("fading.m_rd")).is_integer():
@@ -244,6 +246,19 @@ class ScenarioConfig:
             raise ConfigError("sweep: provide sweep.values or start/stop/step")
         n = int(round((stop - start) / step)) + 1
         return [start + i * step for i in range(n)]
+
+    def _grid_size(self):
+        """Number of sweep points; 1 when there is no grid or it is incomplete."""
+        raw = self.raw
+        if raw["sweep.variable"] is None:
+            return 1
+        if raw["sweep.values"]:
+            return len(str(raw["sweep.values"]).split(","))
+        try:
+            n = int(round((raw["sweep.stop"] - raw["sweep.start"]) / raw["sweep.step"])) + 1
+        except (TypeError, ValueError, ArithmeticError):
+            return 1    # reported by sweep_values when the grid is read
+        return max(n, 1)
 
     def with_overrides(self, overrides):
         """New config with the given flat keys replaced."""

@@ -3,7 +3,9 @@
 Trials are drawn in fixed-size blocks, each from its own Philox substream
 keyed by (seed, block index) through the counter words.  Estimates are
 therefore bit-identical for a given (config, trials, seed) no matter how the
-blocks are scheduled across workers.
+blocks are scheduled across workers, and no matter which other (network,
+IC mode) cases are counted on the same draws: one pass over the blocks
+serves every requested case.
 """
 
 import math
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic.throughput import throughput_from_ops
 from .errors import ConfigError
 from .geometry import (sample_arx_distance, sample_gu_distance,
                        sample_satellite_distance)
@@ -40,9 +43,23 @@ class OutageEstimate:
             raise ConfigError("outage estimate outside [0, 1]")
 
 
+@dataclass(frozen=True)
+class SharedDrawEstimates:
+    """Outage estimates of several (network, ic_mode) cases on one set of draws."""
+
+    trials: int
+    seed: int
+    estimates: dict          # (network, ic_mode) -> OutageEstimate, in request order
+    im_only: int = None      # trials in a2a outage under im-IC but not p-IC,
+                             # counted when both modes are requested
+
+    def __getitem__(self, case):
+        return self.estimates[case]
+
+
 def _block_rng(seed, block_index):
     # Philox counter words: (0, 0, block, brand); key from the user seed
-    bitgen = np.random.Philox(key=np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF),
+    bitgen = np.random.Philox(key=np.uint64(seed),
                               counter=[0, 0, np.uint64(block_index), np.uint64(0x5A61)])
     return np.random.Generator(bitgen)
 
@@ -72,41 +89,51 @@ def _gamma_for(cfg, network):
     return cfg.gamma_s if network == "s2g" else cfg.gamma_a
 
 
-def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None):
-    """Outage frequency over exact per-trial SNRs, with binomial standard error."""
-    trials = cfg.trials if trials is None else int(trials)
-    seed = cfg.seed if seed is None else int(seed)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    gamma = _gamma_for(cfg, network)
-    failures = 0
-    done = 0
-    block_index = 0
-    while done < trials:
-        n = min(BLOCK, trials - done)
-        rng = _block_rng(seed, block_index)
-        draw = draw_block(cfg, rng, n)
-        lam = _snr_for(cfg, draw, network, ic_mode)
-        failures += int(np.count_nonzero(lam < gamma))
-        done += n
-        block_index += 1
+def _estimate(failures, trials, seed):
     value = failures / trials
     se = math.sqrt(value * (1.0 - value) / trials)
-    flags = ()
-    if 0 < value < RESOLUTION_FACTOR / trials:
-        flags = ("resolution_floor",)
+    flags = ("resolution_floor",) if 0 < value < RESOLUTION_FACTOR / trials else ()
     return OutageEstimate(value=value, std_error=se, trials=trials,
                           method="mc", seed=seed, flags=flags)
 
 
+def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None):
+    """Outage frequency over exact per-trial SNRs, with binomial standard error.
+
+    ``network`` is "s2g" or "a2a" for one ``OutageEstimate``, or a sequence of
+    (network, ic_mode) cases counted on one pass over the Philox blocks and
+    returned as a ``SharedDrawEstimates``.  Each case's estimate is
+    bit-identical to the single-case call with the same (config, trials, seed).
+    """
+    if isinstance(network, str):
+        return simulate_op(cfg, [(network, ic_mode)], trials=trials, seed=seed)[network, ic_mode]
+    trials = cfg.trials if trials is None else int(trials)
+    seed = cfg.seed if seed is None else int(seed)
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must lie in [0, 2**64)")
+    failures = dict.fromkeys(map(tuple, network), 0)
+    gammas = {case: _gamma_for(cfg, case[0]) for case in failures}
+    paired = ("a2a", IM_IC) in failures and ("a2a", P_IC) in failures
+    im_only = 0
+    for block_index, start in enumerate(range(0, trials, BLOCK)):
+        draw = draw_block(cfg, _block_rng(seed, block_index), min(BLOCK, trials - start))
+        out = {case: _snr_for(cfg, draw, *case) < g for case, g in gammas.items()}
+        for case, o in out.items():
+            failures[case] += int(np.count_nonzero(o))
+        if paired:
+            im_only += int(np.count_nonzero(out["a2a", IM_IC] & ~out["a2a", P_IC]))
+    return SharedDrawEstimates(
+        trials=trials, seed=seed,
+        estimates={case: _estimate(f, trials, seed) for case, f in failures.items()},
+        im_only=im_only if paired else None)
+
+
 def simulate_throughput(cfg, trials=None, seed=None, ic_mode=IM_IC):
-    """Average throughput with both outage terms estimated by simulation."""
-    op_s = simulate_op(cfg, "s2g", trials=trials, seed=seed)
-    op_a = simulate_op(cfg, "a2a", ic_mode=ic_mode, trials=trials, seed=seed)
-    sp = cfg.sp
-    pre = (1.0 - sp.rho) * sp.block_s / 2.0
-    r_s, r_a = cfg.raw["rates.r_s"], cfg.raw["rates.r_a"]
-    return pre * (r_s * (1.0 - op_s.value) + r_a * (1.0 - op_a.value))
+    """Average throughput with both outage terms estimated on the same draws."""
+    res = simulate_op(cfg, [("s2g", IM_IC), ("a2a", ic_mode)], trials=trials, seed=seed)
+    return throughput_from_ops(cfg, res["s2g", IM_IC].value, res["a2a", ic_mode].value)
 
 
 def common_random_numbers_compare(cfg, trials=None, seed=None):
@@ -115,33 +142,6 @@ def common_random_numbers_compare(cfg, trials=None, seed=None):
     Returns (est_im, est_p, diff, diff_se); the per-trial SNR ordering makes
     the paired difference nonnegative for every seed.
     """
-    trials = cfg.trials if trials is None else int(trials)
-    seed = cfg.seed if seed is None else int(seed)
-    gamma = cfg.gamma_a
-    fail_im = 0
-    fail_p = 0
-    disagree = 0   # trials outaged under im-IC only (the paired difference)
-    done = 0
-    block_index = 0
-    while done < trials:
-        n = min(BLOCK, trials - done)
-        rng = _block_rng(seed, block_index)
-        draw = draw_block(cfg, rng, n)
-        lam_im = _snr_for(cfg, draw, "a2a", IM_IC)
-        lam_p = _snr_for(cfg, draw, "a2a", P_IC)
-        out_im = lam_im < gamma
-        out_p = lam_p < gamma
-        fail_im += int(np.count_nonzero(out_im))
-        fail_p += int(np.count_nonzero(out_p))
-        disagree += int(np.count_nonzero(out_im & ~out_p))
-        done += n
-        block_index += 1
-    est_im = OutageEstimate(fail_im / trials,
-                            math.sqrt(fail_im / trials * (1 - fail_im / trials) / trials),
-                            trials, "mc", seed)
-    est_p = OutageEstimate(fail_p / trials,
-                           math.sqrt(fail_p / trials * (1 - fail_p / trials) / trials),
-                           trials, "mc", seed)
-    d = disagree / trials
-    d_se = math.sqrt(max(d * (1.0 - d), 0.0) / trials)
-    return est_im, est_p, d, d_se
+    res = simulate_op(cfg, [("a2a", IM_IC), ("a2a", P_IC)], trials=trials, seed=seed)
+    d = res.im_only / res.trials
+    return res["a2a", IM_IC], res["a2a", P_IC], d, math.sqrt(d * (1.0 - d) / res.trials)

@@ -49,8 +49,25 @@ def _worker_count():
     return min(8, os.cpu_count() or 1)
 
 
-def _mode_tag(mode):
-    return "im" if mode == IM_IC else "p"
+METHODS = ("mc", "closed", "integral")
+
+
+def _cases(cfg):
+    """(column stem, network, ic_mode) of every requested outage output."""
+    cases = [("s2g", "s2g", IM_IC)] if "s2g" in cfg.networks else []
+    if "a2a" in cfg.networks:
+        cases += [("a2a_im" if m == IM_IC else "a2a_p", "a2a", m) for m in cfg.ic_modes]
+    return cases
+
+
+def _analytic(cfg, method, network, mode):
+    # evaluators are looked up by module attribute at call time, so a wrapper
+    # set on this module (a tracer, a test double) sees every call
+    if network == "s2g":
+        fn = op_s2g_closed if method == "closed" else op_s2g_integral
+        return fn(cfg.gamma_s, cfg)
+    fn = op_a2a_closed if method == "closed" else op_a2a_integral
+    return fn(cfg.gamma_a, cfg, ic_mode=mode)
 
 
 def _evaluate_point(cfg, variable, value, seed):
@@ -59,63 +76,36 @@ def _evaluate_point(cfg, variable, value, seed):
     row["sweep_value"] = value if value is not None else ""
     diags = []
     ops = {}
-
-    def record(name, fn):
-        try:
-            ops[name] = fn()
-        except NumericError as exc:
-            diags.append(f"{name}:{exc}")
-            ops[name] = None
-
-    networks = cfg.networks
-    methods = cfg.methods
-    if "s2g" in networks:
-        if "mc" in methods:
-            def _mc_s():
-                est = simulate_op(cfg, "s2g", seed=seed)
-                row["se_s2g_mc"] = est.std_error
-                diags.extend(f"s2g_mc:{f}" for f in est.flags)
-                return est.value
-            record("op_s2g_mc", _mc_s)
-            row["op_s2g_mc"] = _blank(ops["op_s2g_mc"])
-        if "closed" in methods:
-            record("op_s2g_closed", lambda: op_s2g_closed(cfg.gamma_s, cfg))
-            row["op_s2g_closed"] = _blank(ops["op_s2g_closed"])
-        if "integral" in methods:
-            record("op_s2g_integral", lambda: op_s2g_integral(cfg.gamma_s, cfg))
-            row["op_s2g_integral"] = _blank(ops["op_s2g_integral"])
-    if "a2a" in networks:
-        for mode in cfg.ic_modes:
-            tag = _mode_tag(mode)
-            if "mc" in methods:
-                def _mc_a(m=mode, t=tag):
-                    est = simulate_op(cfg, "a2a", ic_mode=m, seed=seed)
-                    row[f"se_a2a_{t}_mc"] = est.std_error
-                    diags.extend(f"a2a_{t}_mc:{f}" for f in est.flags)
-                    return est.value
-                record(f"op_a2a_{tag}_mc", _mc_a)
-                row[f"op_a2a_{tag}_mc"] = _blank(ops[f"op_a2a_{tag}_mc"])
-            if "closed" in methods:
-                record(f"op_a2a_{tag}_closed",
-                       lambda m=mode: op_a2a_closed(cfg.gamma_a, cfg, ic_mode=m))
-                row[f"op_a2a_{tag}_closed"] = _blank(ops[f"op_a2a_{tag}_closed"])
-            if "integral" in methods:
-                record(f"op_a2a_{tag}_integral",
-                       lambda m=mode: op_a2a_integral(cfg.gamma_a, cfg, ic_mode=m))
-                row[f"op_a2a_{tag}_integral"] = _blank(ops[f"op_a2a_{tag}_integral"])
+    cases = _cases(cfg)
+    methods = [m for m in METHODS if m in cfg.methods]
+    # one set of draws serves every MC output of the point
+    shared = (simulate_op(cfg, [(net, mode) for _, net, mode in cases], seed=seed)
+              if "mc" in methods and cases else None)
+    for stem, net, mode in cases:
+        for meth in methods:
+            key = f"op_{stem}_{meth}"
+            if meth == "mc":
+                est = shared[net, mode]
+                row[f"se_{stem}_mc"] = est.std_error
+                diags.extend(f"{stem}_mc:{f}" for f in est.flags)
+                ops[key] = est.value
+            else:
+                try:
+                    ops[key] = _analytic(cfg, meth, net, mode)
+                except NumericError as exc:
+                    diags.append(f"{key}:{exc}")
+                    ops[key] = None
+            row[key] = _blank(ops[key])
 
     # throughput needs both networks; the im-IC outage feeds it when both modes run
-    if "s2g" in networks and "a2a" in networks:
-        a_tag = "im" if IM_IC in cfg.ic_modes else "p"
+    if "s2g" in cfg.networks and "a2a" in cfg.networks:
+        a_stem = "a2a_im" if IM_IC in cfg.ic_modes else "a2a_p"
         for meth in methods:
-            s_key = f"op_s2g_{meth}"
-            a_key = f"op_a2a_{a_tag}_{meth}"
-            if ops.get(s_key) is not None and ops.get(a_key) is not None:
-                row[f"throughput_{meth}"] = throughput_from_ops(
-                    cfg, ops[s_key], ops[a_key])
+            op_s, op_a = ops[f"op_s2g_{meth}"], ops[f"op_{a_stem}_{meth}"]
+            if op_s is not None and op_a is not None:
+                row[f"throughput_{meth}"] = throughput_from_ops(cfg, op_s, op_a)
 
-    requested = [k for k in ops]
-    row["_all_failed"] = bool(requested) and all(ops[k] is None for k in requested)
+    row["_all_failed"] = bool(ops) and all(v is None for v in ops.values())
     row["diagnostics"] = ";".join(diags)
     return row
 

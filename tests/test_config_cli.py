@@ -63,6 +63,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep"):
             cfg.sweep_values
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="run.seed"):
+            config_from_mapping({"run.seed": seed})
+
+    def test_seed_range_covers_every_grid_point(self):
+        grid = {"sweep.variable": "swipt.rho", "sweep.values": "0.2,0.4,0.6",
+                "run.methods": "mc", "run.networks": "s2g", "run.trials": 1_000}
+        rows = run_sweep(config_from_mapping({**grid, "run.seed": 2 ** 64 - 3})).rows
+        assert len(rows) == 3 and all(r["op_s2g_mc"] != "" for r in rows)
+        with pytest.raises(ConfigError, match="run.seed"):
+            config_from_mapping({**grid, "run.seed": 2 ** 64 - 2})
+        with pytest.raises(ConfigError, match="run.seed"):
+            config_from_mapping({"sweep.variable": "swipt.rho", "sweep.start": 0.1,
+                                 "sweep.stop": 0.5, "sweep.step": 0.1,
+                                 "run.seed": 2 ** 64 - 4})
+
     def test_sweep_variable_whitelist(self):
         with pytest.raises(ConfigError, match="sweepable"):
             config_from_mapping({"sweep.variable": "noise.sigma_r_dbm"})

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from sagin_outage import mc
 from sagin_outage.config import config_from_mapping
+from sagin_outage.errors import ConfigError
 from sagin_outage.mc import (OutageEstimate, common_random_numbers_compare,
                              simulate_op, simulate_throughput)
 from sagin_outage.analytic import op_s2g_integral
+from sagin_outage.sweep import run_sweep
+from sagin_outage.swipt import IM_IC, P_IC
 
 
 def _cfg(**over):
@@ -113,6 +117,65 @@ class TestThroughput:
         pre = (1 - cfg.sp.rho) * cfg.sp.block_s / 2
         expected = pre * cfg.raw["rates.r_s"] * (1 - op_s.value)
         assert thr == pytest.approx(expected, abs=1e-12)
+
+
+CASES = [("s2g", IM_IC), ("a2a", IM_IC), ("a2a", P_IC)]
+
+
+class TestSharedDraws:
+    def test_multi_case_matches_single_case_calls(self):
+        cfg = _cfg(**{"link.eta_s_db": 115.0})
+        shared = simulate_op(cfg, CASES, trials=70_001, seed=9)
+        assert shared.trials == 70_001 and shared.seed == 9
+        for net, mode in CASES:
+            single = simulate_op(cfg, net, ic_mode=mode, trials=70_001, seed=9)
+            assert shared[net, mode] == single
+        paired = common_random_numbers_compare(cfg, trials=70_001, seed=9)
+        assert shared.im_only / 70_001 == paired[2]
+
+    def test_one_draw_per_block_for_all_cases(self, monkeypatch):
+        calls = []
+        real = mc.draw_block
+
+        def counting(cfg, rng, n):
+            calls.append(n)
+            return real(cfg, rng, n)
+
+        monkeypatch.setattr(mc, "draw_block", counting)
+        simulate_op(_cfg(), CASES, trials=200_001, seed=4)
+        assert len(calls) == math.ceil(200_001 / mc.BLOCK)
+        assert sum(calls) == 200_001
+
+    def test_sweep_mc_cells_match_single_case_calls(self):
+        cfg = _cfg(**{"sweep.variable": "link.eta_s_db", "sweep.values": "106,118,130",
+                      "run.networks": "s2g,a2a", "run.ic_mode": "both",
+                      "run.methods": "mc", "run.trials": 70_001, "run.seed": 21})
+        rows = run_sweep(cfg).rows
+        for i, (row, eta) in enumerate(zip(rows, cfg.sweep_values)):
+            point = cfg.with_overrides({"link.eta_s_db": eta})
+            for stem, net, mode in (("s2g", "s2g", IM_IC), ("a2a_im", "a2a", IM_IC),
+                                    ("a2a_p", "a2a", P_IC)):
+                est = simulate_op(point, net, ic_mode=mode, seed=cfg.seed + i)
+                assert row[f"op_{stem}_mc"] == est.value
+                assert row[f"se_{stem}_mc"] == est.std_error
+
+    def test_paired_estimates_carry_resolution_flag(self):
+        cfg = _cfg(**{"link.eta_s_db": 170.0, "swipt.p_th_dbm": "inf"})
+        est_im, est_p, _, _ = common_random_numbers_compare(cfg, trials=200_000, seed=1)
+        assert est_im == simulate_op(cfg, "a2a", ic_mode=IM_IC, trials=200_000, seed=1)
+        assert est_p == simulate_op(cfg, "a2a", ic_mode=P_IC, trials=200_000, seed=1)
+        assert "resolution_floor" in est_im.flags and "resolution_floor" in est_p.flags
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            simulate_op(_cfg(), "s2g", trials=1_000, seed=seed)
+
+    def test_largest_seed_runs(self):
+        est = simulate_op(_cfg(), "s2g", trials=1_000, seed=2 ** 64 - 1)
+        assert est.seed == 2 ** 64 - 1
 
 
 class TestEstimateType:
