@@ -14,8 +14,12 @@ pieces of its distance measure.  Four building blocks cover every regime:
   sat_above_knee   saturated branch above a positive saturation point;
   sat_below_knee   saturated branch when the saturation point is negative.
 
-All sums run in signed log space; cancellation is monitored against the
-largest term so a noisy series is reported instead of silently returned.
+Every index of every block runs through one truncating sum, `_converge`: it
+stops after `consecutive` terms in a row fall below rel_tol of the largest
+term so far, and a Taylor index k2 that reaches `k2_cap` marks the result
+truncated.  All sums run in signed log space; cancellation is monitored
+against the largest term so a noisy series is reported instead of silently
+returned.
 """
 
 import math
@@ -42,35 +46,51 @@ class _Work:
     def __init__(self, case, ctx):
         self.case = case
         self.ctx = ctx
-        self.rule = CgqRule(ctx.cgq_n)
-        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, self.rule)
+        co = case.coeff
+        self.beta_bar = case.sr.beta_bar
+        # (k, log zeta_k) over the positive coefficients of the satellite-fading series
+        self.sr_terms = [(k, math.log(z)) for k, z in enumerate(case.sr.zeta()) if z > 0]
+        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, CgqRule(ctx.cgq_n))
         self.log_w = np.log(self.w_nodes)
         self.log_wts = np.log(self.w_wts)
+        # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
+        self.sat_decay = self.beta_bar * co.b_lin * self.w_nodes ** 2 / co.a_lin
+        # destination pieces grouped by q; one row per (piece, end) in the order
+        # hi, lo: y, log y, orientation * sign(coeff), log(|coeff| / nu)
+        by_q = {}
+        for lo, hi, coeff, q in case.dest_pieces:
+            for y, orient in ((hi, 1.0), (lo, -1.0)):
+                by_q.setdefault(q, []).append(
+                    (y, math.log(y), orient * np.sign(coeff), math.log(abs(coeff) / case.nu)))
+        self.dest_groups = [(q, *(np.array(col) for col in zip(*rows)))
+                            for q, rows in by_q.items()]
         self.gamma_cache = {}
         self.g2123_cache = {}
         self.g2113_cache = {}
         self.diagnostics = {"truncated": False, "routes": []}
 
+    def k2_sum(self, acc, term):
+        """_converge over the Taylor index k2 <= k2_cap; reaching the cap marks truncation."""
+        peak, exhausted = _converge(acc, self.ctx, range(self.ctx.k2_cap + 1), term)
+        if exhausted:
+            self.diagnostics["truncated"] = True
+        return peak
+
     # -- CGQ kernels --------------------------------------------------------
 
-    def log_gamma_on_nodes(self, s, p_sat):
-        """log Gamma(s, beta_bar w^2 p_sat / a) on the CGQ nodes."""
-        hit = self.gamma_cache.get(s)
-        if hit is not None:
-            return hit
-        case = self.case
-        xs = case.beta_bar * self.w_nodes ** 2 * p_sat / case.coeff.a_lin
-        vals = np.array([log_gamma_upper(s, x) for x in xs])
-        self.gamma_cache[s] = vals
-        return vals
+    def _cgq_w(self, w_pow, log_f, sign_f):
+        """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw on the CGQ nodes."""
+        expo = self.log_wts + w_pow * self.log_w - self.sat_decay + log_f
+        return logsumexp_signed(expo, sign_f)
 
-    def cgq_gamma(self, s, w_pow, p_sat):
-        """(sign, log) of int w^w_pow e^(-bb b w^2/a) Gamma(s, bb w^2 p/a) dw."""
-        case = self.case
-        expo = (self.log_wts + w_pow * self.log_w
-                - case.beta_bar * case.coeff.b_lin * self.w_nodes ** 2 / case.coeff.a_lin
-                + self.log_gamma_on_nodes(s, p_sat))
-        return logsumexp_signed(expo, np.ones_like(expo))
+    def cgq_gamma(self, s, w_pow):
+        """(sign, log) of int w^w_pow e^(-bb b w^2/a) Gamma(s, bb w^2 p_sat/a) dw."""
+        vals = self.gamma_cache.get(s)
+        if vals is None:
+            co = self.case.coeff
+            xs = self.beta_bar * self.w_nodes ** 2 * co.p_sat / co.a_lin
+            vals = self.gamma_cache[s] = np.array([log_gamma_upper(s, x) for x in xs])
+        return self._cgq_w(w_pow, vals, np.ones_like(vals))
 
     def g2123_pieces(self, n, s1):
         """(sign, log) of the destination bracket of the Taylor-route series."""
@@ -78,71 +98,45 @@ class _Work:
         hit = self.g2123_cache.get(key)
         if hit is not None:
             return hit
-        case = self.case
-        nu = case.nu
-        omega = case.dest_c / case.coeff.p_sat
-        by_q = {}
-        for lo, hi, coeff, q in case.dest_pieces:
-            by_q.setdefault(q, []).append((lo, hi, coeff))
+        nu = self.case.nu
+        omega = self.case.dest_c / self.case.coeff.p_sat
         signs, logs = [], []
-        for q, group in by_q.items():
+        for q, ys, log_ys, orient, log_coef in self.dest_groups:
             e = (q + 1.0) / nu
             params = (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e)
-            ys = np.array([[hi, lo] for lo, hi, _ in group]).ravel()
             gs, gl = meijer_g_log("G2123", params, omega * ys ** nu)
-            pw = nu * n + q + 1.0
-            for i, (lo, hi, coeff) in enumerate(group):
-                for j, (y, orient) in enumerate(((hi, 1.0), (lo, -1.0))):
-                    idx = 2 * i + j
-                    signs.append(orient * np.sign(coeff) * gs[idx])
-                    logs.append(math.log(abs(coeff) / nu) + pw * math.log(y) + gl[idx])
-        out = logsumexp_signed(np.array(logs), np.array(signs))
+            signs.append(orient * gs)
+            logs.append(log_coef + (nu * n + q + 1.0) * log_ys + gl)
+        out = logsumexp_signed(np.concatenate(logs), np.concatenate(signs))
         self.g2123_cache[key] = out
         return out
 
     def cgq_g2113(self, s2, s3, w_pow, cst):
         """(sign, log) of the CGQ integral whose integrand carries the
         destination bracket of G2113 terms with argument cst * y^nu * w^2."""
-        case = self.case
-        nu = case.nu
+        nu = self.case.nu
         key = (round(s2 * 2), round(s3 * 2))
         hit = self.g2113_cache.get(key)
         if hit is None:
-            nn = len(self.w_nodes)
-            by_q = {}
-            for lo, hi, coeff, q in case.dest_pieces:
-                by_q.setdefault(q, []).append((lo, hi, coeff))
-            parts_logs, parts_signs = [], []
-            for q, group in by_q.items():
+            signs, logs = [], []
+            for q, ys, log_ys, orient, log_coef in self.dest_groups:
                 e = (q + 1.0) / nu
                 params = (1.0 - s2 - e, s3, -s3, -s2 - e)
-                ys = np.array([[hi, lo] for lo, hi, _ in group]).ravel()
                 xs = (cst * ys[:, None] ** nu * self.w_nodes[None, :] ** 2).ravel()
                 gs, gl = meijer_g_log("G2113", params, xs)
-                gs = gs.reshape(len(ys), nn)
-                gl = gl.reshape(len(ys), nn)
-                pw = nu * s2 + q + 1.0
-                for i, (lo, hi, coeff) in enumerate(group):
-                    for j, (y, orient) in enumerate(((hi, 1.0), (lo, -1.0))):
-                        idx = 2 * i + j
-                        parts_signs.append(orient * np.sign(coeff) * gs[idx])
-                        parts_logs.append(math.log(abs(coeff) / nu)
-                                          + pw * math.log(y) + gl[idx])
-            logs = np.stack(parts_logs)          # (pieces*2, n_nodes)
-            signs = np.stack(parts_signs)
+                shape = (len(ys), len(self.w_nodes))
+                signs.append(orient[:, None] * gs.reshape(shape))
+                logs.append((log_coef + (nu * s2 + q + 1.0) * log_ys)[:, None]
+                            + gl.reshape(shape))
+            logs = np.concatenate(logs)          # (pieces*2, n_nodes)
+            signs = np.concatenate(signs)
             m = logs.max(axis=0)
             vals = np.sum(signs * np.exp(logs - m[None, :]), axis=0)
-            bracket_sign = np.sign(vals)
             with np.errstate(divide="ignore"):
-                bracket_log = m + np.log(np.abs(vals))
-            hit = (bracket_sign, bracket_log)
+                hit = (np.sign(vals), m + np.log(np.abs(vals)))
             self.g2113_cache[key] = hit
         bracket_sign, bracket_log = hit
-        case = self.case
-        expo = (self.log_wts + w_pow * self.log_w
-                - case.beta_bar * case.coeff.b_lin * self.w_nodes ** 2 / case.coeff.a_lin
-                + bracket_log)
-        return logsumexp_signed(expo, bracket_sign)
+        return self._cgq_w(w_pow, bracket_log, bracket_sign)
 
     # -- destination helpers --------------------------------------------------
 
@@ -202,6 +196,37 @@ def _log_binom(n, k):
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
+_STOP = object()    # returned by a term to end its sum at once
+
+
+def _converge(acc, ctx, indices, term):
+    """The truncating sum every series index runs through.
+
+    term(i) adds to acc and returns the log size of what it added, None to
+    skip i without counting it, or _STOP to end the sum.  A term is small
+    when its log lies below acc.peak + log(rel_tol), read after the add; the
+    sum stops after ctx.consecutive small terms in a row.  Returns (peak,
+    exhausted): the largest log any term returned (-inf for none) and whether
+    the indices ran out first.
+    """
+    peak = -np.inf
+    small = 0
+    for i in indices:
+        lt = term(i)
+        if lt is None:
+            continue
+        if lt is _STOP:
+            return peak, False
+        peak = max(peak, lt)
+        if lt < acc.peak + math.log(ctx.rel_tol):
+            small += 1
+            if small >= ctx.consecutive:
+                return peak, False
+        else:
+            small = 0
+    return peak, True
+
+
 # ---------------------------------------------------------------------------
 # the four series blocks
 # ---------------------------------------------------------------------------
@@ -210,19 +235,16 @@ def _unsat_taylor(work):
     """Unsaturated branch as a Taylor series in the satellite exponential."""
     case, ctx = work.case, work.ctx
     co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, case.beta_bar
+    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
     log_c = math.log(case.dest_c)
     acc = _SignedSum()
-    base = math.log(case.alpha * a / 2.0) - math.log(case.w_norm_m2)
-    for k in range(case.m_sr):
-        if case.zeta[k] <= 0:
-            continue
-        log_zeta = math.log(case.zeta[k])
+    base = math.log(case.sr.alpha * a / 2.0) - math.log(case.w_norm_m2)
+    for k, log_zeta in work.sr_terms:
         for k1 in range(k + 1):
             lb = _log_binom(k, k1)
-            small = 0
-            for k2 in range(ctx.k2_cap + 1):
+
+            def k2_term(k2):
                 dg_s, dg_l = log_delta_gamma(k + k2 + 2.0,
                                              bb * b * case.w_min_m ** 2 / a,
                                              bb * b * case.w_max_m ** 2 / a)
@@ -231,31 +253,20 @@ def _unsat_taylor(work):
                         - (k + 2.0) * math.log(bb)
                         - float(gammaln(k2 + 1.0)) + dg_l)
                 sign_k2 = (-1.0) ** k2 * dg_s
-                term_peak = -np.inf
-                n_small = 0
-                for n in range(len(logw_n)):
+
+                def n_term(n):
                     s1 = 1 + k1 + k2 - n
                     g_s, g_l = work.g2123_pieces(n, s1)
                     if g_s == 0.0:
-                        continue
+                        return None
                     lt = (pref + logw_n[n] + n * log_c
                           + s1 * math.log(co.p_sat) + g_l)
                     acc.add(sign_k2 * g_s, lt)
-                    term_peak = max(term_peak, lt)
-                    if lt < acc.peak + math.log(ctx.rel_tol):
-                        n_small += 1
-                        if n_small >= ctx.consecutive:
-                            break
-                    else:
-                        n_small = 0
-                if term_peak < acc.peak + math.log(ctx.rel_tol):
-                    small += 1
-                    if small >= ctx.consecutive:
-                        break
-                else:
-                    small = 0
-            else:
-                work.diagnostics["truncated"] = True
+                    return lt
+
+                return _converge(acc, ctx, range(len(logw_n)), n_term)[0]
+
+            work.k2_sum(acc, k2_term)
     return acc
 
 
@@ -263,38 +274,32 @@ def _unsat_linear(work):
     """No-saturation probability (finite Bessel-K route, no Taylor index)."""
     case, ctx = work.case, work.ctx
     co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, case.beta_bar
+    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
     c = case.dest_c
     cst = bb * c / a
     acc = _SignedSum()
-    base = math.log(case.alpha) - math.log(case.w_norm_m2)
-    for k in range(case.m_sr):
-        if case.zeta[k] <= 0:
-            continue
-        log_zeta = math.log(case.zeta[k])
+    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
+    for k, log_zeta in work.sr_terms:
         for k1 in range(k + 1):
             lb = _log_binom(k, k1)
-            small = 0
-            for n in range(len(logw_n)):
+
+            def n_term(n):
                 s3 = (k1 - n + 1) / 2.0
                 s2p = (n + k1 + 1) / 2.0
                 w_pow = 2 * k + n - k1 + 2
                 i_s, i_l = work.cgq_g2113(s2p, s3, w_pow, cst)
                 if i_s == 0.0:
-                    continue
+                    return None
                 lt = (base + log_zeta + lb + logw_n[n]
                       + (k - k1) * math.log(b)
                       + (n + s3) * math.log(c)
                       - s3 * math.log(bb)
                       + (-(k + 1) + s3) * math.log(a) + i_l)
                 acc.add(i_s, lt)
-                if lt < acc.peak + math.log(ctx.rel_tol):
-                    small += 1
-                    if small >= ctx.consecutive:
-                        break
-                else:
-                    small = 0
+                return lt
+
+            _converge(acc, ctx, range(len(logw_n)), n_term)
     return acc
 
 
@@ -302,27 +307,22 @@ def _unsat_overshoot(work):
     """Unsaturated-branch integrand carried past the saturation point."""
     case, ctx = work.case, work.ctx
     co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, case.beta_bar
+    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
     c = case.dest_c
     acc = _SignedSum()
-    base = math.log(case.alpha) - math.log(case.w_norm_m2)
-    for k in range(case.m_sr):
-        if case.zeta[k] <= 0:
-            continue
-        log_zeta = math.log(case.zeta[k])
+    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
+    for k, log_zeta in work.sr_terms:
         for k1 in range(k + 1):
             lb = _log_binom(k, k1)
-            n_small = 0
-            for n in range(len(logw_n)):
-                n_peak = -np.inf
-                small = 0
-                for k2 in range(ctx.k2_cap + 1):
+
+            def n_term(n):
+                def k2_term(k2):
                     s = k1 - n - k2 + 1
                     m_s, m_l = work.pieces_moment(n + k2)
                     if m_s == 0.0:
-                        break
-                    g_s, g_l = work.cgq_gamma(s, 2 * k + 3 - 2 * s, co.p_sat)
+                        return _STOP
+                    g_s, g_l = work.cgq_gamma(s, 2 * k + 3 - 2 * s)
                     lt = (base + log_zeta + lb + logw_n[n]
                           + (k - k1) * math.log(b)
                           - (k + 1.0) * math.log(a)
@@ -330,21 +330,11 @@ def _unsat_overshoot(work):
                           - float(gammaln(k2 + 1.0))
                           + (n + k2) * math.log(c) + m_l + g_l)
                     acc.add((-1.0) ** k2 * m_s * g_s, lt)
-                    n_peak = max(n_peak, lt)
-                    if lt < acc.peak + math.log(ctx.rel_tol):
-                        small += 1
-                        if small >= ctx.consecutive:
-                            break
-                    else:
-                        small = 0
-                else:
-                    work.diagnostics["truncated"] = True
-                if n_peak < acc.peak + math.log(ctx.rel_tol):
-                    n_small += 1
-                    if n_small >= ctx.consecutive:
-                        break
-                else:
-                    n_small = 0
+                    return lt
+
+                return work.k2_sum(acc, k2_term)
+
+            _converge(acc, ctx, range(len(logw_n)), n_term)
     return acc
 
 
@@ -352,48 +342,36 @@ def _sat_above_knee(work):
     """Saturated branch above a positive saturation point."""
     case, ctx = work.case, work.ctx
     co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, case.beta_bar
+    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
     c_eff = case.dest_c * co.eta_s / (co.p_th * a)
     acc = _SignedSum()
-    base = math.log(case.alpha) - math.log(case.w_norm_m2)
-    for k in range(case.m_sr):
-        if case.zeta[k] <= 0:
-            continue
-        log_zeta = math.log(case.zeta[k])
-        n_small = 0
-        for n in range(len(logw_n)):
-            n_peak = -np.inf
-            for k1 in range(k + n + 1):
+    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
+    for k, log_zeta in work.sr_terms:
+
+        def n_term(n):
+            def k1_sum(k1):
                 lb = _log_binom(k + n, k1)
-                small = 0
-                for k2 in range(ctx.k2_cap + 1):
+
+                def k2_term(k2):
                     s = k1 - n - k2 + 1
                     d_s, d_l = work.pieces_dgamma(n + k2, c_eff)
                     if d_s == 0.0:
-                        break
-                    g_s, g_l = work.cgq_gamma(s, 2 * k + 3 - 2 * s, co.p_sat)
+                        return _STOP
+                    g_s, g_l = work.cgq_gamma(s, 2 * k + 3 - 2 * s)
                     lt = (base + log_zeta + logw_n[n] + lb
                           + (k + n - k1 + k2) * math.log(b)
                           - (k + 1.0) * math.log(a)
                           + s * (math.log(a) - math.log(bb))
                           - float(gammaln(k2 + 1.0)) + d_l + g_l)
                     acc.add((-1.0) ** k2 * d_s * g_s, lt)
-                    n_peak = max(n_peak, lt)
-                    if lt < acc.peak + math.log(ctx.rel_tol):
-                        small += 1
-                        if small >= ctx.consecutive:
-                            break
-                    else:
-                        small = 0
-                else:
-                    work.diagnostics["truncated"] = True
-            if n_peak < acc.peak + math.log(ctx.rel_tol):
-                n_small += 1
-                if n_small >= ctx.consecutive:
-                    break
-            else:
-                n_small = 0
+                    return lt
+
+                return work.k2_sum(acc, k2_term)
+
+            return max(k1_sum(k1) for k1 in range(k + n + 1))
+
+        _converge(acc, ctx, range(len(logw_n)), n_term)
     return acc
 
 
@@ -401,7 +379,7 @@ def _sat_below_knee(work):
     """Saturated branch when the saturation point is at or below zero."""
     case, ctx = work.case, work.ctx
     co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, case.beta_bar
+    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
     c_eff = case.dest_c * co.eta_s / (co.p_th * a)
     if c_eff * case.dest_hi ** case.nu > _SERIES_BLOWUP_EXP:
@@ -410,24 +388,20 @@ def _sat_below_knee(work):
                            {"param": c_eff * case.dest_hi ** case.nu})
     cst = bb * c_eff * b / a
     acc = _SignedSum()
-    base = math.log(case.alpha) - math.log(case.w_norm_m2)
-    for k in range(case.m_sr):
-        if case.zeta[k] <= 0:
-            continue
-        log_zeta = math.log(case.zeta[k])
-        n_small = 0
-        for n in range(len(logw_n)):
-            n_peak = -np.inf
-            for k1 in range(k + n + 1):
+    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
+    for k, log_zeta in work.sr_terms:
+
+        def n_term(n):
+            def k1_sum(k1):
                 lb = _log_binom(k + n, k1)
                 s3 = (k1 - n + 1) / 2.0
-                small = 0
-                for k2 in range(ctx.k2_cap + 1):
+
+                def k2_term(k2):
                     s2 = n + k2 + s3
                     w_pow = 2 * k + n - k1 + 2
                     i_s, i_l = work.cgq_g2113(s2, s3, w_pow, cst)
                     if i_s == 0.0:
-                        continue
+                        return None
                     lt = (base + log_zeta + logw_n[n] + lb
                           + (k + n - k1 + s3) * math.log(b)
                           + (-(k + 1) + s3) * math.log(a)
@@ -435,21 +409,13 @@ def _sat_below_knee(work):
                           + (n + k2 + s3) * math.log(c_eff)
                           - float(gammaln(k2 + 1.0)) + i_l)
                     acc.add((-1.0) ** k2 * i_s, lt)
-                    n_peak = max(n_peak, lt)
-                    if lt < acc.peak + math.log(ctx.rel_tol):
-                        small += 1
-                        if small >= ctx.consecutive:
-                            break
-                    else:
-                        small = 0
-                else:
-                    work.diagnostics["truncated"] = True
-            if n_peak < acc.peak + math.log(ctx.rel_tol):
-                n_small += 1
-                if n_small >= ctx.consecutive:
-                    break
-            else:
-                n_small = 0
+                    return lt
+
+                return work.k2_sum(acc, k2_term)
+
+            return max(k1_sum(k1) for k1 in range(k + n + 1))
+
+        _converge(acc, ctx, range(len(logw_n)), n_term)
     return acc
 
 
@@ -457,26 +423,13 @@ def _sat_below_knee(work):
 # branch assembly
 # ---------------------------------------------------------------------------
 
-class _TailView:
-    """Adapter exposing the case's satellite-fading constants to the tail helper."""
-
-    def __init__(self, case):
-        self.m_sr = case.m_sr
-        self.alpha = case.alpha
-        self.beta_bar = case.beta_bar
-        self._zeta = case.zeta
-
-    def zeta(self):
-        return self._zeta
-
-
 def _sat_bound(case):
     """Rigorous upper bound on any saturated-branch probability."""
     co = case.coeff
     if math.isinf(co.p_th):
         return 0.0
     x_min = (max(co.p_sat, 0.0) + co.b_lin) * case.w_min_m ** 2 / co.a_lin
-    return float(shadowed_rician_power_tail(x_min, _TailView(case)))
+    return float(shadowed_rician_power_tail(x_min, case.sr))
 
 
 def _closed_outage(case, ctx):
@@ -496,7 +449,7 @@ def _closed_outage(case, ctx):
             p1 = acc.value()
             noise += acc.noise_estimate()
         else:
-            param_direct = case.beta_bar * case.w_max_m ** 2 * co.p_sat / co.a_lin
+            param_direct = case.sr.beta_bar * case.w_max_m ** 2 * co.p_sat / co.a_lin
             param_tail = case.dest_c * case.dest_hi ** case.nu / co.p_sat
             if param_direct <= _ROUTE_SWITCH or param_direct <= param_tail:
                 if param_direct > _SERIES_BLOWUP:

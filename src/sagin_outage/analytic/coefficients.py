@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from ..channel import nakagami_power_tail, rician_power_tail
+from ..channel import ShadowedRicianParams, nakagami_power_tail, rician_power_tail
 from ..errors import ConfigError
 from ..swipt import IM_IC, P_IC
 
@@ -91,10 +91,7 @@ class OutageCase:
     gamma: float
     coeff: DerivedCoefficients
     # satellite fading and distance (metres)
-    alpha: float
-    beta_bar: float
-    zeta: np.ndarray
-    m_sr: int
+    sr: ShadowedRicianParams
     w_min_m: float
     w_max_m: float
     w_norm_m2: float           # w_er * w_min in m^2 (pdf normalisation)
@@ -138,7 +135,6 @@ def build_case(cfg, network, ic_mode, gamma, ctx=None):
     """Assemble the OutageCase for a network/mode at threshold gamma."""
     ctx = ctx or SeriesContext(cgq_n=cfg.cgq_n)
     coeff = DerivedCoefficients.for_case(cfg, network, ic_mode, gamma)
-    sr = cfg.sr
     orbit = cfg.orbit
     cone = cfg.cone
     w_min_m = orbit.w_min * 1e3
@@ -184,8 +180,7 @@ def build_case(cfg, network, ic_mode, gamma, ctx=None):
 
     return OutageCase(
         network=network, ic_mode=ic_mode, gamma=gamma, coeff=coeff,
-        alpha=sr.alpha, beta_bar=sr.beta_bar, zeta=sr.zeta(), m_sr=sr.m_sr,
-        w_min_m=w_min_m, w_max_m=w_max_m, w_norm_m2=w_norm_m2,
+        sr=cfg.sr, w_min_m=w_min_m, w_max_m=w_max_m, w_norm_m2=w_norm_m2,
         sigma2=sigma2, nu=nu, dest_pieces=pieces, dest_lo=lo, dest_hi=hi,
         dest_tail=tail, dest_c=c, dest_logw=logw,
     )

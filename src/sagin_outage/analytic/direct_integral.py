@@ -39,9 +39,10 @@ def _sat_nodes(case, n_w):
 
 
 def _sr_poly(case, x):
+    zeta = case.sr.zeta()
     out = np.zeros_like(x)
-    for k in range(case.m_sr - 1, -1, -1):
-        out = out * x + case.zeta[k]
+    for k in range(case.sr.m_sr - 1, -1, -1):
+        out = out * x + zeta[k]
     return out
 
 
@@ -51,7 +52,7 @@ def _sat_factor(case, z, w_nodes, w_wts):
     w2a = w_nodes ** 2 / a                       # (nw,)
     x = np.outer(z + b, w2a)                     # (nz, nw)
     with np.errstate(over="ignore", under="ignore"):
-        vals = case.alpha * _sr_poly(case, x) * np.exp(-case.beta_bar * x)
+        vals = case.sr.alpha * _sr_poly(case, x) * np.exp(-case.sr.beta_bar * x)
     return (vals * (w2a * w_wts)[None, :]).sum(axis=1)
 
 
@@ -70,7 +71,7 @@ def _branch1(case, n_dest, n_w, n_z):
     p_hi = co.p_sat
     if not p_hi > 0:
         return 0.0
-    z_cut = _TAIL_CUT * co.a_lin / (case.beta_bar * case.w_min_m ** 2) - co.b_lin
+    z_cut = _TAIL_CUT * co.a_lin / (case.sr.beta_bar * case.w_min_m ** 2) - co.b_lin
     z_hi = min(p_hi, max(z_cut, 0.0))
     if not z_hi > 0:
         return 0.0
@@ -93,9 +94,9 @@ def _branch2(case, n_dest, n_w, n_z):
     z0 = max(co.p_sat, 0.0)
     # the branch mass is bounded by the SR tail beyond the saturation point
     x_min = (z0 + co.b_lin) * case.w_min_m ** 2 / co.a_lin
-    if case.beta_bar * x_min > _TAIL_CUT:
+    if case.sr.beta_bar * x_min > _TAIL_CUT:
         return 0.0
-    z_cut = z0 + _TAIL_CUT * co.a_lin / (case.beta_bar * case.w_min_m ** 2)
+    z_cut = z0 + _TAIL_CUT * co.a_lin / (case.sr.beta_bar * case.w_min_m ** 2)
     scale2 = co.eta_s / (co.p_th * co.a_lin)      # T = sigma2 gamma u^nu (z+b)/z * scale2
     if z0 > 0:
         z_lo = z0

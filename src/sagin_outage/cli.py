@@ -42,14 +42,14 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = _load(args)
+    sweep = cfg.raw["sweep.variable"]
+    vals = cfg.sweep_values
     print("configuration valid")
     print(f"  eta_s            : {cfg.eta_s:.6g}")
     print(f"  gamma_s / gamma_a: {cfg.gamma_s:.6g} / {cfg.gamma_a:.6g}")
     print(f"  networks         : {', '.join(cfg.networks)}")
     print(f"  methods          : {', '.join(cfg.methods)}")
-    sweep = cfg.raw["sweep.variable"]
     if sweep:
-        vals = cfg.sweep_values
         print(f"  sweep            : {sweep} over {len(vals)} points "
               f"[{vals[0]:g} .. {vals[-1]:g}]")
     return 0

@@ -240,25 +240,28 @@ class ScenarioConfig:
         if raw["sweep.variable"] is None:
             return None
         if raw["sweep.values"]:
-            return [float(v) for v in str(raw["sweep.values"]).split(",")]
+            try:
+                return [float(v) for v in str(raw["sweep.values"]).split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"sweep.values: {exc}") from exc
         start, stop, step = raw["sweep.start"], raw["sweep.stop"], raw["sweep.step"]
         if start is None or stop is None or step is None:
             raise ConfigError("sweep: provide sweep.values or start/stop/step")
-        n = int(round((stop - start) / step)) + 1
+        try:
+            n = int(round((stop - start) / step)) + 1
+        except (TypeError, ValueError, ArithmeticError):
+            n = 0
+        if n < 1:
+            raise ConfigError("sweep: start/stop/step must be finite, with a nonzero "
+                              "step that leads from sweep.start to sweep.stop")
         return [start + i * step for i in range(n)]
 
     def _grid_size(self):
-        """Number of sweep points; 1 when there is no grid or it is incomplete."""
-        raw = self.raw
-        if raw["sweep.variable"] is None:
-            return 1
-        if raw["sweep.values"]:
-            return len(str(raw["sweep.values"]).split(","))
+        """Number of sweep points; 1 when there is no grid or it is invalid."""
         try:
-            n = int(round((raw["sweep.stop"] - raw["sweep.start"]) / raw["sweep.step"])) + 1
-        except (TypeError, ValueError, ArithmeticError):
-            return 1    # reported by sweep_values when the grid is read
-        return max(n, 1)
+            return len(self.sweep_values or [None])
+        except ConfigError:
+            return 1    # raised again when the grid is read
 
     def with_overrides(self, overrides):
         """New config with the given flat keys replaced."""

@@ -1,8 +1,9 @@
 """Special functions backing the closed-form and integration paths.
 
 Everything the outage series need lives here: cancellation-safe incomplete
-gamma differences, Bessel wrappers, the Whittaker W function, four Meijer-G
-instances, and the Chebyshev-Gauss quadrature rule. The heavy machinery is
+gamma differences, Bessel wrappers, four Meijer-G instances (two by
+Mellin-Barnes contour, two by closed identities that the oracle table
+checks), and the Chebyshev-Gauss quadrature rule. The heavy machinery is
 evaluated in the log domain with explicit signs because the series couple
 enormous and tiny factors whose product is O(1).
 """
@@ -11,11 +12,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, i0e, jv, kv, kve, loggamma, roots_genlaguerre
+from scipy.special import gammaln, i0e, jv, kv, kve, loggamma
 
 from .errors import DomainError, NumericError
-
-_LOG_EPS = -36.7  # ln(1.1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +167,6 @@ def log_gamma_upper(a, x):
     return float(_log_upper_recurrence(a, x))
 
 
-def log_gamma_upper_vec(a, xs):
-    """Vectorised log_gamma_upper for fixed a over an array of x."""
-    xs = np.asarray(xs, dtype=float)
-    return np.array([log_gamma_upper(a, x) for x in xs.ravel()]).reshape(xs.shape)
-
-
 def log_gamma_lower(a, x):
     """log of the lower incomplete gamma(a, x); a > 0, x > 0."""
     if a <= 0:
@@ -273,22 +266,6 @@ def cgq_points(a, b, rule):
     return b1 * rule.nodes + b2, b1 * rule.weights
 
 
-def cgq_integrate(f, a, b, rule):
-    """Integrate f over [a, b] with the Chebyshev-Gauss rule.
-
-    f must accept an ndarray of abscissae and return finite values at every
-    node; a non-finite node value raises NumericError.
-    """
-    if not a < b:
-        raise DomainError("cgq_integrate needs a < b")
-    x, w = cgq_points(a, b, rule)
-    y = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("integrand returned non-finite value at a CGQ node",
-                           {"a": a, "b": b, "n": rule.n})
-    return float(np.sum(w * y))
-
-
 # ---------------------------------------------------------------------------
 # Bessel functions
 # ---------------------------------------------------------------------------
@@ -318,71 +295,21 @@ def log_bessel_i0(x):
 
 
 def bessel(kind, order, x):
-    """Bessel dispatch for the kinds the outage expressions use: 'J', 'I', 'K'."""
+    """Bessel dispatch for the kinds the outage expressions use: 'J', 'K'.
+
+    I0 has its own series (bessel_i0_series) and log form (log_bessel_i0).
+    """
     kind = kind.upper()
     if kind == "J":
         if np.any(np.asarray(x) < 0):
             raise DomainError("J_v evaluated for x >= 0 only")
         return jv(order, x)
-    if kind == "I":
-        if order != 0:
-            from scipy.special import iv
-            return iv(order, x)
-        return bessel_i0_series(x)
     if kind == "K":
         xa = np.asarray(x, dtype=float)
         if np.any(xa <= 0):
             raise DomainError("K_v(x) diverges at x = 0 and needs x > 0")
         return kv(order, x)
     raise DomainError(f"unknown Bessel kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Whittaker W
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _genlaguerre_cached(n, alpha):
-    with np.errstate(over="ignore"):  # scipy's Newton polish overflows harmlessly
-        x, w = roots_genlaguerre(n, alpha)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(x))):
-        raise NumericError("generalized Laguerre rule failed", {"n": n, "alpha": alpha})
-    return x, w
-
-
-def whittaker_w(kappa, mu, x):
-    """Whittaker W_{kappa,mu}(x) for x > 0.
-
-    Uses the Euler integral
-        W = e^(-x/2) x^kappa / Gamma(mu-kappa+1/2)
-            * int_0^inf t^(mu-kappa-1/2) (1+t/x)^(mu+kappa-1/2) e^-t dt
-    with generalized Gauss-Laguerre nodes (exact when the binomial power is a
-    nonnegative integer). W is even in mu; parameters with
-    mu - kappa + 1/2 <= 0 fall back to the Tricomi U reduction.
-    """
-    if x <= 0:
-        raise DomainError("Whittaker W needs x > 0")
-    mu = abs(mu)
-    a = mu - kappa + 0.5
-    s = 2.0 * kappa + 1.0
-    if abs(2.0 * mu - abs(s)) < 1e-12:
-        # W_{(s-1)/2, +-s/2} relates to the upper incomplete gamma; this covers
-        # every order the outage series generate and is stable at any scale
-        return float(np.exp(log_gamma_upper(s, x) + 0.5 * (1.0 - s) * np.log(x) + 0.5 * x))
-    if a <= 0 or x < 1.0:
-        from scipy.special import hyperu
-        return float(np.exp(-x / 2.0) * x ** (mu + 0.5) * hyperu(a, 1.0 + 2.0 * mu, x))
-    p = mu + kappa - 0.5
-    n = 110 if p < 100 else min(int(p) + 12, 170)
-    t, w = _genlaguerre_cached(n, a - 1.0)
-    integral = float(np.sum(w * (1.0 + t / x) ** p))
-    t2, w2 = _genlaguerre_cached(n + 40, a - 1.0)
-    integral2 = float(np.sum(w2 * (1.0 + t2 / x) ** p))
-    if not np.isclose(integral, integral2, rtol=1e-9, atol=0.0):
-        raise NumericError("Whittaker quadrature did not stabilise",
-                           {"kappa": kappa, "mu": mu, "x": x})
-    log_w = -x / 2.0 + kappa * np.log(x) - gammaln(a) + np.log(integral2)
-    return float(np.exp(log_w))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +457,6 @@ def _fixture_eval(kind, params, x):
         return float(bessel_i0_series(x))
     if kind == "bessel_k":
         return float(bessel("K", params[0], x))
-    if kind == "whittaker_w":
-        return whittaker_w(params[0], params[1], x)
     if kind in ("G0110", "G2002", "G2123", "G2113"):
         return meijer_g(kind, params, x)
     raise DomainError(f"unknown fixture kind {kind!r}")

@@ -3,7 +3,8 @@ import pytest
 
 from sagin_outage.analytic import (avg_throughput, op_a2a_closed, op_a2a_integral,
                                    op_s2g_closed, op_s2g_integral)
-from sagin_outage.analytic.coefficients import DerivedCoefficients
+from sagin_outage.analytic import closed_form as cf
+from sagin_outage.analytic.coefficients import DerivedCoefficients, SeriesContext, build_case
 from sagin_outage.analytic.throughput import throughput_from_ops
 from sagin_outage.config import config_from_mapping
 from sagin_outage.mc import simulate_op
@@ -169,3 +170,49 @@ class TestThroughput:
         op_s = op_s2g_integral(cfg.gamma_s, cfg)
         pre = (1 - cfg.sp.rho) * cfg.sp.block_s / 2
         assert thr == pytest.approx(pre * cfg.raw["rates.r_s"] * (1 - op_s), abs=1e-12)
+
+
+class TestTruncatingSum:
+    """closed_form._converge on synthetic terms: rel_tol 1e-12 puts the small-term
+    line at ln(1e-12) = -27.6 below the peak; three small terms in a row stop."""
+
+    def _run(self, logs):
+        acc = cf._SignedSum()
+        seen = []
+
+        def term(i):
+            seen.append(i)
+            if logs[i] is not None and logs[i] is not cf._STOP:
+                acc.add(1.0, logs[i])
+            return logs[i]
+
+        peak, exhausted = cf._converge(acc, SeriesContext(), range(len(logs)), term)
+        return peak, exhausted, seen, acc
+
+    def test_stops_after_consecutive_small_terms(self):
+        # a large term resets the count; -inf (nothing added) counts as small
+        peak, exhausted, seen, acc = self._run(
+            [0.0, -40.0, -40.0, -1.0, -40.0, -np.inf, -40.0, 5.0])
+        assert seen == [0, 1, 2, 3, 4, 5, 6]
+        assert not exhausted and peak == 0.0 and len(acc.logs) == 6
+
+    def test_skipped_term_keeps_the_count(self):
+        peak, exhausted, seen, _ = self._run([0.0, -40.0, -40.0, None, -40.0, 5.0])
+        assert seen == [0, 1, 2, 3, 4] and not exhausted and peak == 0.0
+
+    def test_stop_sentinel_ends_the_sum(self):
+        peak, exhausted, seen, acc = self._run([-5.0, 2.0, cf._STOP, 3.0])
+        assert seen == [0, 1, 2] and not exhausted
+        assert peak == 2.0 and len(acc.logs) == 2
+
+    def test_exhausted_at_the_cap(self):
+        peak, exhausted, seen, _ = self._run([0.0, -40.0, -40.0, -1.0, -40.0, 1.0])
+        assert seen == [0, 1, 2, 3, 4, 5] and exhausted and peak == 1.0
+
+    def test_k2_cap_marks_truncation(self):
+        cfg = _cfg()
+        ctx = SeriesContext(k2_cap=16)
+        for term, truncated in ((lambda k2: 0.0, True), (lambda k2: cf._STOP, False)):
+            work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s, ctx), ctx)
+            work.k2_sum(cf._SignedSum(), term)
+            assert work.diagnostics["truncated"] is truncated

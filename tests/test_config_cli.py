@@ -63,6 +63,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep"):
             cfg.sweep_values
 
+    @pytest.mark.parametrize("grid", [
+        {"sweep.start": 0.1, "sweep.stop": 0.5, "sweep.step": 0.0},
+        {"sweep.values": "0.2,abc"},
+        {"sweep.start": 0.1, "sweep.stop": 0.5, "sweep.step": -0.1},
+    ], ids=["zero-step", "non-numeric-value", "wrong-sign-step"])
+    def test_bad_sweep_grid_is_a_config_error(self, grid, tmp_path, capsys):
+        mapping = {"sweep.variable": "swipt.rho", **grid}
+        with pytest.raises(ConfigError, match="sweep"):
+            config_from_mapping(mapping).sweep_values
+        path = tmp_path / "grid.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "configuration valid" not in out.out
+        assert "sweep" in out.err
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match="run.seed"):
@@ -182,7 +198,7 @@ class TestCliEntry:
 
     def test_oracle_check(self, capsys):
         assert cli.main(["oracle-check"]) == 0
-        assert "243/243" in capsys.readouterr().out
+        assert "201/201" in capsys.readouterr().out
 
     def test_run_writes_csv(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -66,15 +66,14 @@ for v in [0.5, 1.5, 2.5, -0.5, 1.0, 3.0, 7.5]:
     for x in [0.07, 0.9, 2.0, 9.0]:
         emit("bessel_k", (v,), x, mp.besselk(mp.mpf(v), mp.mpf(x)))
 
-# --- Whittaker W: the family the series generate, plus generic orders --------
+# --- retired Whittaker-W rows ------------------------------------------------
+# The table once held Whittaker-W rows drawn at this point of the stream.  The
+# library no longer evaluates W, but the same 36 (integers, uniform) draws are
+# still taken, with the same arguments, so every contour row below keeps its
+# committed parameters.
 for _ in range(36):
-    s = int(rng.integers(-40, 8))
-    x = float(10 ** rng.uniform(-3.5, 3.0))
-    kap, mu_ = (s - 1) / 2.0, s / 2.0
-    emit("whittaker_w", (kap, mu_), x, mp.whitw(mp.mpf(kap), mp.mpf(mu_), mp.mpf(x)))
-for kap, mu_, x in [(0.0, 0.5, 2.0), (-0.5, 0.0, 1.0), (1.5, 2.0, 0.37),
-                    (-3.5, 1.0, 11.0), (2.0, 3.5, 5.0), (0.5, 1.0, 0.04)]:
-    emit("whittaker_w", (kap, mu_), x, mp.whitw(mp.mpf(kap), mp.mpf(mu_), mp.mpf(x)))
+    rng.integers(-40, 8)
+    rng.uniform(-3.5, 3.0)
 
 # --- identity-backed Meijer-G instances --------------------------------------
 for x in [0.2, 0.8, 2.0, 9.0]:
