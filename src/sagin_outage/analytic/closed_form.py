@@ -15,8 +15,8 @@ pieces of its distance measure.  Four building blocks cover every regime:
   sat_below_knee   saturated branch when the saturation point is negative.
 
 Every index of every block runs through one truncating sum, `_converge`: it
-stops after `consecutive` terms in a row fall below rel_tol of the largest
-term so far, and a Taylor index k2 that reaches `k2_cap` marks the result
+stops after `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest
+term so far, and a Taylor index k2 that reaches `_K2_CAP` marks the result
 truncated.  All sums run in signed log space; cancellation is monitored
 against the largest term so a noisy series is reported instead of silently
 returned.
@@ -33,24 +33,25 @@ from ..channel import shadowed_rician_power_tail
 from ..specfun import (CgqRule, cgq_points, log_delta_gamma, log_gamma_upper,
                        logsumexp_signed, meijer_g_log)
 from ..swipt import IM_IC
-from .coefficients import SeriesContext, build_case
+from .coefficients import REL_TOL, build_case
 
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 _SERIES_BLOWUP = 250.0      # cap for the Bessel-tamed unsaturated series
 _SERIES_BLOWUP_EXP = 28.0   # cap for plain alternating-exponential expansions
+_CONSECUTIVE = 3            # how many small terms in a row stop a sum
+_K2_CAP = 200               # last Taylor index over the exponential expansions
 
 
 class _Work:
     """Per-evaluation caches and diagnostics."""
 
-    def __init__(self, case, ctx):
+    def __init__(self, case, cgq_n):
         self.case = case
-        self.ctx = ctx
         co = case.coeff
         self.beta_bar = case.sr.beta_bar
         # (k, log zeta_k) over the positive coefficients of the satellite-fading series
         self.sr_terms = [(k, math.log(z)) for k, z in enumerate(case.sr.zeta()) if z > 0]
-        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, CgqRule(ctx.cgq_n))
+        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, CgqRule(cgq_n))
         self.log_w = np.log(self.w_nodes)
         self.log_wts = np.log(self.w_wts)
         # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
@@ -70,8 +71,8 @@ class _Work:
         self.diagnostics = {"truncated": False, "routes": []}
 
     def k2_sum(self, acc, term):
-        """_converge over the Taylor index k2 <= k2_cap; reaching the cap marks truncation."""
-        peak, exhausted = _converge(acc, self.ctx, range(self.ctx.k2_cap + 1), term)
+        """_converge over the Taylor index k2 <= _K2_CAP; reaching the cap marks truncation."""
+        peak, exhausted = _converge(acc, range(_K2_CAP + 1), term)
         if exhausted:
             self.diagnostics["truncated"] = True
         return peak
@@ -199,13 +200,13 @@ def _log_binom(n, k):
 _STOP = object()    # returned by a term to end its sum at once
 
 
-def _converge(acc, ctx, indices, term):
+def _converge(acc, indices, term):
     """The truncating sum every series index runs through.
 
     term(i) adds to acc and returns the log size of what it added, None to
     skip i without counting it, or _STOP to end the sum.  A term is small
-    when its log lies below acc.peak + log(rel_tol), read after the add; the
-    sum stops after ctx.consecutive small terms in a row.  Returns (peak,
+    when its log lies below acc.peak + log(REL_TOL), read after the add; the
+    sum stops after _CONSECUTIVE small terms in a row.  Returns (peak,
     exhausted): the largest log any term returned (-inf for none) and whether
     the indices ran out first.
     """
@@ -218,9 +219,9 @@ def _converge(acc, ctx, indices, term):
         if lt is _STOP:
             return peak, False
         peak = max(peak, lt)
-        if lt < acc.peak + math.log(ctx.rel_tol):
+        if lt < acc.peak + math.log(REL_TOL):
             small += 1
-            if small >= ctx.consecutive:
+            if small >= _CONSECUTIVE:
                 return peak, False
         else:
             small = 0
@@ -233,7 +234,7 @@ def _converge(acc, ctx, indices, term):
 
 def _unsat_taylor(work):
     """Unsaturated branch as a Taylor series in the satellite exponential."""
-    case, ctx = work.case, work.ctx
+    case = work.case
     co = case.coeff
     a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
@@ -264,7 +265,7 @@ def _unsat_taylor(work):
                     acc.add(sign_k2 * g_s, lt)
                     return lt
 
-                return _converge(acc, ctx, range(len(logw_n)), n_term)[0]
+                return _converge(acc, range(len(logw_n)), n_term)[0]
 
             work.k2_sum(acc, k2_term)
     return acc
@@ -272,7 +273,7 @@ def _unsat_taylor(work):
 
 def _unsat_linear(work):
     """No-saturation probability (finite Bessel-K route, no Taylor index)."""
-    case, ctx = work.case, work.ctx
+    case = work.case
     co = case.coeff
     a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
@@ -299,13 +300,13 @@ def _unsat_linear(work):
                 acc.add(i_s, lt)
                 return lt
 
-            _converge(acc, ctx, range(len(logw_n)), n_term)
+            _converge(acc, range(len(logw_n)), n_term)
     return acc
 
 
 def _unsat_overshoot(work):
     """Unsaturated-branch integrand carried past the saturation point."""
-    case, ctx = work.case, work.ctx
+    case = work.case
     co = case.coeff
     a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
@@ -334,13 +335,13 @@ def _unsat_overshoot(work):
 
                 return work.k2_sum(acc, k2_term)
 
-            _converge(acc, ctx, range(len(logw_n)), n_term)
+            _converge(acc, range(len(logw_n)), n_term)
     return acc
 
 
 def _sat_above_knee(work):
     """Saturated branch above a positive saturation point."""
-    case, ctx = work.case, work.ctx
+    case = work.case
     co = case.coeff
     a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
@@ -371,13 +372,13 @@ def _sat_above_knee(work):
 
             return max(k1_sum(k1) for k1 in range(k + n + 1))
 
-        _converge(acc, ctx, range(len(logw_n)), n_term)
+        _converge(acc, range(len(logw_n)), n_term)
     return acc
 
 
 def _sat_below_knee(work):
     """Saturated branch when the saturation point is at or below zero."""
-    case, ctx = work.case, work.ctx
+    case = work.case
     co = case.coeff
     a, b, bb = co.a_lin, co.b_lin, work.beta_bar
     logw_n = case.dest_logw
@@ -415,7 +416,7 @@ def _sat_below_knee(work):
 
             return max(k1_sum(k1) for k1 in range(k + n + 1))
 
-        _converge(acc, ctx, range(len(logw_n)), n_term)
+        _converge(acc, range(len(logw_n)), n_term)
     return acc
 
 
@@ -432,12 +433,12 @@ def _sat_bound(case):
     return float(shadowed_rician_power_tail(x_min, case.sr))
 
 
-def _closed_outage(case, ctx):
+def _closed_outage(case, cgq_n):
     if case.gamma <= 0.0:
         return 0.0
     if not case.feasible:
         return 1.0
-    work = _Work(case, ctx)
+    work = _Work(case, cgq_n)
     co = case.coeff
     p1 = 0.0
     p2 = 0.0
@@ -489,15 +490,11 @@ def _closed_outage(case, ctx):
     return float(clamped)
 
 
-def op_s2g_closed(gamma_s, cfg, ctx=None):
+def op_s2g_closed(gamma_s, cfg):
     """Satellite-to-ground outage probability by the closed-form series."""
-    ctx = ctx or SeriesContext(cgq_n=cfg.cgq_n)
-    case = build_case(cfg, "s2g", IM_IC, gamma_s, ctx)
-    return _closed_outage(case, ctx)
+    return _closed_outage(build_case(cfg, "s2g", IM_IC, gamma_s), cfg.cgq_n)
 
 
-def op_a2a_closed(gamma_a, cfg, ic_mode=IM_IC, ctx=None):
+def op_a2a_closed(gamma_a, cfg, ic_mode=IM_IC):
     """Air-to-air outage probability by the closed-form series (im-IC or p-IC)."""
-    ctx = ctx or SeriesContext(cgq_n=cfg.cgq_n)
-    case = build_case(cfg, "a2a", ic_mode, gamma_a, ctx)
-    return _closed_outage(case, ctx)
+    return _closed_outage(build_case(cfg, "a2a", ic_mode, gamma_a), cfg.cgq_n)

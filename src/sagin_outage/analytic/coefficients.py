@@ -18,25 +18,11 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from ..channel import ShadowedRicianParams, nakagami_power_tail, rician_power_tail
-from ..errors import ConfigError
-from ..swipt import IM_IC, P_IC
+from ..swipt import shares
 
 
-@dataclass(frozen=True)
-class SeriesContext:
-    """Truncation policy for the infinite index sums."""
-
-    rel_tol: float = 1e-12       # relative term size that counts as converged
-    consecutive: int = 3         # how many small terms in a row stop a sum
-    k2_cap: int = 200            # Taylor index over the exponential expansions
-    dest_cap: int = 80           # destination tail series (collapsed index)
-    cgq_n: int = 100
-
-    def __post_init__(self):
-        if not (0 < self.rel_tol <= 1e-6):
-            raise ConfigError("series rel_tol must lie in (0, 1e-6]")
-        if self.k2_cap < 16 or self.dest_cap < 16:
-            raise ConfigError("series caps must be >= 16")
+REL_TOL = 1e-12     # relative term size that counts as converged in every series
+_DEST_CAP = 80      # last index of the collapsed destination tail series
 
 
 @dataclass(frozen=True)
@@ -59,22 +45,11 @@ class DerivedCoefficients:
     @classmethod
     def for_case(cls, cfg, network, ic_mode, gamma):
         sp = cfg.sp
-        noise = cfg.noise
         chi = sp.chi_rho_eps
-        mu = sp.mu
         eta = cfg.eta_s
-        mu_eps = noise.mu_eps(sp)
-        if network == "s2g":
-            a = chi * eta * (mu - (1.0 - mu) * gamma)
-            b = mu_eps * chi * gamma
-        elif ic_mode == IM_IC:
-            a = chi * eta * ((1.0 - mu) - mu * gamma)
-            b = mu_eps * chi * gamma
-        elif ic_mode == P_IC:
-            a = chi * eta * (1.0 - mu)
-            b = mu_eps * chi * gamma
-        else:
-            raise ConfigError(f"unknown ic_mode {ic_mode!r}")
+        signal, interference = shares(sp, network, ic_mode)
+        a = chi * eta * (signal - interference * gamma)
+        b = cfg.noise.mu_eps(sp) * chi * gamma
         p_sat = math.inf if math.isinf(sp.p_th) else sp.p_th * a / eta - b
         # thresholds landing exactly on the SNR ceiling leave roundoff dust in a
         a_floor = 1e-12 * chi * eta * (1.0 + gamma)
@@ -110,30 +85,21 @@ class OutageCase:
         return self.coeff.a_lin > self.coeff.a_floor
 
 
-def _dest_series_nakagami(m_rd, cap):
-    if not float(m_rd).is_integer():
-        raise ConfigError("closed-form destination series needs integer m_rd")
-    n = np.arange(int(m_rd))
-    return -gammaln(n + 1.0)
-
-
-def _dest_series_rician(K, cap, rel_tol):
+def _dest_series_rician(K):
     # tail = sum_n P[Pois(K) >= n] ((1+K)t)^n e^-((1+K)t) / n!; the Poisson
     # tail collapses the textbook double sum exactly and keeps terms positive
-    n = np.arange(cap + 1)
-    pois_tail = np.empty(cap + 1)
+    n = np.arange(_DEST_CAP + 1)
+    pois_tail = np.empty(_DEST_CAP + 1)
     pois_tail[0] = 1.0
-    if cap >= 1:
-        pois_tail[1:] = gammainc(n[1:], K)
+    pois_tail[1:] = gammainc(n[1:], K)
     with np.errstate(divide="ignore"):
         logw = np.log(pois_tail) - gammaln(n + 1.0)
-    keep = pois_tail > rel_tol * 1e-4
+    keep = pois_tail > REL_TOL * 1e-4
     return logw[keep]
 
 
-def build_case(cfg, network, ic_mode, gamma, ctx=None):
+def build_case(cfg, network, ic_mode, gamma):
     """Assemble the OutageCase for a network/mode at threshold gamma."""
-    ctx = ctx or SeriesContext(cgq_n=cfg.cgq_n)
     coeff = DerivedCoefficients.for_case(cfg, network, ic_mode, gamma)
     orbit = cfg.orbit
     cone = cfg.cone
@@ -144,12 +110,14 @@ def build_case(cfg, network, ic_mode, gamma, ctx=None):
     if network == "s2g":
         sigma2 = cfg.noise.sigma_d2
         nu = cfg.nak.nu_rd
+        m_rd = cfg.nak.m_rd
         lo, hi = cone.h_0, cone.gu_max
         pieces = ((lo, hi, 2.0 / cone.l ** 2, 1),)
         tail = lambda t: nakagami_power_tail(t, cfg.nak)
-        c = cfg.nak.m_rd * sigma2 * gamma
-        logw = _dest_series_nakagami(cfg.nak.m_rd, ctx.dest_cap) if float(cfg.nak.m_rd).is_integer() else None
-    elif network == "a2a":
+        c = m_rd * sigma2 * gamma
+        # the tail series exists for an integer order only; the integral path needs none
+        logw = -gammaln(np.arange(int(m_rd)) + 1.0) if float(m_rd).is_integer() else None
+    else:       # "a2a": shares() in for_case rejected every other network
         sigma2 = cfg.noise.sigma_t2
         nu = cfg.ric.nu_rt
         c_phi = math.cos(cone.phi)
@@ -174,9 +142,7 @@ def build_case(cfg, network, ic_mode, gamma, ctx=None):
             )
         tail = lambda t: rician_power_tail(t, cfg.ric)
         c = (1.0 + cfg.ric.K_rt) * sigma2 * gamma
-        logw = _dest_series_rician(cfg.ric.K_rt, ctx.dest_cap, ctx.rel_tol)
-    else:
-        raise ConfigError(f"unknown network {network!r}")
+        logw = _dest_series_rician(cfg.ric.K_rt)
 
     return OutageCase(
         network=network, ic_mode=ic_mode, gamma=gamma, coeff=coeff,

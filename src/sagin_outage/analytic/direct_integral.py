@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ..channel import shadowed_rician_power_pdf
 from ..errors import NumericError
 from ..specfun import _leggauss_cached
 from ..swipt import IM_IC
@@ -18,6 +19,7 @@ from .coefficients import build_case
 
 _TAIL_CUT = 800.0      # exp(-x) below ~1e-300: integrand support cut-off
 _LEVELS = ((64, 64, 160), (96, 96, 288), (144, 144, 512))
+_ABS_TOL = 1e-6        # two successive levels closer than half this have converged
 
 
 def _dest_nodes(case, n_per_piece):
@@ -38,21 +40,13 @@ def _sat_nodes(case, n_w):
     return wm, (wm / case.w_norm_m2) * w * half
 
 
-def _sr_poly(case, x):
-    zeta = case.sr.zeta()
-    out = np.zeros_like(x)
-    for k in range(case.sr.m_sr - 1, -1, -1):
-        out = out * x + zeta[k]
-    return out
-
-
 def _sat_factor(case, z, w_nodes, w_wts):
     """F(z) = int f_w (w^2/a) f_X((z+b) w^2 / a) dw evaluated on the z grid."""
     a, b = case.coeff.a_lin, case.coeff.b_lin
     w2a = w_nodes ** 2 / a                       # (nw,)
     x = np.outer(z + b, w2a)                     # (nz, nw)
     with np.errstate(over="ignore", under="ignore"):
-        vals = case.sr.alpha * _sr_poly(case, x) * np.exp(-case.sr.beta_bar * x)
+        vals = shadowed_rician_power_pdf(x, case.sr)
     return (vals * (w2a * w_wts)[None, :]).sum(axis=1)
 
 
@@ -77,13 +71,8 @@ def _branch1(case, n_dest, n_w, n_z):
         return 0.0
     z_lo = case.dest_c * case.dest_lo ** case.nu / _TAIL_CUT * 1e-3
     z_lo = max(min(z_lo, z_hi * 1e-2), z_hi * 1e-18)
-    u, uw = _dest_nodes(case, n_dest)
-    wn, ww = _sat_nodes(case, n_w)
-    z, zw = _log_grid(z_lo, z_hi, n_z)
-    thr = np.outer(1.0 / z, case.sigma2 * case.gamma * u ** case.nu)   # (nz, nu)
-    dest = (np.asarray(case.dest_tail(thr)) * uw[None, :]).sum(axis=1)
-    sat = _sat_factor(case, z, wn, ww)
-    return float(np.sum(zw * sat * dest))
+    return _branch_mass(case, z_lo, z_hi, lambda z: 1.0 / z, case.sigma2 * case.gamma,
+                        n_dest, n_w, n_z)
 
 
 def _branch2(case, n_dest, n_w, n_z):
@@ -104,17 +93,22 @@ def _branch2(case, n_dest, n_w, n_z):
         z_lo = case.dest_c * scale2 * case.dest_lo ** case.nu * co.b_lin / _TAIL_CUT * 1e-3
         z_lo = max(z_lo, z_cut * 1e-18)
     z_hi = max(z_cut, z_lo * (1.0 + 1e-9))
+    return _branch_mass(case, z_lo, z_hi, lambda z: (z + co.b_lin) / z,
+                        case.sigma2 * case.gamma * scale2, n_dest, n_w, n_z)
+
+
+def _branch_mass(case, z_lo, z_hi, ratio, thr_scale, n_dest, n_w, n_z):
+    """int_{z_lo}^{z_hi} F(z) E_u[tail(ratio(z) thr_scale u^nu)] dz on one level."""
     u, uw = _dest_nodes(case, n_dest)
     wn, ww = _sat_nodes(case, n_w)
     z, zw = _log_grid(z_lo, z_hi, n_z)
-    ratio = (z + co.b_lin) / z
-    thr = np.outer(ratio, case.sigma2 * case.gamma * scale2 * u ** case.nu)
+    thr = np.outer(ratio(z), thr_scale * u ** case.nu)     # (nz, nu)
     dest = (np.asarray(case.dest_tail(thr)) * uw[None, :]).sum(axis=1)
     sat = _sat_factor(case, z, wn, ww)
     return float(np.sum(zw * sat * dest))
 
 
-def _outage(case, abs_tol=1e-6):
+def _outage(case):
     if case.gamma <= 0.0:
         return 0.0
     if not case.feasible:
@@ -124,20 +118,18 @@ def _outage(case, abs_tol=1e-6):
         p1 = _branch1(case, n_dest, n_w, n_z)
         p2 = _branch2(case, n_dest, n_w, n_z)
         val = 1.0 - p1 - p2
-        if prev is not None and abs(val - prev) < 0.5 * abs_tol:
+        if prev is not None and abs(val - prev) < 0.5 * _ABS_TOL:
             return float(min(max(val, 0.0), 1.0))
         prev = val
     raise NumericError("outage quadrature did not reach the requested tolerance",
                        {"network": case.network, "gamma": case.gamma, "last": prev})
 
 
-def op_s2g_integral(gamma_s, cfg, ctx=None):
+def op_s2g_integral(gamma_s, cfg):
     """Satellite-to-ground outage probability by direct integration."""
-    case = build_case(cfg, "s2g", IM_IC, gamma_s, ctx)
-    return _outage(case)
+    return _outage(build_case(cfg, "s2g", IM_IC, gamma_s))
 
 
-def op_a2a_integral(gamma_a, cfg, ic_mode=IM_IC, ctx=None):
+def op_a2a_integral(gamma_a, cfg, ic_mode=IM_IC):
     """Air-to-air outage probability by direct integration (im-IC or p-IC)."""
-    case = build_case(cfg, "a2a", ic_mode, gamma_a, ctx)
-    return _outage(case)
+    return _outage(build_case(cfg, "a2a", ic_mode, gamma_a))

@@ -122,10 +122,6 @@ class NakagamiParams:
         if self.nu_rd <= 0:
             raise ConfigError("nu_rd must be positive")
 
-    @property
-    def integer_order(self):
-        return float(self.m_rd).is_integer()
-
 
 def nakagami_power_pdf(x, p):
     """Unit-mean gamma density with shape m_rd."""

@@ -73,6 +73,8 @@ DEFAULTS = {
 }
 
 _INT_KEYS = {"fading.m_sr", "run.trials", "run.seed", "run.cgq_n"}
+# a start/stop/step sweep longer than this is taken for a mistyped step
+MAX_GRID_POINTS = 10_000
 _STR_KEYS = {"rates.threshold_mode", "run.ic_mode", "run.networks",
              "run.methods", "sweep.variable", "sweep.values"}
 
@@ -88,17 +90,17 @@ def _parse_scalar(key, text):
     text = text.strip()
     if key in _STR_KEYS:
         return text
-    low = text.lower()
-    if low in ("inf", "+inf", "infinity"):
-        return math.inf
-    if low in ("none", ""):
+    if text.lower() in ("none", ""):
         return None
     try:
-        if key in _INT_KEYS:
-            return int(float(text))
-        return float(text)
+        value = float(text)         # also reads "inf" (swipt.p_th_dbm = inf: linear EH)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {text!r}") from exc
+    if key not in _INT_KEYS:
+        return value
+    if not value.is_integer():
+        raise ConfigError(f"{key}: {text!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -244,6 +246,12 @@ class ScenarioConfig:
                 return [float(v) for v in str(raw["sweep.values"]).split(",")]
             except ValueError as exc:
                 raise ConfigError(f"sweep.values: {exc}") from exc
+        start, step = raw["sweep.start"], raw["sweep.step"]
+        return [start + i * step for i in range(self._range_size())]
+
+    def _range_size(self):
+        """Point count of the start/stop/step grid, counted without building it."""
+        raw = self.raw
         start, stop, step = raw["sweep.start"], raw["sweep.stop"], raw["sweep.step"]
         if start is None or stop is None or step is None:
             raise ConfigError("sweep: provide sweep.values or start/stop/step")
@@ -254,11 +262,16 @@ class ScenarioConfig:
         if n < 1:
             raise ConfigError("sweep: start/stop/step must be finite, with a nonzero "
                               "step that leads from sweep.start to sweep.stop")
-        return [start + i * step for i in range(n)]
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"sweep: start/stop/step give {n} points, more than "
+                              f"{MAX_GRID_POINTS}; check sweep.step")
+        return n
 
     def _grid_size(self):
         """Number of sweep points; 1 when there is no grid or it is invalid."""
         try:
+            if self.raw["sweep.variable"] is not None and not self.raw["sweep.values"]:
+                return self._range_size()
             return len(self.sweep_values or [None])
         except ConfigError:
             return 1    # raised again when the grid is read

@@ -48,10 +48,6 @@ class SwiptParams:
             return np.inf
         return self.mu / (1.0 - self.mu)
 
-    @property
-    def linear_eh(self):
-        return np.isinf(self.p_th)
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -93,53 +89,50 @@ def harvested_power(X, w_sr_m, eta_s, sp):
     return sp.chi_rho_eps * np.minimum(recv, sp.p_th)
 
 
+def shares(sp, network, ic_mode):
+    """(signal, interference) shares of the relay's power in one outage case.
+
+    The ground user decodes the primary share mu against the relay's own 1 - mu;
+    the aerial receiver decodes 1 - mu against mu (im-IC) or nothing (p-IC).
+    """
+    if ic_mode not in (IM_IC, P_IC):
+        raise ConfigError(f"ic_mode must be {IM_IC!r} or {P_IC!r}")
+    if network == "s2g":
+        return sp.mu, 1.0 - sp.mu
+    if network == "a2a":
+        return 1.0 - sp.mu, (sp.mu if ic_mode == IM_IC else 0.0)
+    raise ConfigError(f"unknown network {network!r}")
+
+
 def snr_gu(draw, eta_s, sp, noise, nu_rd=2.0):
     """End-to-end SNR at the ground user through the relay."""
-    X = np.asarray(draw.X, dtype=float)
-    Y = np.asarray(draw.Y, dtype=float)
-    w_m = np.asarray(draw.w_sr_km, dtype=float) * 1e3
-    v = np.asarray(draw.w_rd_m, dtype=float)
-    return _snr_gu_core(X, Y, w_m, v, nu_rd, eta_s, sp, noise)
-
-
-def _snr_gu_core(X, Y, w_m, v, nu_rd, eta_s, sp, noise):
-    chi = sp.chi_rho_eps
-    mu = sp.mu
-    me = noise.mu_eps(sp)
-    s2 = noise.sigma_d2
-    g_sat = eta_s * X / w_m ** 2
-    yv = Y * v ** (-nu_rd)
-    lin = np.minimum(g_sat, sp.p_th)
-    # common form: both branches reduce to
-    #   mu chi lin yv / (me chi lin yv / g_sat + (1-mu) chi lin yv + s2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relay_noise = np.where(g_sat > 0, me * chi * lin * yv / g_sat, 0.0)
-    return mu * chi * lin * yv / (relay_noise + (1.0 - mu) * chi * lin * yv + s2)
+    return _snr(draw, draw.Y, draw.w_rd_m, nu_rd, eta_s, sp, noise,
+                noise.sigma_d2, shares(sp, "s2g", IM_IC))
 
 
 def snr_arx(draw, eta_s, sp, noise, ic_mode=IM_IC, nu_rt=2.0):
     """SNR of the relay's own transmission at the aerial receiver."""
-    if ic_mode not in (IM_IC, P_IC):
-        raise ConfigError(f"ic_mode must be {IM_IC!r} or {P_IC!r}")
+    return _snr(draw, draw.Z, draw.w_rt_m, nu_rt, eta_s, sp, noise,
+                noise.sigma_t2, shares(sp, "a2a", ic_mode))
+
+
+def _snr(draw, G, dist_m, nu, eta_s, sp, noise, s2, share):
+    """signal chi lin g / (relay noise + interference chi lin g + s2), with
+    g = G dist_m^-nu the destination gain and lin the harvester input."""
+    signal, interference = share
     X = np.asarray(draw.X, dtype=float)
-    Z = np.asarray(draw.Z, dtype=float)
+    G = np.asarray(G, dtype=float)
     w_m = np.asarray(draw.w_sr_km, dtype=float) * 1e3
-    u = np.asarray(draw.w_rt_m, dtype=float)
-    return _snr_arx_core(X, Z, w_m, u, nu_rt, eta_s, sp, noise, ic_mode)
-
-
-def _snr_arx_core(X, Z, w_m, u, nu_rt, eta_s, sp, noise, ic_mode):
     chi = sp.chi_rho_eps
-    mu = sp.mu
     me = noise.mu_eps(sp)
-    s2 = noise.sigma_t2
     g_sat = eta_s * X / w_m ** 2
-    zu = Z * u ** (-nu_rt)
+    g = G * np.asarray(dist_m, dtype=float) ** (-nu)
     lin = np.minimum(g_sat, sp.p_th)
     with np.errstate(divide="ignore", invalid="ignore"):
-        relay_noise = np.where(g_sat > 0, me * chi * lin * zu / g_sat, 0.0)
-    interference = mu * chi * lin * zu if ic_mode == IM_IC else 0.0
-    return (1.0 - mu) * chi * lin * zu / (relay_noise + interference + s2)
+        relay_noise = np.where(g_sat > 0, me * chi * lin * g / g_sat, 0.0)
+    # p-IC adds a scalar 0.0: no array pass, and the sum keeps its value to the bit
+    return signal * chi * lin * g / (
+        relay_noise + (interference * chi * lin * g if interference else 0.0) + s2)
 
 
 def gamma_from_rate(rate, rho):

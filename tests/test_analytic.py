@@ -4,9 +4,10 @@ import pytest
 from sagin_outage.analytic import (avg_throughput, op_a2a_closed, op_a2a_integral,
                                    op_s2g_closed, op_s2g_integral)
 from sagin_outage.analytic import closed_form as cf
-from sagin_outage.analytic.coefficients import DerivedCoefficients, SeriesContext, build_case
+from sagin_outage.analytic.coefficients import DerivedCoefficients, build_case
 from sagin_outage.analytic.throughput import throughput_from_ops
 from sagin_outage.config import config_from_mapping
+from sagin_outage.geometry import arx_distance_pdf, gu_distance_pdf
 from sagin_outage.mc import simulate_op
 from sagin_outage.swipt import IM_IC, P_IC
 
@@ -186,7 +187,7 @@ class TestTruncatingSum:
                 acc.add(1.0, logs[i])
             return logs[i]
 
-        peak, exhausted = cf._converge(acc, SeriesContext(), range(len(logs)), term)
+        peak, exhausted = cf._converge(acc, range(len(logs)), term)
         return peak, exhausted, seen, acc
 
     def test_stops_after_consecutive_small_terms(self):
@@ -209,10 +210,35 @@ class TestTruncatingSum:
         peak, exhausted, seen, _ = self._run([0.0, -40.0, -40.0, -1.0, -40.0, 1.0])
         assert seen == [0, 1, 2, 3, 4, 5] and exhausted and peak == 1.0
 
-    def test_k2_cap_marks_truncation(self):
+    def test_k2_cap_marks_truncation(self, monkeypatch):
         cfg = _cfg()
-        ctx = SeriesContext(k2_cap=16)
+        monkeypatch.setattr(cf, "_K2_CAP", 16)
         for term, truncated in ((lambda k2: 0.0, True), (lambda k2: cf._STOP, False)):
-            work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s, ctx), ctx)
+            work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s), cfg.cgq_n)
             work.k2_sum(cf._SignedSum(), term)
             assert work.diagnostics["truncated"] is truncated
+
+
+class TestDestinationPieces:
+    """build_case's monomial pieces coeff * u^q on [lo, hi] against the
+    destination-distance pdfs they stand for."""
+
+    @pytest.mark.parametrize("network, h1_m, case1", [
+        ("s2g", 400.0, True), ("a2a", 400.0, True), ("a2a", 490.0, False),
+    ], ids=["s2g", "a2a-case1", "a2a-case2"])
+    def test_pieces_sum_to_the_distance_pdf(self, network, h1_m, case1):
+        cfg = _cfg(**{"geometry.h1_m": h1_m})
+        assert cfg.cone.case1 == case1
+        case = build_case(cfg, network, IM_IC, cfg.gamma_a)
+        pdf = gu_distance_pdf if network == "s2g" else arx_distance_pdf
+        breaks = sorted({y for lo, hi, _, _ in case.dest_pieces for y in (lo, hi)})
+        assert (breaks[0], breaks[-1]) == (case.dest_lo, case.dest_hi)
+        u = np.concatenate([np.linspace(a, b, 9)[1:-1] for a, b in zip(breaks, breaks[1:])])
+        pieces = sum(np.where((u > lo) & (u < hi), coeff * u ** q, 0.0)
+                     for lo, hi, coeff, q in case.dest_pieces)
+        want = pdf(u, cfg.cone)
+        assert np.all(want > 0)
+        np.testing.assert_allclose(pieces, want, rtol=1e-9)
+        mass = sum(coeff * (hi ** (q + 1) - lo ** (q + 1)) / (q + 1)
+                   for lo, hi, coeff, q in case.dest_pieces)
+        assert mass == pytest.approx(1.0, rel=1e-12)

@@ -67,7 +67,8 @@ class TestValidation:
         {"sweep.start": 0.1, "sweep.stop": 0.5, "sweep.step": 0.0},
         {"sweep.values": "0.2,abc"},
         {"sweep.start": 0.1, "sweep.stop": 0.5, "sweep.step": -0.1},
-    ], ids=["zero-step", "non-numeric-value", "wrong-sign-step"])
+        {"sweep.start": 0.1, "sweep.stop": 0.5, "sweep.step": 1e-6},
+    ], ids=["zero-step", "non-numeric-value", "wrong-sign-step", "too-many-points"])
     def test_bad_sweep_grid_is_a_config_error(self, grid, tmp_path, capsys):
         mapping = {"sweep.variable": "swipt.rho", **grid}
         with pytest.raises(ConfigError, match="sweep"):
@@ -78,6 +79,19 @@ class TestValidation:
         out = capsys.readouterr()
         assert "configuration valid" not in out.out
         assert "sweep" in out.err
+
+    @pytest.mark.parametrize("text", ["12.5", "inf"])
+    @pytest.mark.parametrize("key", ["fading.m_sr", "run.trials", "run.seed", "run.cgq_n"])
+    def test_non_integral_text_for_integer_key(self, key, text, tmp_path, capsys):
+        path = tmp_path / "int.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match="not an integer"):
+            load_config(path)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "configuration valid" not in capsys.readouterr().out
+        path.write_text(f"{key} = 1e1\n")
+        value = load_config(path).raw[key]
+        assert value == 10 and type(value) is int
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):

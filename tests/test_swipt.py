@@ -104,6 +104,41 @@ class TestSnrArx:
             swipt.snr_arx(_draw(X=1.0), 1.0, SP, NOISE, ic_mode="oracle")
 
 
+class TestShares:
+    def test_signal_and_interference_of_each_case(self):
+        mu = SP.mu
+        assert swipt.shares(SP, "s2g", swipt.IM_IC) == (mu, 1.0 - mu)
+        assert swipt.shares(SP, "a2a", swipt.IM_IC) == (1.0 - mu, mu)
+        assert swipt.shares(SP, "a2a", swipt.P_IC) == (1.0 - mu, 0.0)
+
+    @pytest.mark.parametrize("network, mode", [
+        ("s2g", "oracle"), ("a2a", "oracle"), ("g2g", swipt.IM_IC)])
+    def test_unknown_case_rejected(self, network, mode):
+        with pytest.raises(ConfigError):
+            swipt.shares(SP, network, mode)
+
+    def test_snrs_equal_the_written_out_expressions(self):
+        # each case's SINR spelled out, same operation order: equal to the bit
+        cfg = config_from_mapping({"link.eta_s_db": 120.0, "swipt.p_th_dbm": 20.0})
+        d = draw_block(cfg, _block_rng(8, 0), 50_000)
+        sp, noise, eta = cfg.sp, cfg.noise, cfg.eta_s
+        chi, mu, me = sp.chi_rho_eps, sp.mu, noise.mu_eps(sp)
+        g_sat = eta * d.X / (d.w_sr_km * 1e3) ** 2
+        lin = np.minimum(g_sat, sp.p_th)
+        yv = d.Y * d.w_rd_m ** (-cfg.nak.nu_rd)
+        zu = d.Z * d.w_rt_m ** (-cfg.ric.nu_rt)
+        gu = mu * chi * lin * yv / (me * chi * lin * yv / g_sat
+                                    + (1.0 - mu) * chi * lin * yv + noise.sigma_d2)
+        im = (1.0 - mu) * chi * lin * zu / (me * chi * lin * zu / g_sat
+                                            + mu * chi * lin * zu + noise.sigma_t2)
+        p = (1.0 - mu) * chi * lin * zu / (me * chi * lin * zu / g_sat + noise.sigma_t2)
+        assert np.all(g_sat > 0)
+        assert np.array_equal(swipt.snr_gu(d, eta, sp, noise, nu_rd=cfg.nak.nu_rd), gu)
+        for mode, want in ((swipt.IM_IC, im), (swipt.P_IC, p)):
+            got = swipt.snr_arx(d, eta, sp, noise, ic_mode=mode, nu_rt=cfg.ric.nu_rt)
+            assert np.array_equal(got, want)
+
+
 class TestGammaFromRate:
     def test_zero_rate(self):
         assert swipt.gamma_from_rate(0.0, 0.4) == 0.0
