@@ -92,6 +92,11 @@ def _parse_scalar(key, text):
         return text
     if text.lower() in ("none", ""):
         return None
+    if key in _INT_KEYS:
+        try:
+            return int(text)        # exact: a seed above 2**53 is not rounded
+        except ValueError:
+            pass                    # integral float forms such as 1e6
     try:
         value = float(text)         # also reads "inf" (swipt.p_th_dbm = inf: linear EH)
     except ValueError as exc:
@@ -103,9 +108,51 @@ def _parse_scalar(key, text):
     return int(value)
 
 
+def _merged(raw, mapping):
+    """Copy of ``raw`` with ``mapping`` applied; text values are parsed as in a file."""
+    merged = dict(raw)
+    for key, val in mapping.items():
+        if key not in merged:
+            raise ConfigError(f"unknown key {key!r}")
+        merged[key] = _parse_scalar(key, val) if isinstance(val, str) else val
+    return merged
+
+
+def _sweep_grid(raw):
+    """Grid for the configured sweep variable, or None for a single point.
+
+    A start/stop/step grid is counted before it is built, so a mistyped step
+    raises instead of filling memory.
+    """
+    if raw["sweep.variable"] is None:
+        return None
+    if raw["sweep.values"]:
+        try:
+            return [float(v) for v in str(raw["sweep.values"]).split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values: {exc}") from exc
+    start, stop, step = raw["sweep.start"], raw["sweep.stop"], raw["sweep.step"]
+    if start is None or stop is None or step is None:
+        raise ConfigError("sweep: provide sweep.values or start/stop/step")
+    try:
+        n = int(round((stop - start) / step)) + 1
+    except (TypeError, ValueError, ArithmeticError):
+        n = 0
+    if n < 1:
+        raise ConfigError("sweep: start/stop/step must be finite, with a nonzero "
+                          "step that leads from sweep.start to sweep.stop")
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"sweep: start/stop/step give {n} points, more than "
+                          f"{MAX_GRID_POINTS}; check sweep.step")
+    return [start + i * step for i in range(n)]
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated parameter bundle for one network instance plus run/sweep settings."""
+    """Validated parameter bundle for one network instance plus run/sweep settings.
+
+    Every derived quantity is computed and checked once, at construction.
+    """
 
     raw: dict = field(repr=False)
     orbit: OrbitGeometry = field(init=False)
@@ -115,12 +162,22 @@ class ScenarioConfig:
     ric: RicianParams = field(init=False)
     sp: SwiptParams = field(init=False)
     noise: NoiseParams = field(init=False)
+    eta_s: float = field(init=False)            # effective satellite gain, linear
+    gamma_s: float = field(init=False)          # outage thresholds, linear
+    gamma_a: float = field(init=False)
+    networks: tuple = field(init=False)
+    methods: tuple = field(init=False)
+    ic_modes: tuple = field(init=False)
+    sweep_values: list = field(init=False)      # None for a single point
 
     def __post_init__(self):
         raw = self.raw
 
         def g(key):
             return raw[key]
+
+        def names(key):
+            return tuple(s.strip() for s in raw[key].split(",") if s.strip())
 
         def _set(name, value):
             object.__setattr__(self, name, value)
@@ -148,80 +205,58 @@ class ScenarioConfig:
                                       sigma_rb2=float(dbm_to_watt(g("noise.sigma_rb_dbm"))),
                                       sigma_d2=float(dbm_to_watt(g("noise.sigma_d_dbm"))),
                                       sigma_t2=float(dbm_to_watt(g("noise.sigma_t_dbm")))))
+            if g("link.eta_s_db") is not None:     # a direct override wins over the link chain
+                _set("eta_s", float(db_to_linear(g("link.eta_s_db"))))
+            else:
+                _set("eta_s", effective_gain(SatelliteLink(
+                    P_s=g("link.P_s_w"), xi_db=g("link.xi_db"),
+                    wavelength=g("link.lambda_m"), T_noise=g("link.T_noise_k"),
+                    bandwidth=g("link.bandwidth_hz"), gain_s_db=g("link.gain_s_db"),
+                    gain_r_db=g("link.gain_sr_db"),
+                    theta_sr=math.radians(g("link.theta_sr_deg")),
+                    theta_3db=math.radians(g("link.theta_3db_deg")))))
+            threshold_mode = g("rates.threshold_mode")
+            if threshold_mode not in ("fixed", "from_rate"):
+                raise ConfigError("rates.threshold_mode must be 'fixed' or 'from_rate'")
+            if g("rates.r_s") < 0 or g("rates.r_a") < 0:
+                raise ConfigError("rates.r_s / rates.r_a must be nonnegative")
+            if threshold_mode == "from_rate":
+                _set("gamma_s", gamma_from_rate(g("rates.r_s"), self.sp.rho))
+                _set("gamma_a", gamma_from_rate(g("rates.r_a"), self.sp.rho))
+            else:
+                _set("gamma_s", float(db_to_linear(g("rates.gamma_s_db"))))
+                _set("gamma_a", float(db_to_linear(g("rates.gamma_a_db"))))
+            ic_mode = g("run.ic_mode")
+            if ic_mode not in (IM_IC, P_IC, "both"):
+                raise ConfigError("run.ic_mode must be 'im-ic', 'p-ic' or 'both'")
+            _set("ic_modes", (IM_IC, P_IC) if ic_mode == "both" else (ic_mode,))
+            _set("networks", names("run.networks"))
+            for net in self.networks:
+                if net not in ("s2g", "a2a"):
+                    raise ConfigError(f"run.networks: unknown network {net!r}")
+            _set("methods", names("run.methods"))
+            for meth in self.methods:
+                if meth not in ("mc", "closed", "integral"):
+                    raise ConfigError(f"run.methods: unknown method {meth!r}")
+            if g("run.trials") < 1:
+                raise ConfigError("run.trials must be >= 1")
+            if g("run.cgq_n") < 4:
+                raise ConfigError("run.cgq_n must be >= 4")
+            if "closed" in self.methods and not float(g("fading.m_rd")).is_integer():
+                raise ConfigError("fading.m_rd: the closed-form series requires an integer "
+                                  "order; use the integral/mc methods for real m_rd")
+            if g("sweep.variable") is not None and g("sweep.variable") not in SWEEPABLE:
+                raise ConfigError(f"sweep.variable: {g('sweep.variable')!r} is not sweepable "
+                                  f"(choose from {sorted(SWEEPABLE)})")
+            _set("sweep_values", _sweep_grid(raw))
+            # grid point i draws from seed run.seed + i, a 64-bit Philox key
+            if not 0 <= g("run.seed") <= 2 ** 64 - len(self.sweep_values or [None]):
+                raise ConfigError("run.seed must be a nonnegative integer with "
+                                  "run.seed + (grid points - 1) below 2**64")
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-        if g("rates.threshold_mode") not in ("fixed", "from_rate"):
-            raise ConfigError("rates.threshold_mode must be 'fixed' or 'from_rate'")
-        if g("rates.r_s") < 0 or g("rates.r_a") < 0:
-            raise ConfigError("rates.r_s / rates.r_a must be nonnegative")
-        if g("run.ic_mode") not in (IM_IC, P_IC, "both"):
-            raise ConfigError("run.ic_mode must be 'im-ic', 'p-ic' or 'both'")
-        for net in self.networks:
-            if net not in ("s2g", "a2a"):
-                raise ConfigError(f"run.networks: unknown network {net!r}")
-        for meth in self.methods:
-            if meth not in ("mc", "closed", "integral"):
-                raise ConfigError(f"run.methods: unknown method {meth!r}")
-        if g("run.trials") < 1:
-            raise ConfigError("run.trials must be >= 1")
-        # grid point i draws from seed run.seed + i, a 64-bit Philox key
-        if not 0 <= g("run.seed") <= 2 ** 64 - self._grid_size():
-            raise ConfigError("run.seed must be a nonnegative integer with "
-                              "run.seed + (grid points - 1) below 2**64")
-        if g("run.cgq_n") < 4:
-            raise ConfigError("run.cgq_n must be >= 4")
-        if self.methods and "closed" in self.methods and not float(g("fading.m_rd")).is_integer():
-            raise ConfigError("fading.m_rd: the closed-form series requires an integer "
-                              "order; use the integral/mc methods for real m_rd")
-        if g("sweep.variable") is not None and g("sweep.variable") not in SWEEPABLE:
-            raise ConfigError(f"sweep.variable: {g('sweep.variable')!r} is not sweepable "
-                              f"(choose from {sorted(SWEEPABLE)})")
-
-    # -- resolved quantities ------------------------------------------------
-
-    @property
-    def eta_s(self):
-        """Effective satellite gain: direct dB override wins over the link chain."""
-        direct = self.raw["link.eta_s_db"]
-        if direct is not None:
-            return float(db_to_linear(direct))
-        link = SatelliteLink(P_s=self.raw["link.P_s_w"], xi_db=self.raw["link.xi_db"],
-                             wavelength=self.raw["link.lambda_m"],
-                             T_noise=self.raw["link.T_noise_k"],
-                             bandwidth=self.raw["link.bandwidth_hz"],
-                             gain_s_db=self.raw["link.gain_s_db"],
-                             gain_r_db=self.raw["link.gain_sr_db"],
-                             theta_sr=math.radians(self.raw["link.theta_sr_deg"]),
-                             theta_3db=math.radians(self.raw["link.theta_3db_deg"]))
-        return effective_gain(link)
-
-    @property
-    def gamma_s(self):
-        if self.raw["rates.threshold_mode"] == "from_rate":
-            return gamma_from_rate(self.raw["rates.r_s"], self.sp.rho)
-        return float(db_to_linear(self.raw["rates.gamma_s_db"]))
-
-    @property
-    def gamma_a(self):
-        if self.raw["rates.threshold_mode"] == "from_rate":
-            return gamma_from_rate(self.raw["rates.r_a"], self.sp.rho)
-        return float(db_to_linear(self.raw["rates.gamma_a_db"]))
-
-    @property
-    def networks(self):
-        return tuple(s.strip() for s in self.raw["run.networks"].split(",") if s.strip())
-
-    @property
-    def methods(self):
-        return tuple(s.strip() for s in self.raw["run.methods"].split(",") if s.strip())
-
-    @property
-    def ic_modes(self):
-        mode = self.raw["run.ic_mode"]
-        return (IM_IC, P_IC) if mode == "both" else (mode,)
 
     @property
     def trials(self):
@@ -235,64 +270,14 @@ class ScenarioConfig:
     def cgq_n(self):
         return self.raw["run.cgq_n"]
 
-    @property
-    def sweep_values(self):
-        """Grid for the configured sweep variable, or None for a single point."""
-        raw = self.raw
-        if raw["sweep.variable"] is None:
-            return None
-        if raw["sweep.values"]:
-            try:
-                return [float(v) for v in str(raw["sweep.values"]).split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"sweep.values: {exc}") from exc
-        start, step = raw["sweep.start"], raw["sweep.step"]
-        return [start + i * step for i in range(self._range_size())]
-
-    def _range_size(self):
-        """Point count of the start/stop/step grid, counted without building it."""
-        raw = self.raw
-        start, stop, step = raw["sweep.start"], raw["sweep.stop"], raw["sweep.step"]
-        if start is None or stop is None or step is None:
-            raise ConfigError("sweep: provide sweep.values or start/stop/step")
-        try:
-            n = int(round((stop - start) / step)) + 1
-        except (TypeError, ValueError, ArithmeticError):
-            n = 0
-        if n < 1:
-            raise ConfigError("sweep: start/stop/step must be finite, with a nonzero "
-                              "step that leads from sweep.start to sweep.stop")
-        if n > MAX_GRID_POINTS:
-            raise ConfigError(f"sweep: start/stop/step give {n} points, more than "
-                              f"{MAX_GRID_POINTS}; check sweep.step")
-        return n
-
-    def _grid_size(self):
-        """Number of sweep points; 1 when there is no grid or it is invalid."""
-        try:
-            if self.raw["sweep.variable"] is not None and not self.raw["sweep.values"]:
-                return self._range_size()
-            return len(self.sweep_values or [None])
-        except ConfigError:
-            return 1    # raised again when the grid is read
-
     def with_overrides(self, overrides):
-        """New config with the given flat keys replaced."""
-        merged = dict(self.raw)
-        for key, val in overrides.items():
-            if key not in merged:
-                raise ConfigError(f"unknown key {key!r}")
-            merged[key] = val
-        return ScenarioConfig(raw=merged)
+        """New config with the given flat keys replaced; text is parsed as in a file."""
+        return ScenarioConfig(raw=_merged(self.raw, overrides))
 
 
 def config_from_mapping(mapping):
     """Build a validated config from a {flat_key: value} mapping."""
-    raw = dict(DEFAULTS)
-    for key, val in mapping.items():
-        if key not in raw:
-            raise ConfigError(f"unknown key {key!r}")
-        raw[key] = _parse_scalar(key, val) if isinstance(val, str) else val
+    raw = _merged(DEFAULTS, mapping)
     if raw["geometry.l_prime_m"] is not None and "geometry.l_prime_m" in mapping:
         warnings.warn("geometry.l_prime_m is accepted but unused by every expression",
                       stacklevel=2)

@@ -141,6 +141,30 @@ def _leggauss_cached(n):
     return x, w
 
 
+def _log_gamma_pair(a, x):
+    """(log gamma(a, x), log Gamma(a, x)) for a > 0, x > 0, each expansion run once.
+
+    The ascending series gives the lower function for x <= a+1 and the
+    continued fraction the upper one for x > a+1 or (a < 0.2 and x > 0.3).  A
+    side that no expansion covers is the complement to Gamma(a), or its own
+    expansion where that complement would cancel to nothing.
+    """
+    ll = float(_log_lower_series(a, x)) if x <= a + 1.0 else None
+    lu = float(_log_upper_cf(a, x)) if x > a + 1.0 or (a < 0.2 and x > 0.3) else None
+    if ll is None or lu is None:
+        lg = float(gammaln(a))
+        ratio = (ll if lu is None else lu) - lg
+        if ratio > -1e-12:   # the known side ~ Gamma(a): the complement underflows
+            other = float(_log_upper_cf(a, x) if lu is None else _log_lower_series(a, x))
+        else:
+            other = lg + np.log1p(-np.exp(ratio))
+        if lu is None:
+            lu = other
+        else:
+            ll = other
+    return ll, lu
+
+
 def log_gamma_upper(a, x):
     """log Gamma(a, x) for real a (any sign) and x > 0; Gamma(a, x) is positive.
 
@@ -154,35 +178,10 @@ def log_gamma_upper(a, x):
             raise DomainError("Gamma(a, 0) diverges for a <= 0")
         return float(gammaln(a))
     if a > 0:
-        if x > a + 1.0 or (a < 0.2 and x > 0.3):
-            return float(_log_upper_cf(a, x))
-        ll = _log_lower_series(a, x)
-        lg = float(gammaln(a))
-        ratio = ll - lg
-        if ratio > -1e-12:   # gamma_lower ~ Gamma: complement underflows
-            return float(_log_upper_cf(a, x))
-        return lg + np.log1p(-np.exp(ratio))
+        return _log_gamma_pair(a, x)[1]
     if x >= 1.0:
         return float(_log_upper_exp(a, x))
     return float(_log_upper_recurrence(a, x))
-
-
-def log_gamma_lower(a, x):
-    """log of the lower incomplete gamma(a, x); a > 0, x > 0."""
-    if a <= 0:
-        raise DomainError("lower incomplete gamma needs a > 0")
-    if x <= 0:
-        if x == 0:
-            return -np.inf
-        raise DomainError("lower incomplete gamma needs x >= 0")
-    if x <= a + 1.0:
-        return float(_log_lower_series(a, x))
-    lg = float(gammaln(a))
-    lu = float(_log_upper_cf(a, x))
-    ratio = lu - lg
-    if ratio > -1e-12:
-        return float(_log_lower_series(a, x))
-    return lg + np.log1p(-np.exp(ratio))
 
 
 def log_delta_gamma(a, b, c):
@@ -207,7 +206,7 @@ def log_delta_gamma(a, b, c):
             return sign, float(gammaln(a))
         return sign, log_gamma_upper(a, b)
     if b == 0:
-        return sign, log_gamma_lower(a, c)
+        return sign, _log_gamma_pair(a, c)[0]
     if c <= 1.0000001 * b:
         # nearly coincident limits: integrate directly on [b, c]
         nodes, wts = _leggauss_cached(64)
@@ -216,11 +215,9 @@ def log_delta_gamma(a, b, c):
         m = logf.max()
         val = float(np.sum(wts * np.exp(logf - m))) * 0.5 * (c - b)
         return sign, m + np.log(val)
-    lub = log_gamma_upper(a, b)
-    luc = log_gamma_upper(a, c)
+    llb, lub = _log_gamma_pair(a, b)
+    llc, luc = _log_gamma_pair(a, c)
     r_upper = luc - lub
-    llb = log_gamma_lower(a, b)
-    llc = log_gamma_lower(a, c)
     r_lower = llb - llc
     if r_upper <= r_lower:
         return sign, lub + np.log1p(-np.exp(min(r_upper, -1e-300)))

@@ -31,7 +31,6 @@ SCHEMA_COLUMNS = (
 @dataclass
 class SweepResult:
     variable: str
-    columns: tuple = SCHEMA_COLUMNS
     rows: list = field(default_factory=list)
 
     @property
@@ -117,7 +116,9 @@ def run_sweep(cfg):
     seeds = [cfg.seed + i for i in range(len(values))]
     points = []
     for val in values:
-        points.append(cfg if val is None else cfg.with_overrides({variable: val}))
+        # a point config carries no sweep, so building it does not rebuild the grid
+        points.append(cfg if val is None else
+                      cfg.with_overrides({variable: val, "sweep.variable": None}))
     result = SweepResult(variable=variable or "")
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futs = [pool.submit(_evaluate_point, c, variable, v, s)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sagin_outage import cli
+from sagin_outage import cli, config
+from sagin_outage.channel import effective_gain
 from sagin_outage.config import (FIGURE_PRESETS, apply_preset, config_from_mapping,
                                  default_config, load_config)
 from sagin_outage.errors import ConfigError
@@ -29,6 +30,17 @@ class TestDefaults:
     def test_direct_eta_override_wins(self):
         cfg = config_from_mapping({"link.eta_s_db": 120.0})
         assert cfg.eta_s == pytest.approx(1e12)
+
+    def test_link_chain_resolved_once(self, monkeypatch):
+        calls = []
+
+        def counting(link):
+            calls.append(link)
+            return effective_gain(link)
+        monkeypatch.setattr(config, "effective_gain", counting)
+        cfg = default_config()
+        assert [cfg.eta_s, cfg.eta_s, cfg.eta_s] == [effective_gain(calls[0])] * 3
+        assert len(calls) == 1
 
 
 class TestValidation:
@@ -59,9 +71,8 @@ class TestValidation:
             config_from_mapping({"geometry.l_prime_m": 180.0})
 
     def test_sweep_needs_grid(self):
-        cfg = config_from_mapping({"sweep.variable": "swipt.rho"})
         with pytest.raises(ConfigError, match="sweep"):
-            cfg.sweep_values
+            config_from_mapping({"sweep.variable": "swipt.rho"})
 
     @pytest.mark.parametrize("grid", [
         {"sweep.start": 0.1, "sweep.stop": 0.5, "sweep.step": 0.0},
@@ -109,6 +120,43 @@ class TestValidation:
             config_from_mapping({"sweep.variable": "swipt.rho", "sweep.start": 0.1,
                                  "sweep.stop": 0.5, "sweep.step": 0.1,
                                  "run.seed": 2 ** 64 - 4})
+
+    @pytest.mark.parametrize("line", ["link.T_noise_k = -1", "link.theta_3db_deg = 0"])
+    def test_bad_link_constant_fails_at_load(self, line, tmp_path, capsys):
+        path = tmp_path / "link.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "configuration valid" not in capsys.readouterr().out
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["run.trials = none", "rates.r_s = none"])
+    def test_missing_number_is_a_config_error(self, line, tmp_path):
+        path = tmp_path / "none.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("seed", [2 ** 53 + 1, 2 ** 64 - 1])
+    def test_integer_keys_are_exact(self, seed, tmp_path):
+        path = tmp_path / "seed.cfg"
+        path.write_text(f"run.seed = {seed}\n")
+        cfg = load_config(path)
+        assert cfg.seed == seed and type(cfg.seed) is int
+        assert cli.main(["validate", "--config", str(path)]) == 0
+
+    def test_overrides_parse_text_like_a_file(self):
+        text = {"run.trials": "1000", "swipt.rho": "0.3", "swipt.p_th_dbm": "inf"}
+        cfg = default_config().with_overrides(text)
+        assert cfg == config_from_mapping(text)
+        assert cfg.trials == 1000 and cfg.sp.rho == 0.3 and math.isinf(cfg.sp.p_th)
+        with pytest.raises(ConfigError, match="not an integer"):
+            default_config().with_overrides({"run.trials": "2.5"})
+        with pytest.raises(ConfigError, match="unknown key"):
+            default_config().with_overrides({"swipt.rho_typo": "0.3"})
 
     def test_sweep_variable_whitelist(self):
         with pytest.raises(ConfigError, match="sweepable"):
