@@ -23,7 +23,6 @@ DEFAULTS = {
     "geometry.w_min_km": 400.0,
     "geometry.h0_m": 800.0,
     "geometry.l_m": 250.0,
-    "geometry.l_prime_m": 200.0,
     "geometry.h1_m": 400.0,
     "geometry.h2_m": 500.0,
     "geometry.phi_rad": math.pi / 12.0,
@@ -88,10 +87,11 @@ SWEEPABLE = {
 
 def _parse_scalar(key, text):
     text = text.strip()
+    # "none" or nothing unsets a key, except a text key that has a default
+    if text.lower() in ("none", "") and (key not in _STR_KEYS or DEFAULTS[key] is None):
+        return None
     if key in _STR_KEYS:
         return text
-    if text.lower() in ("none", ""):
-        return None
     if key in _INT_KEYS:
         try:
             return int(text)        # exact: a seed above 2**53 is not rounded
@@ -177,6 +177,8 @@ class ScenarioConfig:
             return raw[key]
 
         def names(key):
+            if not isinstance(raw[key], str):
+                raise ConfigError(f"{key}: expected comma-separated text, got {raw[key]!r}")
             return tuple(s.strip() for s in raw[key].split(",") if s.strip())
 
         def _set(name, value):
@@ -278,9 +280,6 @@ class ScenarioConfig:
 def config_from_mapping(mapping):
     """Build a validated config from a {flat_key: value} mapping."""
     raw = _merged(DEFAULTS, mapping)
-    if raw["geometry.l_prime_m"] is not None and "geometry.l_prime_m" in mapping:
-        warnings.warn("geometry.l_prime_m is accepted but unused by every expression",
-                      stacklevel=2)
     if raw["link.eta_s_db"] is not None and "link.P_s_w" in mapping:
         warnings.warn("link.eta_s_db overrides the physical link constants",
                       stacklevel=2)

@@ -66,9 +66,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="rho_typo"):
             load_config(path)
 
-    def test_unused_beam_edge_radius_warns(self):
-        with pytest.warns(UserWarning, match="l_prime"):
+    def test_retired_beam_edge_radius_is_unknown(self):
+        with pytest.raises(ConfigError, match="l_prime"):
             config_from_mapping({"geometry.l_prime_m": 180.0})
+
+    @pytest.mark.parametrize("line", ["sweep.variable = none", "sweep.variable ="])
+    def test_no_sweep_can_be_written_in_a_file(self, line, tmp_path, capsys):
+        path = tmp_path / "nosweep.cfg"
+        path.write_text(f"{line}\nrun.methods = mc\nrun.trials = 2000\n"
+                        "run.networks = s2g\n")
+        assert load_config(path).sweep_values is None
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        assert "configuration valid" in capsys.readouterr().out
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_unset_sweep_values_fall_back_to_the_range(self, tmp_path):
+        path = tmp_path / "range.cfg"
+        path.write_text("sweep.variable = swipt.mu\nsweep.values = none\n"
+                        "sweep.start = 0.6\nsweep.stop = 0.8\nsweep.step = 0.1\n")
+        assert load_config(path).sweep_values == pytest.approx([0.6, 0.7, 0.8])
+
+    @pytest.mark.parametrize("key", ["run.networks", "run.methods"])
+    def test_non_text_name_list_is_a_config_error(self, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: ["s2g"]})
 
     def test_sweep_needs_grid(self):
         with pytest.raises(ConfigError, match="sweep"):

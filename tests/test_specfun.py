@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sagin_outage import specfun as sf
-from sagin_outage.errors import DomainError
+from sagin_outage.errors import DomainError, NumericError
 
 
 class TestDeltaGamma:
@@ -146,3 +146,16 @@ class TestMeijerG:
     def test_needs_positive_argument(self):
         with pytest.raises(DomainError):
             sf.meijer_g("G0110", (1.0,), 0.0)
+
+    def test_zero_width_strip_raises(self):
+        # b1 = 0 and a1 = 1 close the strip between the two pole sequences
+        with pytest.raises(NumericError, match="no valid Mellin-Barnes contour"):
+            sf.meijer_g_log("G2113", (1.0, 0.0, 0.5, 0.2), [1.5])
+
+    def test_contour_unconverged_at_the_last_level_raises(self, monkeypatch):
+        # this point needs 256 intervals; stop the halving one level short
+        params = (1.0 - 1 - 1.0, 4.0, 3.0, 0.0, -2.0)
+        monkeypatch.setattr(sf, "_MB_MAX_INTERVALS", 128)
+        with pytest.raises(NumericError, match="did not converge") as err:
+            sf.meijer_g_log("G2123", params, [1.7])
+        assert err.value.diagnostics["n"] == 128
