@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import poch
 
 from .errors import ConfigError, DomainError
-from .specfun import bessel, bessel_i0_series, log_bessel_i0
+from .specfun import bessel, log_bessel_i0
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -165,17 +165,13 @@ class RicianParams:
 
 
 def rician_power_pdf(x, p):
-    """(1+K) exp(-K - (1+K)x) I0(2 sqrt(K(1+K)x)), I0 by its power series."""
+    """(1+K) exp(-K - (1+K)x) I0(2 sqrt(K(1+K)x)), the exponentials folded in log space."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("channel power must be nonnegative")
     K = p.K_rt
     arg = 2.0 * np.sqrt(K * (1.0 + K) * x)
-    if np.any(arg > 600.0):
-        # the pdf itself stays finite: fold the exponentials in log space
-        out = (1.0 + K) * np.exp(-K - (1.0 + K) * x + log_bessel_i0(arg))
-    else:
-        out = (1.0 + K) * np.exp(-K - (1.0 + K) * x) * bessel_i0_series(arg)
+    out = (1.0 + K) * np.exp(-K - (1.0 + K) * x + log_bessel_i0(arg))
     return out if out.ndim else float(out)
 
 

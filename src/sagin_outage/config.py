@@ -108,13 +108,21 @@ def _parse_scalar(key, text):
     return int(value)
 
 
+def _finite(key, value):
+    """``value`` unless it is a non-finite number; only swipt.p_th_dbm takes +inf (linear EH)."""
+    if (isinstance(value, float) and not math.isfinite(value)
+            and not (key == "swipt.p_th_dbm" and value == math.inf)):
+        raise ConfigError(f"{key}: {value!r} is not a finite number")
+    return value
+
+
 def _merged(raw, mapping):
     """Copy of ``raw`` with ``mapping`` applied; text values are parsed as in a file."""
     merged = dict(raw)
     for key, val in mapping.items():
         if key not in merged:
             raise ConfigError(f"unknown key {key!r}")
-        merged[key] = _parse_scalar(key, val) if isinstance(val, str) else val
+        merged[key] = _finite(key, _parse_scalar(key, val) if isinstance(val, str) else val)
     return merged
 
 
@@ -128,7 +136,8 @@ def _sweep_grid(raw):
         return None
     if raw["sweep.values"]:
         try:
-            return [float(v) for v in str(raw["sweep.values"]).split(",")]
+            return [_finite(raw["sweep.variable"], float(v))
+                    for v in str(raw["sweep.values"]).split(",")]
         except ValueError as exc:
             raise ConfigError(f"sweep.values: {exc}") from exc
     start, stop, step = raw["sweep.start"], raw["sweep.stop"], raw["sweep.step"]
@@ -327,22 +336,16 @@ FIGURE_PRESETS = {
     "fig5": {"sweep.variable": "swipt.rho", "sweep.start": 0.05, "sweep.stop": 0.90,
              "sweep.step": 0.05, "run.networks": "s2g",
              "rates.threshold_mode": "from_rate", "link.eta_s_db": 120.0},
-    "fig7": {**_eta_grid(), "run.networks": "s2g"},
-    "fig8": {**_eta_grid(), "run.networks": "s2g"},
     "fig9": {"sweep.variable": "swipt.mu", "sweep.start": 0.05, "sweep.stop": 0.95,
              "sweep.step": 0.05, "run.networks": "s2g",
              "rates.threshold_mode": "fixed", "rates.gamma_s_db": 0.0},
     # aerial network
     "fig10": {**_eta_grid(), "run.networks": "a2a", "run.ic_mode": "both"},
-    "fig11": {**_eta_grid(), "run.networks": "a2a", "run.ic_mode": "both"},
     "fig12": {"sweep.variable": "swipt.rho", "sweep.start": 0.05, "sweep.stop": 0.90,
               "sweep.step": 0.05, "run.networks": "a2a", "run.ic_mode": "both",
               "rates.threshold_mode": "from_rate", "link.eta_s_db": 120.0},
-    "fig14": {**_eta_grid(), "run.networks": "a2a", "run.ic_mode": "both"},
     # system throughput
     "fig15": {**_eta_grid(), "run.networks": "s2g,a2a",
-              "rates.threshold_mode": "from_rate", "rates.r_s": 0.02, "rates.r_a": 0.02},
-    "fig16": {**_eta_grid(), "run.networks": "s2g,a2a",
               "rates.threshold_mode": "from_rate", "rates.r_s": 0.02, "rates.r_a": 0.02},
 }
 

@@ -1,18 +1,21 @@
 """Special functions backing the closed-form and integration paths.
 
-Everything the outage series need lives here: cancellation-safe incomplete
-gamma differences, Bessel wrappers, four Meijer-G instances (two by a
-nested trapezoid rule on the Mellin-Barnes contour, two by closed identities
-that the oracle table checks), and the Chebyshev-Gauss quadrature rule. The
-heavy machinery is evaluated in the log domain with explicit signs because
-the series couple enormous and tiny factors whose product is O(1).
+Everything the outage series need lives here: the log upper incomplete
+gamma (one expansion per region: ascending series, Lentz continued fraction,
+downward recurrence) and its cancellation-safe differences, Bessel wrappers
+over scipy (I0 in log form through the scaled ``i0e``), four Meijer-G
+instances (two by a nested trapezoid rule on the Mellin-Barnes contour, two
+by closed identities that the oracle table checks), and the Chebyshev-Gauss
+quadrature rule. The heavy machinery is evaluated in the log domain with
+explicit signs because the series couple enormous and tiny factors whose
+product is O(1).
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, i0e, jv, kv, kve, loggamma
+from scipy.special import exp1, gammaln, i0e, jv, kv, kve, loggamma
 
 from .errors import DomainError, NumericError
 
@@ -58,7 +61,7 @@ def _log_lower_series(a, x):
 
 
 def _log_upper_cf(a, x):
-    """log of upper incomplete gamma(a, x) via Lentz continued fraction; x > a+1-ish."""
+    """log Gamma(a, x) by the Lentz continued fraction (a <= 0: x >= 1; a > 0: see _log_gamma_pair)."""
     tiny = 1e-300
     b0 = x + 1.0 - a
     c = 1.0 / tiny
@@ -84,32 +87,6 @@ def _log_upper_cf(a, x):
     return a * np.log(x) - x + np.log(h)
 
 
-def _log_upper_exp(a, x):
-    """log Gamma(a, x) for a <= 0 via t = x e^v and paneled Legendre quadrature.
-
-    Gamma(a, x) = x^a e^-x  int_0^vmax exp(a v - x (e^v - 1)) dv; the integrand
-    is monotone decreasing with initial scale 1/(x + |a|), so geometric panels
-    from that scale out to vmax resolve every regime.
-    """
-    v_max = np.log1p((abs(a) + 80.0) / x)
-    nodes, wts = _leggauss_cached(160)
-    v_lo = 0.0
-    v1 = min(v_max, 1.0 / (x + abs(a) + 1.0))
-    pieces_log = []
-    while v_lo < v_max:
-        v_hi = min(v1, v_max)
-        half = 0.5 * (v_hi - v_lo)
-        v = half * (nodes + 1.0) + v_lo
-        logf = a * v - x * np.expm1(v)
-        m = logf.max()
-        pieces_log.append(m + np.log(float(np.sum(wts * np.exp(logf - m))) * half))
-        v_lo = v_hi
-        v1 *= 8.0
-    mp_ = max(pieces_log)
-    total = sum(np.exp(p - mp_) for p in pieces_log)
-    return a * np.log(x) - x + mp_ + np.log(total)
-
-
 def _log_upper_recurrence(a, x):
     """log Gamma(a, x) for a <= 0, 0 < x < 1 by downward recurrence.
 
@@ -126,7 +103,6 @@ def _log_upper_recurrence(a, x):
     s = s0 - 1.0
     while s >= a - 0.5:
         if s == 0.0:
-            from scipy.special import exp1
             lg = float(np.log(exp1(x)))
         else:
             lt = s * np.log(x) - x
@@ -168,8 +144,9 @@ def _log_gamma_pair(a, x):
 def log_gamma_upper(a, x):
     """log Gamma(a, x) for real a (any sign) and x > 0; Gamma(a, x) is positive.
 
-    Dispatches between the ascending series, the Lentz continued fraction and
-    a log-substituted quadrature so that large |a| and extreme x stay in range.
+    Three branches: a > 0 is ``_log_gamma_pair``; a <= 0 is the Lentz
+    continued fraction at x >= 1, where it converges for any |a| (DLMF 8.9),
+    and the downward recurrence from Gamma(a - floor(a), x) at x < 1.
     """
     if x < 0:
         raise DomainError("upper incomplete gamma needs x >= 0")
@@ -180,7 +157,7 @@ def log_gamma_upper(a, x):
     if a > 0:
         return _log_gamma_pair(a, x)[1]
     if x >= 1.0:
-        return float(_log_upper_exp(a, x))
+        return float(_log_upper_cf(a, x))
     return float(_log_upper_recurrence(a, x))
 
 
@@ -267,26 +244,8 @@ def cgq_points(a, b, rule):
 # Bessel functions
 # ---------------------------------------------------------------------------
 
-def bessel_i0_series(x):
-    """I0 by its power series sum_m (x/2)^(2m) / (m!)^2; term tolerance 1e-16, cap 500."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("I0 series defined here for x >= 0")
-    if np.any(x > 600.0):
-        raise DomainError("I0 series overflows beyond x = 600; use log_bessel_i0")
-    q = (x / 2.0) ** 2
-    term = np.ones_like(q)
-    total = np.ones_like(q)
-    for m in range(1, 501):
-        term = term * q / (m * m)
-        total += term
-        if np.all(term <= 1e-16 * total):
-            break
-    return total if total.ndim else float(total)
-
-
 def log_bessel_i0(x):
-    """ln I0(x), safe for large x (uses the scaled Bessel beyond the series range)."""
+    """ln I0(x) = x + ln i0e(x) over scipy's exponentially scaled I0; finite for any x."""
     x = np.asarray(x, dtype=float)
     return x + np.log(i0e(x))
 
@@ -294,7 +253,7 @@ def log_bessel_i0(x):
 def bessel(kind, order, x):
     """Bessel dispatch for the kinds the outage expressions use: 'J', 'K'.
 
-    I0 has its own series (bessel_i0_series) and log form (log_bessel_i0).
+    I0 appears only inside exponentials, so it has the log form log_bessel_i0.
     """
     kind = kind.upper()
     if kind == "J":
@@ -445,7 +404,7 @@ def _fixture_eval(kind, params, x):
     if kind == "bessel_j":
         return float(bessel("J", params[0], x))
     if kind == "bessel_i0":
-        return float(bessel_i0_series(x))
+        return float(np.exp(log_bessel_i0(x)))
     if kind == "bessel_k":
         return float(bessel("K", params[0], x))
     if kind in ("G0110", "G2002", "G2123", "G2113"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
                        op_s2g_integral)
 from .analytic.throughput import throughput_from_ops
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .mc import simulate_op
 from .swipt import IM_IC
 
@@ -40,12 +40,15 @@ class SweepResult:
 
 def _worker_count():
     env = os.environ.get("SAGIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"SAGIN_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 METHODS = ("mc", "closed", "integral")

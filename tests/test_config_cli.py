@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sagin_outage import cli, config
+from sagin_outage import cli, config, sweep
 from sagin_outage.channel import effective_gain
 from sagin_outage.config import (FIGURE_PRESETS, apply_preset, config_from_mapping,
                                  default_config, load_config)
@@ -181,6 +181,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown key"):
             default_config().with_overrides({"swipt.rho_typo": "0.3"})
 
+    @pytest.mark.parametrize("key,text", [
+        ("link.eta_s_db", "nan"), ("link.eta_s_db", "inf"), ("link.eta_s_db", "-inf"),
+        ("fading.b_sr", "nan"), ("noise.sigma_d_dbm", "nan"), ("rates.r_s", "nan"),
+        ("swipt.p_th_dbm", "-inf"), ("sweep.values", "100,nan"),
+    ])
+    def test_non_finite_number_is_a_config_error(self, key, text, tmp_path, capsys):
+        # only swipt.p_th_dbm = +inf (linear EH) may be non-finite
+        mapping = {key: text if key == "sweep.values" else float(text)}
+        if key == "sweep.values":
+            mapping["sweep.variable"] = "link.eta_s_db"
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_mapping(mapping)
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(path)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "configuration valid" not in out.out and key in out.err
+
     def test_sweep_variable_whitelist(self):
         with pytest.raises(ConfigError, match="sweepable"):
             config_from_mapping({"sweep.variable": "noise.sigma_r_dbm"})
@@ -207,7 +227,7 @@ class TestPresets:
             assert len(vals) >= 2
 
     def test_expected_names_present(self):
-        for name in ("fig4", "fig5", "fig9", "fig10", "fig12", "fig15", "fig16"):
+        for name in ("fig4", "fig5", "fig9", "fig10", "fig12", "fig15"):
             assert name in FIGURE_PRESETS
 
     def test_fig9_grid_contains_critical_points(self):
@@ -293,3 +313,15 @@ class TestCliEntry:
                        "sweep.values = 0.6,0.7\nrun.networks = s2g\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists() and len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_a_config_error(self, value, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("run.methods = mc\nrun.trials = 1000\nrun.networks = s2g\n")
+        out = tmp_path / "o.csv"
+        monkeypatch.setenv("SAGIN_THREADS", value)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "SAGIN_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setenv("SAGIN_THREADS", "3")
+        assert sweep._worker_count() == 3

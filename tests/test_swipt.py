@@ -74,8 +74,10 @@ class TestSnrGu:
 
 
 class TestSnrArx:
-    def test_pic_dominates_imic_pointwise(self):
-        cfg = config_from_mapping({"link.eta_s_db": 120.0})
+    @pytest.mark.parametrize("p_th_dbm", [5.0, 35.0, math.inf])
+    def test_pic_dominates_imic_pointwise(self, p_th_dbm):
+        # bit for bit: simulate_op's im_only count relies on it
+        cfg = config_from_mapping({"link.eta_s_db": 120.0, "swipt.p_th_dbm": p_th_dbm})
         rng = _block_rng(6, 0)
         d = draw_block(cfg, rng, 200_000)
         lam_im = swipt.snr_arx(d, cfg.eta_s, cfg.sp, cfg.noise, ic_mode=swipt.IM_IC)
