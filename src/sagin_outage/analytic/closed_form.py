@@ -2,7 +2,7 @@
 
 Both networks share one algebraic skeleton; the destination link enters only
 through the collapsed tail series (weights w_n, scale c) and the monomial
-pieces of its distance measure.  Four building blocks cover every regime:
+pieces of its distance measure.  Five series blocks cover every regime:
 
   unsat_taylor     unsaturated branch, Taylor series in the satellite
                    exponential (usable while beta_bar w_max^2 p_sat / a stays
@@ -14,10 +14,18 @@ pieces of its distance measure.  Four building blocks cover every regime:
   sat_above_knee   saturated branch above a positive saturation point;
   sat_below_knee   saturated branch when the saturation point is negative.
 
-Every index of every block runs through one truncating sum, `_converge`: it
-stops after `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest
-term so far, and a Taylor index k2 that reaches `_K2_CAP` marks the result
-truncated.  All sums run in signed log space; cancellation is monitored
+All blocks but unsat_taylor run in one loop nest, `_series`, which adds the
+factors they share; each supplies a term function built by `_g2113_terms`
+(CGQ integrals of a G2113 destination bracket) or `_gamma_terms` (CGQ
+integrals of Gamma(s, .) at the saturation point times a destination
+factor).  unsat_taylor keeps its own k -> k1 -> k2 -> n nest: with n
+outermost, n would truncate on the largest term over every (k1, k2) and
+evaluate more of its G2123 brackets.
+
+Every truncating index runs through `_converge`: it stops after
+`_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
+a Taylor index k2 that reaches `_K2_CAP` marks the result truncated
+(`_k2_sum`).  All sums run in signed log space; cancellation is monitored
 against the largest term so a noisy series is reported instead of silently
 returned.
 """
@@ -30,8 +38,8 @@ from scipy.special import gammaln
 
 from ..errors import NumericError
 from ..channel import shadowed_rician_power_tail
-from ..specfun import (CgqRule, cgq_points, log_delta_gamma, log_gamma_upper,
-                       logsumexp_signed, meijer_g_log)
+from ..specfun import (cgq_points, log_delta_gamma, log_gamma_upper, logsumexp_signed,
+                       meijer_g_log)
 from ..swipt import IM_IC
 from .coefficients import REL_TOL, build_case
 
@@ -42,16 +50,29 @@ _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
 
 
+def _memo(build):
+    """Method decorator: one build per argument tuple, kept in the instance's memo."""
+    def cached(self, *args):
+        key = (build, *args)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = build(self, *args)
+        return hit
+    return cached
+
+
 class _Work:
-    """Per-evaluation caches and diagnostics."""
+    """Per-evaluation memo, CGQ nodes and diagnostics."""
 
     def __init__(self, case, cgq_n):
         self.case = case
         co = case.coeff
         self.beta_bar = case.sr.beta_bar
+        # destination scale of the saturated branch; 0 for linear EH, which has none
+        self.c_eff = case.dest_c * co.eta_s / (co.p_th * co.a_lin)
         # (k, log zeta_k) over the positive coefficients of the satellite-fading series
         self.sr_terms = [(k, math.log(z)) for k, z in enumerate(case.sr.zeta()) if z > 0]
-        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, CgqRule(cgq_n))
+        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, cgq_n)
         self.log_w = np.log(self.w_nodes)
         self.log_wts = np.log(self.w_wts)
         # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
@@ -65,81 +86,58 @@ class _Work:
                     (y, math.log(y), orient * np.sign(coeff), math.log(abs(coeff) / case.nu)))
         self.dest_groups = [(q, *(np.array(col) for col in zip(*rows)))
                             for q, rows in by_q.items()]
-        self.gamma_cache = {}
-        self.g2123_cache = {}
-        self.g2113_cache = {}
+        self.memo = {}
         self.diagnostics = {"truncated": False, "routes": []}
 
-    def k2_sum(self, acc, term):
-        """_converge over the Taylor index k2 <= _K2_CAP; reaching the cap marks truncation."""
-        peak, exhausted = _converge(acc, range(_K2_CAP + 1), term)
-        if exhausted:
-            self.diagnostics["truncated"] = True
-        return peak
-
-    # -- CGQ kernels --------------------------------------------------------
-
-    def _cgq_w(self, w_pow, log_f, sign_f):
-        """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw on the CGQ nodes."""
+    def cgq(self, w_pow, f):
+        """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
+        (sign, log) on the CGQ nodes."""
+        sign_f, log_f = f
         expo = self.log_wts + w_pow * self.log_w - self.sat_decay + log_f
         return logsumexp_signed(expo, sign_f)
 
-    def cgq_gamma(self, s, w_pow):
-        """(sign, log) of int w^w_pow e^(-bb b w^2/a) Gamma(s, bb w^2 p_sat/a) dw."""
-        vals = self.gamma_cache.get(s)
-        if vals is None:
-            co = self.case.coeff
-            xs = self.beta_bar * self.w_nodes ** 2 * co.p_sat / co.a_lin
-            vals = self.gamma_cache[s] = np.array([log_gamma_upper(s, x) for x in xs])
-        return self._cgq_w(w_pow, vals, np.ones_like(vals))
+    @_memo
+    def gamma_nodes(self, s):
+        """(sign, log) of Gamma(s, bb w^2 p_sat/a) on the CGQ nodes."""
+        co = self.case.coeff
+        xs = self.beta_bar * self.w_nodes ** 2 * co.p_sat / co.a_lin
+        logs = np.array([log_gamma_upper(s, x) for x in xs])
+        return np.ones_like(logs), logs
 
-    def g2123_pieces(self, n, s1):
-        """(sign, log) of the destination bracket of the Taylor-route series."""
-        key = (n, s1)
-        hit = self.g2123_cache.get(key)
-        if hit is not None:
-            return hit
+    def _bracket(self, instance, m, params, scale, cols):
+        """(sign, log) per column of the destination bracket: the signed sum over
+        piece ends y of (coeff/nu) y^(nu m + q + 1) G(params(e) | scale y^nu col),
+        e = (q + 1)/nu, for each col in cols."""
         nu = self.case.nu
-        omega = self.case.dest_c / self.case.coeff.p_sat
         signs, logs = [], []
         for q, ys, log_ys, orient, log_coef in self.dest_groups:
             e = (q + 1.0) / nu
-            params = (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e)
-            gs, gl = meijer_g_log("G2123", params, omega * ys ** nu)
-            signs.append(orient * gs)
-            logs.append(log_coef + (nu * n + q + 1.0) * log_ys + gl)
-        out = logsumexp_signed(np.concatenate(logs), np.concatenate(signs))
-        self.g2123_cache[key] = out
-        return out
+            xs = scale * ys[:, None] ** nu * cols[None, :]
+            gs, gl = meijer_g_log(instance, params(e), xs.ravel())
+            signs.append(orient[:, None] * gs.reshape(xs.shape))
+            logs.append((log_coef + (nu * m + q + 1.0) * log_ys)[:, None]
+                        + gl.reshape(xs.shape))
+        logs = np.concatenate(logs)          # (pieces*2, len(cols))
+        signs = np.concatenate(signs)
+        top = logs.max(axis=0)
+        vals = np.sum(signs * np.exp(logs - top[None, :]), axis=0)
+        with np.errstate(divide="ignore"):
+            return np.sign(vals), top + np.log(np.abs(vals))
 
-    def cgq_g2113(self, s2, s3, w_pow, cst):
-        """(sign, log) of the CGQ integral whose integrand carries the
-        destination bracket of G2113 terms with argument cst * y^nu * w^2."""
-        nu = self.case.nu
-        key = (round(s2 * 2), round(s3 * 2))
-        hit = self.g2113_cache.get(key)
-        if hit is None:
-            signs, logs = [], []
-            for q, ys, log_ys, orient, log_coef in self.dest_groups:
-                e = (q + 1.0) / nu
-                params = (1.0 - s2 - e, s3, -s3, -s2 - e)
-                xs = (cst * ys[:, None] ** nu * self.w_nodes[None, :] ** 2).ravel()
-                gs, gl = meijer_g_log("G2113", params, xs)
-                shape = (len(ys), len(self.w_nodes))
-                signs.append(orient[:, None] * gs.reshape(shape))
-                logs.append((log_coef + (nu * s2 + q + 1.0) * log_ys)[:, None]
-                            + gl.reshape(shape))
-            logs = np.concatenate(logs)          # (pieces*2, n_nodes)
-            signs = np.concatenate(signs)
-            m = logs.max(axis=0)
-            vals = np.sum(signs * np.exp(logs - m[None, :]), axis=0)
-            with np.errstate(divide="ignore"):
-                hit = (np.sign(vals), m + np.log(np.abs(vals)))
-            self.g2113_cache[key] = hit
-        bracket_sign, bracket_log = hit
-        return self._cgq_w(w_pow, bracket_log, bracket_sign)
+    @_memo
+    def g2123_pieces(self, n, s1):
+        """(sign, log) of the destination bracket of the Taylor-route series."""
+        omega = self.case.dest_c / self.case.coeff.p_sat
+        sign, log = self._bracket("G2123", n, lambda e: (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e),
+                                  omega, np.ones(1))
+        return float(sign[0]), float(log[0])
 
-    # -- destination helpers --------------------------------------------------
+    @_memo
+    def g2113_nodes(self, s2, s3, cst):
+        """(sign, log) on the CGQ nodes of the G2113 destination bracket at
+        argument cst y^nu w^2."""
+        return self._bracket("G2113", s2, lambda e: (1.0 - s2 - e, s3, -s3, -s2 - e),
+                             cst, self.w_nodes ** 2)
 
     def pieces_moment(self, r):
         """(sign, log) of sum over pieces of coeff (hi^p - lo^p)/p, p = nu r + q + 1."""
@@ -152,11 +150,11 @@ class _Work:
             signs.append(np.sign(coeff) * np.sign(val))
         return logsumexp_signed(np.array(logs), np.array(signs))
 
-    def pieces_dgamma(self, order, c_eff):
+    def pieces_dgamma(self, order):
         """(sign, log) of sum over pieces of (coeff/nu) c_eff^(-(q+1)/nu)
         DeltaGamma(order + (q+1)/nu, c_eff lo^nu, c_eff hi^nu)."""
         case = self.case
-        nu = case.nu
+        nu, c_eff = case.nu, self.c_eff
         logs, signs = [], []
         for lo, hi, coeff, q in case.dest_pieces:
             e = (q + 1.0) / nu
@@ -228,9 +226,93 @@ def _converge(acc, indices, term):
     return peak, True
 
 
+def _k2_sum(acc, term, diagnostics):
+    """_converge over the Taylor index k2 <= _K2_CAP; reaching the cap marks truncation."""
+    peak, exhausted = _converge(acc, range(_K2_CAP + 1), term)
+    if exhausted:
+        diagnostics["truncated"] = True
+    return peak
+
+
 # ---------------------------------------------------------------------------
-# the four series blocks
+# the series blocks
 # ---------------------------------------------------------------------------
+
+def _series(work, top_n, term):
+    """The n -> k1 -> k2 nest, for every k, of all blocks but unsat_taylor.
+
+    n runs through _converge over the destination weights, k1 over all of
+    0..k + top_n n, and k2 through _k2_sum.  The nest adds the factors every
+    block shares, log(alpha / w_norm) + log zeta_k + log C(k + top_n n, k1)
+    + log w_n - log k2!, and the sign (-1)^k2; term(k, n, k1, k2) returns the
+    rest as (sign, log), None to skip the index, or _STOP to end the k2 sum.
+    """
+    logw_n = work.case.dest_logw
+    acc = _SignedSum()
+    base = math.log(work.case.sr.alpha) - math.log(work.case.w_norm_m2)
+    for k, log_zeta in work.sr_terms:
+
+        def n_term(n):
+            def k1_sum(k1):
+                pref = base + log_zeta + _log_binom(k + top_n * n, k1) + logw_n[n]
+
+                def k2_term(k2):
+                    got = term(k, n, k1, k2)
+                    if got is None or got is _STOP:
+                        return got
+                    lt = pref + got[1] - float(gammaln(k2 + 1.0))
+                    acc.add((-1.0) ** k2 * got[0], lt)
+                    return lt
+
+                return _k2_sum(acc, k2_term, work.diagnostics)
+
+            return max(k1_sum(k1) for k1 in range(k + top_n * n + 1))
+
+        _converge(acc, range(len(logw_n)), n_term)
+    return acc
+
+
+def _g2113_terms(work, c, taylor=None):
+    """Terms of the G2113 blocks: the CGQ integral of the destination bracket
+    with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3.
+    k2 runs only with a Taylor scale, which enters as taylor^k2."""
+    co = work.case.coeff
+    log_a, log_b, log_bb, log_c = (math.log(v) for v in (co.a_lin, co.b_lin, work.beta_bar, c))
+    log_t = 0.0 if taylor is None else math.log(taylor)
+    cst = work.beta_bar * c / co.a_lin
+
+    def term(k, n, k1, k2):
+        if k2 and taylor is None:
+            return _STOP
+        s3 = (k1 - n + 1) / 2.0
+        i_s, i_l = work.cgq(2 * k + n - k1 + 2, work.g2113_nodes(n + k2 + s3, s3, cst))
+        if i_s == 0.0:
+            return None
+        return i_s, ((k - k1) * log_b + (n + s3) * log_c - s3 * log_bb
+                     + (s3 - k - 1.0) * log_a + k2 * log_t + i_l)
+
+    return term
+
+
+def _gamma_terms(work, dest, scale):
+    """Terms of the saturation-point blocks: the CGQ integral of
+    Gamma(s, bb w^2 p_sat / a), s = k1 - n - k2 + 1, times the destination
+    factor dest(n + k2) scale^(n + k2); a zero factor ends the k2 sum."""
+    co = work.case.coeff
+    log_a, log_b, log_scale = math.log(co.a_lin), math.log(co.b_lin), math.log(scale)
+    log_a_bb = log_a - math.log(work.beta_bar)
+
+    def term(k, n, k1, k2):
+        d_s, d_l = dest(n + k2)
+        if d_s == 0.0:
+            return _STOP
+        s = k1 - n - k2 + 1
+        g_s, g_l = work.cgq(2 * k + 3 - 2 * s, work.gamma_nodes(s))
+        return d_s * g_s, ((k - k1) * log_b - (k + 1.0) * log_a + s * log_a_bb
+                           + (n + k2) * log_scale + d_l + g_l)
+
+    return term
+
 
 def _unsat_taylor(work):
     """Unsaturated branch as a Taylor series in the satellite exponential."""
@@ -267,157 +349,34 @@ def _unsat_taylor(work):
 
                 return _converge(acc, range(len(logw_n)), n_term)[0]
 
-            work.k2_sum(acc, k2_term)
+            _k2_sum(acc, k2_term, work.diagnostics)
     return acc
 
 
 def _unsat_linear(work):
     """No-saturation probability (finite Bessel-K route, no Taylor index)."""
-    case = work.case
-    co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
-    logw_n = case.dest_logw
-    c = case.dest_c
-    cst = bb * c / a
-    acc = _SignedSum()
-    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
-    for k, log_zeta in work.sr_terms:
-        for k1 in range(k + 1):
-            lb = _log_binom(k, k1)
-
-            def n_term(n):
-                s3 = (k1 - n + 1) / 2.0
-                s2p = (n + k1 + 1) / 2.0
-                w_pow = 2 * k + n - k1 + 2
-                i_s, i_l = work.cgq_g2113(s2p, s3, w_pow, cst)
-                if i_s == 0.0:
-                    return None
-                lt = (base + log_zeta + lb + logw_n[n]
-                      + (k - k1) * math.log(b)
-                      + (n + s3) * math.log(c)
-                      - s3 * math.log(bb)
-                      + (-(k + 1) + s3) * math.log(a) + i_l)
-                acc.add(i_s, lt)
-                return lt
-
-            _converge(acc, range(len(logw_n)), n_term)
-    return acc
+    return _series(work, 0, _g2113_terms(work, work.case.dest_c))
 
 
 def _unsat_overshoot(work):
     """Unsaturated-branch integrand carried past the saturation point."""
-    case = work.case
-    co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
-    logw_n = case.dest_logw
-    c = case.dest_c
-    acc = _SignedSum()
-    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
-    for k, log_zeta in work.sr_terms:
-        for k1 in range(k + 1):
-            lb = _log_binom(k, k1)
-
-            def n_term(n):
-                def k2_term(k2):
-                    s = k1 - n - k2 + 1
-                    m_s, m_l = work.pieces_moment(n + k2)
-                    if m_s == 0.0:
-                        return _STOP
-                    g_s, g_l = work.cgq_gamma(s, 2 * k + 3 - 2 * s)
-                    lt = (base + log_zeta + lb + logw_n[n]
-                          + (k - k1) * math.log(b)
-                          - (k + 1.0) * math.log(a)
-                          + s * (math.log(a) - math.log(bb))
-                          - float(gammaln(k2 + 1.0))
-                          + (n + k2) * math.log(c) + m_l + g_l)
-                    acc.add((-1.0) ** k2 * m_s * g_s, lt)
-                    return lt
-
-                return work.k2_sum(acc, k2_term)
-
-            _converge(acc, range(len(logw_n)), n_term)
-    return acc
+    return _series(work, 0, _gamma_terms(work, work.pieces_moment, work.case.dest_c))
 
 
 def _sat_above_knee(work):
     """Saturated branch above a positive saturation point."""
-    case = work.case
-    co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
-    logw_n = case.dest_logw
-    c_eff = case.dest_c * co.eta_s / (co.p_th * a)
-    acc = _SignedSum()
-    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
-    for k, log_zeta in work.sr_terms:
-
-        def n_term(n):
-            def k1_sum(k1):
-                lb = _log_binom(k + n, k1)
-
-                def k2_term(k2):
-                    s = k1 - n - k2 + 1
-                    d_s, d_l = work.pieces_dgamma(n + k2, c_eff)
-                    if d_s == 0.0:
-                        return _STOP
-                    g_s, g_l = work.cgq_gamma(s, 2 * k + 3 - 2 * s)
-                    lt = (base + log_zeta + logw_n[n] + lb
-                          + (k + n - k1 + k2) * math.log(b)
-                          - (k + 1.0) * math.log(a)
-                          + s * (math.log(a) - math.log(bb))
-                          - float(gammaln(k2 + 1.0)) + d_l + g_l)
-                    acc.add((-1.0) ** k2 * d_s * g_s, lt)
-                    return lt
-
-                return work.k2_sum(acc, k2_term)
-
-            return max(k1_sum(k1) for k1 in range(k + n + 1))
-
-        _converge(acc, range(len(logw_n)), n_term)
-    return acc
+    return _series(work, 1, _gamma_terms(work, work.pieces_dgamma, work.case.coeff.b_lin))
 
 
 def _sat_below_knee(work):
     """Saturated branch when the saturation point is at or below zero."""
     case = work.case
-    co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
-    logw_n = case.dest_logw
-    c_eff = case.dest_c * co.eta_s / (co.p_th * a)
-    if c_eff * case.dest_hi ** case.nu > _SERIES_BLOWUP_EXP:
+    param = work.c_eff * case.dest_hi ** case.nu
+    if param > _SERIES_BLOWUP_EXP:
         raise NumericError("saturated-branch series parameter too large "
                            "(use the integral path for this configuration)",
-                           {"param": c_eff * case.dest_hi ** case.nu})
-    cst = bb * c_eff * b / a
-    acc = _SignedSum()
-    base = math.log(case.sr.alpha) - math.log(case.w_norm_m2)
-    for k, log_zeta in work.sr_terms:
-
-        def n_term(n):
-            def k1_sum(k1):
-                lb = _log_binom(k + n, k1)
-                s3 = (k1 - n + 1) / 2.0
-
-                def k2_term(k2):
-                    s2 = n + k2 + s3
-                    w_pow = 2 * k + n - k1 + 2
-                    i_s, i_l = work.cgq_g2113(s2, s3, w_pow, cst)
-                    if i_s == 0.0:
-                        return None
-                    lt = (base + log_zeta + logw_n[n] + lb
-                          + (k + n - k1 + s3) * math.log(b)
-                          + (-(k + 1) + s3) * math.log(a)
-                          - s3 * math.log(bb)
-                          + (n + k2 + s3) * math.log(c_eff)
-                          - float(gammaln(k2 + 1.0)) + i_l)
-                    acc.add((-1.0) ** k2 * i_s, lt)
-                    return lt
-
-                return work.k2_sum(acc, k2_term)
-
-            return max(k1_sum(k1) for k1 in range(k + n + 1))
-
-        _converge(acc, range(len(logw_n)), n_term)
-    return acc
+                           {"param": param})
+    return _series(work, 1, _g2113_terms(work, work.c_eff * case.coeff.b_lin, work.c_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +384,36 @@ def _sat_below_knee(work):
 # ---------------------------------------------------------------------------
 
 def _sat_bound(case):
-    """Rigorous upper bound on any saturated-branch probability."""
+    """Rigorous upper bound on any saturated-branch probability (finite p_th)."""
     co = case.coeff
-    if math.isinf(co.p_th):
-        return 0.0
     x_min = (max(co.p_sat, 0.0) + co.b_lin) * case.w_min_m ** 2 / co.a_lin
     return float(shadowed_rician_power_tail(x_min, case.sr))
+
+
+def _blocks(case):
+    """(route, sign, block) of each series block whose signed sum is the success
+    probability; raises NumericError when a route's series parameter is too large."""
+    co = case.coeff
+    if co.p_sat <= 0.0:
+        return [("sat-below-knee", 1.0, _sat_below_knee)]
+    if math.isinf(co.p_sat):
+        blocks = [("linear", 1.0, _unsat_linear)]
+    else:
+        param_direct = case.sr.beta_bar * case.w_max_m ** 2 * co.p_sat / co.a_lin
+        param_tail = case.dest_c * case.dest_hi ** case.nu / co.p_sat
+        if param_direct <= _ROUTE_SWITCH or param_direct <= param_tail:
+            if param_direct > _SERIES_BLOWUP:
+                raise NumericError("unsaturated-branch series parameter too large",
+                                   {"param": param_direct})
+            blocks = [("direct", 1.0, _unsat_taylor)]
+        else:
+            if param_tail > _SERIES_BLOWUP_EXP:
+                raise NumericError("saturation-tail series parameter too large",
+                                   {"param": param_tail})
+            blocks = [("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)]
+    if not math.isinf(co.p_th) and _sat_bound(case) > 1e-18:
+        blocks.append(("sat-above-knee", 1.0, _sat_above_knee))
+    return blocks
 
 
 def _closed_outage(case, cgq_n):
@@ -438,51 +421,18 @@ def _closed_outage(case, cgq_n):
         return 0.0
     if not case.feasible:
         return 1.0
+    blocks = _blocks(case)
     work = _Work(case, cgq_n)
-    co = case.coeff
-    p1 = 0.0
-    p2 = 0.0
-    noise = 0.0
-    if co.p_sat > 0.0:
-        if math.isinf(co.p_sat):
-            acc = _unsat_linear(work)
-            work.diagnostics["routes"].append("linear")
-            p1 = acc.value()
-            noise += acc.noise_estimate()
-        else:
-            param_direct = case.sr.beta_bar * case.w_max_m ** 2 * co.p_sat / co.a_lin
-            param_tail = case.dest_c * case.dest_hi ** case.nu / co.p_sat
-            if param_direct <= _ROUTE_SWITCH or param_direct <= param_tail:
-                if param_direct > _SERIES_BLOWUP:
-                    raise NumericError("unsaturated-branch series parameter too large",
-                                       {"param": param_direct})
-                acc = _unsat_taylor(work)
-                work.diagnostics["routes"].append("direct")
-                p1 = acc.value()
-                noise += acc.noise_estimate()
-            else:
-                if param_tail > _SERIES_BLOWUP_EXP:
-                    raise NumericError("saturation-tail series parameter too large",
-                                       {"param": param_tail})
-                acc_l = _unsat_linear(work)
-                acc_t = _unsat_overshoot(work)
-                work.diagnostics["routes"].append("linear-minus-tail")
-                p1 = acc_l.value() - acc_t.value()
-                noise += acc_l.noise_estimate() + acc_t.noise_estimate()
-        if not math.isinf(co.p_th) and _sat_bound(case) > 1e-18:
-            acc2 = _sat_above_knee(work)
-            p2 = acc2.value()
-            noise += acc2.noise_estimate()
-    else:
-        acc3 = _sat_below_knee(work)
-        work.diagnostics["routes"].append("sat-below-knee")
-        p2 = acc3.value()
-        noise += acc3.noise_estimate()
+    val, noise = 1.0, 0.0
+    for route, sign, block in blocks:
+        acc = block(work)
+        work.diagnostics["routes"].append(route)
+        val -= sign * acc.value()
+        noise += acc.noise_estimate()
     if noise > 1e-5:
         raise NumericError("closed-form series lost too much precision",
-                           {"noise": noise, "p1": p1, "p2": p2,
+                           {"noise": noise, "outage": val,
                             "routes": work.diagnostics["routes"]})
-    val = 1.0 - p1 - p2
     clamped = min(max(val, 0.0), 1.0)
     if abs(clamped - val) > 1e-6:
         warnings.warn(f"closed-form outage clamped by {abs(clamped - val):.3e}; "

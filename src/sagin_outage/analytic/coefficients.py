@@ -39,7 +39,6 @@ class DerivedCoefficients:
     p_sat: float
     eta_s: float
     p_th: float
-    gamma: float
     a_floor: float = 0.0   # feasibility needs a_lin above this roundoff scale
 
     @classmethod
@@ -54,7 +53,7 @@ class DerivedCoefficients:
         # thresholds landing exactly on the SNR ceiling leave roundoff dust in a
         a_floor = 1e-12 * chi * eta * (1.0 + gamma)
         return cls(a_lin=a, b_lin=b, p_sat=p_sat, eta_s=eta, p_th=sp.p_th,
-                   gamma=gamma, a_floor=a_floor)
+                   a_floor=a_floor)
 
 
 @dataclass

@@ -188,7 +188,10 @@ class ScenarioConfig:
         def names(key):
             if not isinstance(raw[key], str):
                 raise ConfigError(f"{key}: expected comma-separated text, got {raw[key]!r}")
-            return tuple(s.strip() for s in raw[key].split(",") if s.strip())
+            out = tuple(s.strip() for s in raw[key].split(",") if s.strip())
+            if not out:
+                raise ConfigError(f"{key}: names nothing to compute")
+            return out
 
         def _set(name, value):
             object.__setattr__(self, name, value)

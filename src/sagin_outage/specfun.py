@@ -11,7 +11,6 @@ explicit signs because the series couple enormous and tiny factors whose
 product is O(1).
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -211,33 +210,21 @@ def delta_gamma(a, b, c):
 # Chebyshev-Gauss quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CgqRule:
-    """First-kind Chebyshev-Gauss rule with the circular-weight compensation.
+def cgq_points(a, b, n):
+    """First-kind Chebyshev-Gauss rule with the circular-weight compensation on [a, b].
 
-    nodes are cos((2i-1)pi/(2n)); weights (pi/n) sqrt(1 - node^2) so that the
-    rule approximates an unweighted integral on [-1, 1].
+    Returns (abscissae, weights): nodes cos((2i-1)pi/(2n)) mapped to [a, b] and
+    weights (pi/n) sqrt(1 - node^2) times the jacobian (b - a)/2, so that the
+    rule approximates an unweighted integral.
     """
-
-    n: int
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("CGQ rule needs n >= 1")
-        i = np.arange(1, self.n + 1)
-        nodes = np.cos((2 * i - 1) * np.pi / (2 * self.n))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights",
-                           (np.pi / self.n) * np.sqrt(1.0 - nodes ** 2))
-
-
-def cgq_points(a, b, rule):
-    """Map the rule to [a, b]: returns (abscissae, weights) with the b1 jacobian."""
+    if n < 1:
+        raise DomainError("CGQ rule needs n >= 1")
+    i = np.arange(1, n + 1)
+    nodes = np.cos((2 * i - 1) * np.pi / (2 * n))
+    weights = (np.pi / n) * np.sqrt(1.0 - nodes ** 2)
     b1 = 0.5 * (b - a)
     b2 = 0.5 * (b + a)
-    return b1 * rule.nodes + b2, b1 * rule.weights
+    return b1 * nodes + b2, b1 * weights
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,42 @@ class TestTruncatingSum:
         assert seen == [0, 1, 2, 3, 4, 5] and exhausted and peak == 1.0
 
     def test_k2_cap_marks_truncation(self, monkeypatch):
-        cfg = _cfg()
         monkeypatch.setattr(cf, "_K2_CAP", 16)
         for term, truncated in ((lambda k2: 0.0, True), (lambda k2: cf._STOP, False)):
-            work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s), cfg.cgq_n)
-            work.k2_sum(cf._SignedSum(), term)
-            assert work.diagnostics["truncated"] is truncated
+            diagnostics = {"truncated": False}
+            cf._k2_sum(cf._SignedSum(), term, diagnostics)
+            assert diagnostics["truncated"] is truncated
+
+
+class TestSeriesSkeleton:
+    """closed_form._series on a synthetic term that records the (k, n, k1, k2) it visits."""
+
+    def _visits(self, top_n, term):
+        cfg = _cfg()
+        work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s), 8)
+        seen = []
+
+        def recording(k, n, k1, k2):
+            seen.append((k, n, k1, k2))
+            return term(k2)
+
+        acc = cf._series(work, top_n, recording)
+        return work, seen, acc
+
+    @pytest.mark.parametrize("top_n", [0, 1])
+    def test_k1_runs_over_k_plus_top_n_times_n(self, top_n):
+        work, seen, _ = self._visits(top_n, lambda k2: cf._STOP if k2 else (1.0, 0.0))
+        visited = {}
+        for k, n, k1, _ in seen:
+            visited.setdefault((k, n), set()).add(k1)
+        assert {k for k, _ in visited} == {k for k, _ in work.sr_terms}
+        assert all(k1s == set(range(k + top_n * n + 1)) for (k, n), k1s in visited.items())
+
+    def test_stop_at_k2_one_visits_only_k2_zero(self):
+        _, seen, acc = self._visits(1, lambda k2: cf._STOP if k2 == 1 else (1.0, 0.0))
+        added = [v for v in seen if v[3] == 0]
+        assert added and {k2 for *_, k2 in seen} == {0, 1}
+        assert len(acc.logs) == len(added) == len(seen) // 2
 
 
 class TestDestinationPieces:

@@ -93,6 +93,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({key: ["s2g"]})
 
+    @pytest.mark.parametrize("text", ["", ","])
+    @pytest.mark.parametrize("key", ["run.networks", "run.methods"])
+    def test_empty_name_list_is_a_config_error(self, key, text, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: text})
+        path = tmp_path / "names.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "configuration valid" not in out.out and key in out.err
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_sweep_needs_grid(self):
         with pytest.raises(ConfigError, match="sweep"):
             config_from_mapping({"sweep.variable": "swipt.rho"})

@@ -66,7 +66,7 @@ class TestLogGammaUpper:
 
 def _cgq(f, a, b, n):
     """The CGQ sum the closed path forms: np.sum(w * f(x)) on cgq_points."""
-    x, w = sf.cgq_points(a, b, sf.CgqRule(n))
+    x, w = sf.cgq_points(a, b, n)
     return float(np.sum(w * f(x)))
 
 
@@ -88,10 +88,12 @@ class TestCgq:
         assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
 
     def test_nodes_symmetric_weights_positive(self):
-        rule = sf.CgqRule(31)
-        assert np.all(rule.weights > 0)
-        assert np.all(np.abs(rule.nodes) < 1)
-        assert np.allclose(np.sort(rule.nodes), -np.sort(rule.nodes)[::-1])
+        nodes, weights = sf.cgq_points(-1.0, 1.0, 31)
+        assert np.all(weights > 0)
+        assert np.all(np.abs(nodes) < 1)
+        assert np.allclose(np.sort(nodes), -np.sort(nodes)[::-1])
+        with pytest.raises(DomainError):
+            sf.cgq_points(-1.0, 1.0, 0)
 
 
 class TestBessel:
