@@ -139,6 +139,7 @@ class _Work:
         return self._bracket("G2113", s2, lambda e: (1.0 - s2 - e, s3, -s3, -s2 - e),
                              cst, self.w_nodes ** 2)
 
+    @_memo
     def pieces_moment(self, r):
         """(sign, log) of sum over pieces of coeff (hi^p - lo^p)/p, p = nu r + q + 1."""
         case = self.case
@@ -150,6 +151,7 @@ class _Work:
             signs.append(np.sign(coeff) * np.sign(val))
         return logsumexp_signed(np.array(logs), np.array(signs))
 
+    @_memo
     def pieces_dgamma(self, order):
         """(sign, log) of sum over pieces of (coeff/nu) c_eff^(-(q+1)/nu)
         DeltaGamma(order + (q+1)/nu, c_eff lo^nu, c_eff hi^nu)."""

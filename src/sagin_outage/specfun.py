@@ -4,8 +4,9 @@ Everything the outage series need lives here: the log upper incomplete
 gamma (one expansion per region: ascending series, Lentz continued fraction,
 downward recurrence) and its cancellation-safe differences, Bessel wrappers
 over scipy (I0 in log form through the scaled ``i0e``), four Meijer-G
-instances (two by a nested trapezoid rule on the Mellin-Barnes contour, two
-by closed identities that the oracle table checks), and the Chebyshev-Gauss
+instances (two by a nested trapezoid rule on the Mellin-Barnes contour, each
+level a power sum in x^(-i h) for the step h, two by closed identities that
+the oracle table checks), and the Chebyshev-Gauss
 quadrature rule. The heavy machinery is evaluated in the log domain with
 explicit signs because the series couple enormous and tiny factors whose
 product is O(1).
@@ -285,6 +286,32 @@ _MB_FIRST_INTERVALS = 64
 _MB_MAX_INTERVALS = 2 ** 16
 
 
+def _mb_power_sum(c, lnx, t0, h):
+    """Re[sum_k c_k x_j^(-i (t0 + k h))] for each x_j, as a power sum in z_j = x_j^(-i h).
+
+    The nodes run in blocks of B = _MB_FIRST_INTERVALS (len(c) is a multiple of
+    B).  z^0..z^(B-1) are products of at most log2(B) squarings of z, and each
+    block start x_j^(-i t) is its own exp, so the rounding of a power grows
+    with B, not with k.  The contraction is one real einsum over the float view
+    of the powers, not BLAS, so no BLAS thread count enters the result.
+    """
+    b = _MB_FIRST_INTERVALS
+    powers = np.empty((b, lnx.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1] = np.exp(-1j * h * lnx)
+    r = 2
+    while r < b:    # z^r = (z^(r/2))^2 times each power below r
+        np.multiply(powers[:r], powers[r // 2] ** 2, out=powers[r:2 * r])
+        r *= 2
+    blocks = c.reshape(-1, b)
+    nb = len(blocks)
+    # rows: sum_r Re(c_r) z^r per block, then sum_r Im(c_r) z^r
+    parts = np.einsum("br,rj->bj", np.concatenate((blocks.real, blocks.imag)),
+                      powers.view(float)).view(complex)
+    starts = np.exp(-1j * np.outer(t0 + b * h * np.arange(nb), lnx))
+    return np.einsum("bj,bj->j", starts, parts[:nb] + 1j * parts[nb:]).real
+
+
 def _mb_contour_log(num_b, num_a, den_a, den_b, xs):
     """Vertical-line Mellin-Barnes integral of rho(s) x^-s, vectorised over xs.
 
@@ -321,21 +348,23 @@ def _mb_contour_log(num_b, num_a, den_a, den_b, xs):
         t_hi *= 1.6
 
     # result_j = (h/pi) * sum_k w_k Re[exp(lr_k - s_k lnx_j)] with s_k = sigma + i k h;
-    # w_0 = 1/2, and the node at t_hi, 50 nats below the peak, is left out
+    # w_0 = 1/2, and the node at t_hi, 50 nats below the peak, is left out.  With
+    # M = max_k Re lr_k each level adds exp(M - sigma lnx_j) Re[_mb_power_sum(...)],
+    # so the running sum is rescaled by one scalar M shared by every point
     n = _MB_FIRST_INTERVALS
-    t = np.arange(n) * (t_hi / n)
-    m = np.full(lnx.shape, -np.inf)
+    t0, dt, count = 0.0, t_hi / n, n    # the level's new nodes: t0 + k dt, k < count
+    big_m = -np.inf
     total = np.zeros(lnx.shape)
     prev = None
     while True:
-        s = sigma + 1j * t
-        expo = _mb_logrho(num_b, num_a, den_a, den_b, s)[:, None] - s[:, None] * lnx[None, :]
-        m_new = np.maximum(m, np.max(expo.real, axis=0))
-        terms = np.exp(expo - m_new[None, :]).real
+        lr = _mb_logrho(num_b, num_a, den_a, den_b, sigma + 1j * (t0 + dt * np.arange(count)))
+        m_new = max(big_m, float(np.max(lr.real)))
+        c = np.exp(lr - m_new)
         if prev is None:
-            terms[0] *= 0.5
-        total = total * np.exp(m - m_new) + np.sum(terms, axis=0)
-        m = m_new
+            c[0] *= 0.5
+        total = total * np.exp(big_m - m_new) + _mb_power_sum(c, lnx, t0, dt)
+        big_m = m_new
+        m = big_m - sigma * lnx
         vals = total * (t_hi / n)
         cur_sign = np.sign(vals)
         cur_log = m + np.log(np.maximum(np.abs(vals), 1e-300)) - np.log(np.pi)
@@ -348,7 +377,7 @@ def _mb_contour_log(num_b, num_a, den_a, den_b, xs):
             raise NumericError("Mellin-Barnes contour quadrature did not converge",
                                {"sigma": sigma, "t_hi": t_hi, "n": n})
         prev = (cur_sign, cur_log)
-        t = (np.arange(n) + 0.5) * (t_hi / n)
+        t0, dt, count = 0.5 * t_hi / n, t_hi / n, n
         n *= 2
 
 

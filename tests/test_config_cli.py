@@ -281,6 +281,25 @@ class TestSweepCsv:
         emit_csv(run_sweep(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_closed_csv_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        # the a2a closed path runs the Mellin-Barnes contour, the part of a point
+        # most sensitive to summation order
+        cfg = config_from_mapping({
+            "sweep.variable": "link.eta_s_db", "sweep.values": "88,103",
+            "run.networks": "a2a", "run.ic_mode": "both", "run.methods": "closed",
+            "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 35.0,
+        })
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SAGIN_THREADS", threads)
+            out = tmp_path / f"threads{threads}.csv"
+            emit_csv(run_sweep(cfg), out)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        rows = [line.split(",") for line in texts[0].decode().splitlines()[1:]]
+        for col in ("op_a2a_im_closed", "op_a2a_p_closed"):
+            assert all(0.0 < float(r[SCHEMA_COLUMNS.index(col)]) < 1.0 for r in rows)
+
     def test_schema_and_formatting(self, tmp_path):
         cfg = self._small_cfg()
         out = tmp_path / "r.csv"

@@ -116,6 +116,33 @@ class TestBessel:
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+class TestMbPowerSum:
+    """The contour's power sum against the direct complex-exp matrix sum it replaced."""
+
+    @staticmethod
+    def _direct(c, lnx, t0, h):
+        t = t0 + h * np.arange(len(c))
+        return np.sum(c[:, None] * np.exp(-1j * np.outer(t, lnx)), axis=0).real
+
+    @pytest.mark.parametrize("n,points,t_hi,midpoints", [
+        (64, 1, 640.0, False),      # one point, as meijer_g evaluates; one block
+        (64, 300, 640.0, True),     # a level of exactly 64 nodes
+        (128, 300, 200.0, True),
+        (1024, 300, 640.0, False),
+        (4096, 40, 640.0, True),
+    ])
+    def test_matches_direct_exp_sum(self, n, points, t_hi, midpoints):
+        rng = np.random.default_rng(n + points)
+        lnx = rng.uniform(-60.0, 60.0, points)
+        c = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        h = t_hi / n
+        t0 = 0.5 * h if midpoints else 0.0
+        got = sf._mb_power_sum(c, lnx, t0, h)
+        # relative to sum |c_k|, the largest value the sum can take
+        err = np.max(np.abs(got - self._direct(c, lnx, t0, h)))
+        assert err <= 1e-12 * np.sum(np.abs(c))
+
+
 class TestMeijerG:
     def test_exponential_instance(self):
         assert sf.meijer_g("G0110", (1.0,), 2.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
