@@ -80,7 +80,8 @@ _STR_KEYS = {"rates.threshold_mode", "run.ic_mode", "run.networks",
 # keys the sweep machinery may drive
 SWEEPABLE = {
     "link.eta_s_db", "swipt.rho", "swipt.mu", "swipt.chi", "swipt.epsilon",
-    "swipt.p_th_dbm", "rates.gamma_s_db", "rates.gamma_a_db", "fading.K_rt",
+    "swipt.p_th_dbm", "rates.r_s", "rates.r_a", "rates.gamma_s_db", "rates.gamma_a_db",
+    "fading.K_rt",
     "geometry.h0_m", "geometry.l_m", "geometry.w_min_km",
 }
 

@@ -5,7 +5,9 @@ keyed by (seed, block index) through the counter words.  Estimates are
 therefore bit-identical for a given (config, trials, seed) no matter how the
 blocks are scheduled across workers, and no matter which other (network,
 IC mode) cases are counted on the same draws: one pass over the blocks
-serves every requested case.
+serves every requested case.  A variate that no requested case reads is not
+drawn; the stream is advanced past it instead, so every variate that is drawn
+keeps its value bit for bit.
 """
 
 import math
@@ -22,6 +24,7 @@ from .channel import (sample_nakagami_power, sample_rician_power,
 from .swipt import IM_IC, P_IC, FadingDraw, snr_arx, snr_gu
 
 BLOCK = 1 << 16
+NETWORKS = ("s2g", "a2a")
 
 # outage below ~10 successes-worth of resolution is flagged, not trusted
 RESOLUTION_FACTOR = 10.0
@@ -64,14 +67,37 @@ def _block_rng(seed, block_index):
     return np.random.Generator(bitgen)
 
 
-def draw_block(cfg, rng, n):
-    """One independent block-fading realisation per trial."""
-    w_sr = sample_satellite_distance(rng, cfg.orbit, n)      # km
-    w_rd = sample_gu_distance(rng, cfg.cone, n)              # m
-    w_rt = sample_arx_distance(rng, cfg.cone, n)             # m
+def _skip_doubles(rng, k):
+    """Advance rng as ``rng.random(k)`` would, drawing nothing; returns None.
+
+    ``Generator.random`` takes one 64-bit output per double.  Philox makes its
+    outputs four at a time and ``advance`` counts those blocks and discards the
+    buffer, so the buffered outputs are read out first, and a skip that they
+    cover does not advance at all.
+    """
+    bitgen = rng.bit_generator
+    held = min(k, 4 - bitgen.state["buffer_pos"])
+    bitgen.random_raw(held)
+    if k > held:
+        bitgen.advance((k - held) // 4)
+        bitgen.random_raw((k - held) % 4)
+
+
+def draw_block(cfg, rng, n, networks=NETWORKS):
+    """One independent block-fading realisation per trial.
+
+    Only the variates that ``networks`` read are drawn; the others are None.
+    A skipped uniform draw is stepped over and the trailing Z is not made, but
+    Y is drawn for a2a alone: its rejection sampler uses a varying number of
+    outputs, and Z follows it.
+    """
+    s2g, a2a = "s2g" in networks, "a2a" in networks
+    w_sr = sample_satellite_distance(rng, cfg.orbit, n)                           # km
+    w_rd = sample_gu_distance(rng, cfg.cone, n) if s2g else _skip_doubles(rng, n)  # m
+    w_rt = sample_arx_distance(rng, cfg.cone, n) if a2a else _skip_doubles(rng, 2 * n)
     X = sample_shadowed_rician_power(rng, cfg.sr, n)
     Y = sample_nakagami_power(rng, cfg.nak, n)
-    Z = sample_rician_power(rng, cfg.ric, n)
+    Z = sample_rician_power(rng, cfg.ric, n) if a2a else None
     return FadingDraw(X=X, Y=Y, Z=Z, w_sr_km=w_sr, w_rd_m=w_rd, w_rt_m=w_rt)
 
 
@@ -115,8 +141,10 @@ def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None):
         raise ConfigError("seed must lie in [0, 2**64)")
     failures = dict.fromkeys(map(tuple, network), 0)
     gammas = {case: _gamma_for(cfg, case[0]) for case in failures}
+    networks = {net for net, _ in failures}
     for block_index, start in enumerate(range(0, trials, BLOCK)):
-        draw = draw_block(cfg, _block_rng(seed, block_index), min(BLOCK, trials - start))
+        draw = draw_block(cfg, _block_rng(seed, block_index), min(BLOCK, trials - start),
+                          networks)
         for case, g in gammas.items():
             failures[case] += int(np.count_nonzero(_snr_for(cfg, draw, *case) < g))
     # p-IC replaces a nonnegative interference term of the im-IC SINR by 0.0, so

@@ -232,6 +232,31 @@ class TestThresholds:
         assert math.isinf(cfg.sp.p_th)
 
 
+class TestRateSweep:
+    def test_linear_eh_understates_outage_more_as_the_rate_grows(self):
+        # at 120 dB a 5 dBm harvester saturates, so linear EH (p_th = inf) drifts
+        # further below it as the threshold 2^(2 r / (1 - rho)) - 1 rises
+        base = {"sweep.variable": "rates.r_s", "sweep.values": "0.02,0.1,0.3",
+                "rates.threshold_mode": "from_rate", "link.eta_s_db": 120.0,
+                "run.networks": "s2g", "run.methods": "integral"}
+        op = {}
+        for p_th in (5.0, "inf"):
+            rows = run_sweep(config_from_mapping({**base, "swipt.p_th_dbm": p_th})).rows
+            assert [r["sweep_value"] for r in rows] == [0.02, 0.1, 0.3]
+            op[p_th] = [r["op_s2g_integral"] for r in rows]
+            assert op[p_th] == sorted(op[p_th])
+        gap = [sat - lin for sat, lin in zip(op[5.0], op["inf"])]
+        assert 0 < gap[0] < gap[1] < gap[2]
+
+    def test_aerial_rate_sweeps_its_own_threshold(self):
+        cfg = config_from_mapping({"sweep.variable": "rates.r_a",
+                                   "sweep.values": "0.02,0.1,0.3",
+                                   "rates.threshold_mode": "from_rate"})
+        points = [cfg.with_overrides({"rates.r_a": r}) for r in cfg.sweep_values]
+        assert [p.gamma_a for p in points] == sorted({p.gamma_a for p in points})
+        assert {p.gamma_s for p in points} == {cfg.gamma_s}
+
+
 class TestPresets:
     def test_all_figure_presets_build(self):
         for name in FIGURE_PRESETS:

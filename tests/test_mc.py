@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sagin_outage import mc
 from sagin_outage.config import config_from_mapping
 from sagin_outage.errors import ConfigError
-from sagin_outage.mc import (OutageEstimate, common_random_numbers_compare,
-                             simulate_op, simulate_throughput)
+from sagin_outage.mc import (OutageEstimate, _block_rng, _skip_doubles,
+                             common_random_numbers_compare, simulate_op,
+                             simulate_throughput)
 from sagin_outage.analytic import op_s2g_integral
 from sagin_outage.sweep import run_sweep
 from sagin_outage.swipt import IM_IC, P_IC
@@ -137,9 +140,9 @@ class TestSharedDraws:
         calls = []
         real = mc.draw_block
 
-        def counting(cfg, rng, n):
+        def counting(cfg, rng, n, networks=mc.NETWORKS):
             calls.append(n)
-            return real(cfg, rng, n)
+            return real(cfg, rng, n, networks)
 
         monkeypatch.setattr(mc, "draw_block", counting)
         simulate_op(_cfg(), CASES, trials=200_001, seed=4)
@@ -165,6 +168,65 @@ class TestSharedDraws:
         assert est_im == simulate_op(cfg, "a2a", ic_mode=IM_IC, trials=200_000, seed=1)
         assert est_p == simulate_op(cfg, "a2a", ic_mode=P_IC, trials=200_000, seed=1)
         assert "resolution_floor" in est_im.flags and "resolution_floor" in est_p.flags
+
+
+class TestGoldenValues:
+    # failure counts recorded with the engine that drew every variate on every
+    # trial; 70 001 trials leave the last block part of a Philox output block
+    @pytest.mark.parametrize("case, failures", [
+        (("s2g", IM_IC), 16_495), (("a2a", IM_IC), 26_810), (("a2a", P_IC), 15_566)])
+    def test_single_case_failure_counts(self, case, failures):
+        est = simulate_op(_cfg(**{"link.eta_s_db": 115.0}), *case, trials=70_001, seed=9)
+        assert est.value == failures / 70_001
+
+
+class TestSkippedDraws:
+    @pytest.mark.parametrize("used", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 8, 13, 4 * 1000 + 1])
+    def test_skip_lands_where_real_draws_do(self, used, k):
+        skipped, drawn = _block_rng(5, 3), _block_rng(5, 3)
+        for rng in (skipped, drawn):
+            rng.random(used)        # leaves 4 - used outputs of a Philox block held
+        _skip_doubles(skipped, k)
+        drawn.random(k)
+        a, b = skipped.bit_generator.state, drawn.bit_generator.state
+        assert a["buffer_pos"] == b["buffer_pos"]
+        np.testing.assert_array_equal(a["state"]["counter"], b["state"]["counter"])
+        np.testing.assert_array_equal(skipped.random(9), drawn.random(9))
+        np.testing.assert_array_equal(skipped.gamma(2.0, 1.0, 9), drawn.gamma(2.0, 1.0, 9))
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(trials=st.integers(1, 3 * mc.BLOCK + 3), seed=st.integers(0, 2 ** 64 - 1))
+    def test_every_case_subset_matches_the_all_case_call(self, trials, seed):
+        cfg = _cfg(**{"link.eta_s_db": 115.0})
+        full = simulate_op(cfg, CASES, trials=trials, seed=seed)
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(CASES, size):
+                part = simulate_op(cfg, list(subset), trials=trials, seed=seed)
+                assert all(part[case] == full[case] for case in subset)
+        # variate by variate in the last block, which leaves a part-used Philox buffer
+        block, n = divmod(trials - 1, mc.BLOCK)
+        every = vars(mc.draw_block(cfg, _block_rng(seed, block), n + 1))
+        for net in mc.NETWORKS:
+            some = vars(mc.draw_block(cfg, _block_rng(seed, block), n + 1, (net,)))
+            for name, value in some.items():
+                if value is not None:
+                    np.testing.assert_array_equal(value, every[name])
+
+    @pytest.mark.parametrize("cases, unused", [
+        ([("s2g", IM_IC)], ("sample_arx_distance", "sample_rician_power")),
+        ([("a2a", IM_IC), ("a2a", P_IC)], ("sample_gu_distance",))])
+    def test_unread_variates_are_not_sampled(self, cases, unused, monkeypatch):
+        calls = dict.fromkeys(("sample_gu_distance", "sample_arx_distance",
+                               "sample_rician_power"), 0)
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(mc, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mc, name, spy)
+        simulate_op(_cfg(), cases, trials=2 * mc.BLOCK + 1, seed=4)
+        assert all(calls[name] == 0 for name in unused)
+        assert all(calls[name] == 3 for name in calls if name not in unused)
 
 
 class TestSeedRange:
