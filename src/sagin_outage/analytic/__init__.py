@@ -1,12 +1,12 @@
 """Analytic outage evaluators: closed-form series and direct numerical integration."""
 
-from .coefficients import DerivedCoefficients, build_case
+from .coefficients import build_case
 from .closed_form import op_a2a_closed, op_s2g_closed
 from .direct_integral import op_a2a_integral, op_s2g_integral
 from .throughput import avg_throughput
 
 __all__ = [
-    "DerivedCoefficients", "build_case",
+    "build_case",
     "op_s2g_closed", "op_a2a_closed",
     "op_s2g_integral", "op_a2a_integral",
     "avg_throughput",

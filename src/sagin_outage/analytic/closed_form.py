@@ -14,6 +14,10 @@ pieces of its distance measure.  Five series blocks cover every regime:
   sat_above_knee   saturated branch above a positive saturation point;
   sat_below_knee   saturated branch when the saturation point is negative.
 
+Every constant comes from the `OutageCase` of `build_case`: (a, b), p_sat,
+and the saturated branch's scale sat_scale and bound point sat_x_min, where
+the satellite-fading tail bounds that branch's mass.
+
 All blocks but unsat_taylor run in one loop nest, `_series`, which adds the
 factors they share; each supplies a term function built by `_g2113_terms`
 (CGQ integrals of a G2113 destination bracket) or `_gamma_terms` (CGQ
@@ -66,17 +70,16 @@ class _Work:
 
     def __init__(self, case, cgq_n):
         self.case = case
-        co = case.coeff
         self.beta_bar = case.sr.beta_bar
         # destination scale of the saturated branch; 0 for linear EH, which has none
-        self.c_eff = case.dest_c * co.eta_s / (co.p_th * co.a_lin)
+        self.c_eff = case.dest_c * case.sat_scale
         # (k, log zeta_k) over the positive coefficients of the satellite-fading series
         self.sr_terms = [(k, math.log(z)) for k, z in enumerate(case.sr.zeta()) if z > 0]
         self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, cgq_n)
         self.log_w = np.log(self.w_nodes)
         self.log_wts = np.log(self.w_wts)
         # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
-        self.sat_decay = self.beta_bar * co.b_lin * self.w_nodes ** 2 / co.a_lin
+        self.sat_decay = self.beta_bar * case.b_lin * self.w_nodes ** 2 / case.a_lin
         # destination pieces grouped by q; one row per (piece, end) in the order
         # hi, lo: y, log y, orientation * sign(coeff), log(|coeff| / nu)
         by_q = {}
@@ -99,8 +102,8 @@ class _Work:
     @_memo
     def gamma_nodes(self, s):
         """(sign, log) of Gamma(s, bb w^2 p_sat/a) on the CGQ nodes."""
-        co = self.case.coeff
-        xs = self.beta_bar * self.w_nodes ** 2 * co.p_sat / co.a_lin
+        case = self.case
+        xs = self.beta_bar * self.w_nodes ** 2 * case.p_sat / case.a_lin
         logs = np.array([log_gamma_upper(s, x) for x in xs])
         return np.ones_like(logs), logs
 
@@ -127,7 +130,7 @@ class _Work:
     @_memo
     def g2123_pieces(self, n, s1):
         """(sign, log) of the destination bracket of the Taylor-route series."""
-        omega = self.case.dest_c / self.case.coeff.p_sat
+        omega = self.case.dest_c / self.case.p_sat
         sign, log = self._bracket("G2123", n, lambda e: (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e),
                                   omega, np.ones(1))
         return float(sign[0]), float(log[0])
@@ -146,7 +149,14 @@ class _Work:
         logs, signs = [], []
         for lo, hi, coeff, q in case.dest_pieces:
             p = case.nu * r + q + 1.0
-            val = (hi ** p - lo ** p) / p
+            try:    # math.pow raises on overflow for numpy floats too, where ** gives inf
+                val = (math.pow(hi, p) - math.pow(lo, p)) / p
+            except OverflowError:
+                # hi^p is beyond a float: hi^p - lo^p = hi^p (1 - (lo/hi)^p), 0 < lo < hi
+                logs.append(math.log(abs(coeff)) + p * math.log(hi)
+                            + math.log1p(-(lo / hi) ** p) - math.log(p))
+                signs.append(np.sign(coeff))
+                continue
             logs.append(math.log(abs(coeff) * abs(val)) if val != 0 else -np.inf)
             signs.append(np.sign(coeff) * np.sign(val))
         return logsumexp_signed(np.array(logs), np.array(signs))
@@ -278,10 +288,10 @@ def _g2113_terms(work, c, taylor=None):
     """Terms of the G2113 blocks: the CGQ integral of the destination bracket
     with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3.
     k2 runs only with a Taylor scale, which enters as taylor^k2."""
-    co = work.case.coeff
-    log_a, log_b, log_bb, log_c = (math.log(v) for v in (co.a_lin, co.b_lin, work.beta_bar, c))
+    case = work.case
+    log_a, log_b, log_bb, log_c = (math.log(v) for v in (case.a_lin, case.b_lin, work.beta_bar, c))
     log_t = 0.0 if taylor is None else math.log(taylor)
-    cst = work.beta_bar * c / co.a_lin
+    cst = work.beta_bar * c / case.a_lin
 
     def term(k, n, k1, k2):
         if k2 and taylor is None:
@@ -300,8 +310,8 @@ def _gamma_terms(work, dest, scale):
     """Terms of the saturation-point blocks: the CGQ integral of
     Gamma(s, bb w^2 p_sat / a), s = k1 - n - k2 + 1, times the destination
     factor dest(n + k2) scale^(n + k2); a zero factor ends the k2 sum."""
-    co = work.case.coeff
-    log_a, log_b, log_scale = math.log(co.a_lin), math.log(co.b_lin), math.log(scale)
+    case = work.case
+    log_a, log_b, log_scale = math.log(case.a_lin), math.log(case.b_lin), math.log(scale)
     log_a_bb = log_a - math.log(work.beta_bar)
 
     def term(k, n, k1, k2):
@@ -319,8 +329,7 @@ def _gamma_terms(work, dest, scale):
 def _unsat_taylor(work):
     """Unsaturated branch as a Taylor series in the satellite exponential."""
     case = work.case
-    co = case.coeff
-    a, b, bb = co.a_lin, co.b_lin, work.beta_bar
+    a, b, bb = case.a_lin, case.b_lin, work.beta_bar
     logw_n = case.dest_logw
     log_c = math.log(case.dest_c)
     acc = _SignedSum()
@@ -345,7 +354,7 @@ def _unsat_taylor(work):
                     if g_s == 0.0:
                         return None
                     lt = (pref + logw_n[n] + n * log_c
-                          + s1 * math.log(co.p_sat) + g_l)
+                          + s1 * math.log(case.p_sat) + g_l)
                     acc.add(sign_k2 * g_s, lt)
                     return lt
 
@@ -367,7 +376,7 @@ def _unsat_overshoot(work):
 
 def _sat_above_knee(work):
     """Saturated branch above a positive saturation point."""
-    return _series(work, 1, _gamma_terms(work, work.pieces_dgamma, work.case.coeff.b_lin))
+    return _series(work, 1, _gamma_terms(work, work.pieces_dgamma, work.case.b_lin))
 
 
 def _sat_below_knee(work):
@@ -378,31 +387,23 @@ def _sat_below_knee(work):
         raise NumericError("saturated-branch series parameter too large "
                            "(use the integral path for this configuration)",
                            {"param": param})
-    return _series(work, 1, _g2113_terms(work, work.c_eff * case.coeff.b_lin, work.c_eff))
+    return _series(work, 1, _g2113_terms(work, work.c_eff * case.b_lin, work.c_eff))
 
 
 # ---------------------------------------------------------------------------
 # branch assembly
 # ---------------------------------------------------------------------------
 
-def _sat_bound(case):
-    """Rigorous upper bound on any saturated-branch probability (finite p_th)."""
-    co = case.coeff
-    x_min = (max(co.p_sat, 0.0) + co.b_lin) * case.w_min_m ** 2 / co.a_lin
-    return float(shadowed_rician_power_tail(x_min, case.sr))
-
-
 def _blocks(case):
     """(route, sign, block) of each series block whose signed sum is the success
     probability; raises NumericError when a route's series parameter is too large."""
-    co = case.coeff
-    if co.p_sat <= 0.0:
+    if case.p_sat <= 0.0:
         return [("sat-below-knee", 1.0, _sat_below_knee)]
-    if math.isinf(co.p_sat):
+    if math.isinf(case.p_sat):
         blocks = [("linear", 1.0, _unsat_linear)]
     else:
-        param_direct = case.sr.beta_bar * case.w_max_m ** 2 * co.p_sat / co.a_lin
-        param_tail = case.dest_c * case.dest_hi ** case.nu / co.p_sat
+        param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
+        param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
         if param_direct <= _ROUTE_SWITCH or param_direct <= param_tail:
             if param_direct > _SERIES_BLOWUP:
                 raise NumericError("unsaturated-branch series parameter too large",
@@ -413,7 +414,7 @@ def _blocks(case):
                 raise NumericError("saturation-tail series parameter too large",
                                    {"param": param_tail})
             blocks = [("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)]
-    if not math.isinf(co.p_th) and _sat_bound(case) > 1e-18:
+    if shadowed_rician_power_tail(case.sat_x_min, case.sr) > 1e-18:
         blocks.append(("sat-above-knee", 1.0, _sat_above_knee))
     return blocks
 

@@ -42,7 +42,7 @@ def _sat_nodes(case, n_w):
 
 def _sat_factor(case, z, w_nodes, w_wts):
     """F(z) = int f_w (w^2/a) f_X((z+b) w^2 / a) dw evaluated on the z grid."""
-    a, b = case.coeff.a_lin, case.coeff.b_lin
+    a, b = case.a_lin, case.b_lin
     w2a = w_nodes ** 2 / a                       # (nw,)
     x = np.outer(z + b, w2a)                     # (nz, nw)
     with np.errstate(over="ignore", under="ignore"):
@@ -61,11 +61,10 @@ def _log_grid(z_lo, z_hi, n_z):
 
 def _branch1(case, n_dest, n_w, n_z):
     """Pr[success, unsaturated]: z = a X w^-2 - b in (0, p_sat]."""
-    co = case.coeff
-    p_hi = co.p_sat
+    p_hi = case.p_sat
     if not p_hi > 0:
         return 0.0
-    z_cut = _TAIL_CUT * co.a_lin / (case.sr.beta_bar * case.w_min_m ** 2) - co.b_lin
+    z_cut = _TAIL_CUT * case.a_lin / (case.sr.beta_bar * case.w_min_m ** 2) - case.b_lin
     z_hi = min(p_hi, max(z_cut, 0.0))
     if not z_hi > 0:
         return 0.0
@@ -77,24 +76,21 @@ def _branch1(case, n_dest, n_w, n_z):
 
 def _branch2(case, n_dest, n_w, n_z):
     """Pr[success, saturated]: z in (max(p_sat, 0), inf)."""
-    co = case.coeff
-    if math.isinf(co.p_th):
+    # the branch mass is bounded by the SR tail beyond sat_x_min (inf for linear EH)
+    if case.sr.beta_bar * case.sat_x_min > _TAIL_CUT:
         return 0.0
-    z0 = max(co.p_sat, 0.0)
-    # the branch mass is bounded by the SR tail beyond the saturation point
-    x_min = (z0 + co.b_lin) * case.w_min_m ** 2 / co.a_lin
-    if case.sr.beta_bar * x_min > _TAIL_CUT:
-        return 0.0
-    z_cut = z0 + _TAIL_CUT * co.a_lin / (case.sr.beta_bar * case.w_min_m ** 2)
-    scale2 = co.eta_s / (co.p_th * co.a_lin)      # T = sigma2 gamma u^nu (z+b)/z * scale2
+    z0 = max(case.p_sat, 0.0)
+    z_cut = z0 + _TAIL_CUT * case.a_lin / (case.sr.beta_bar * case.w_min_m ** 2)
     if z0 > 0:
         z_lo = z0
     else:
-        z_lo = case.dest_c * scale2 * case.dest_lo ** case.nu * co.b_lin / _TAIL_CUT * 1e-3
+        z_lo = (case.dest_c * case.sat_scale * case.dest_lo ** case.nu * case.b_lin
+                / _TAIL_CUT * 1e-3)
         z_lo = max(z_lo, z_cut * 1e-18)
     z_hi = max(z_cut, z_lo * (1.0 + 1e-9))
-    return _branch_mass(case, z_lo, z_hi, lambda z: (z + co.b_lin) / z,
-                        case.sigma2 * case.gamma * scale2, n_dest, n_w, n_z)
+    # T = sigma2 gamma u^nu (z + b)/z * sat_scale
+    return _branch_mass(case, z_lo, z_hi, lambda z: (z + case.b_lin) / z,
+                        case.sigma2 * case.gamma * case.sat_scale, n_dest, n_w, n_z)
 
 
 def _branch_mass(case, z_lo, z_hi, ratio, thr_scale, n_dest, n_w, n_z):

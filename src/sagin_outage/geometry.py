@@ -4,6 +4,7 @@ Satellite distances are handled in km, aerial/ground distances in metres;
 conversion to a single unit happens where SNRs are formed, not here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,32 @@ class ConeGeometry:
         """Largest relay to aerial-receiver distance, h_2 / cos(phi)."""
         return self.h_2 / np.cos(self.phi)
 
-    @property
-    def case1(self):
-        """True when the cone edge leaves through the lower plane (h1/cos phi < h2)."""
-        return self.h_1 / np.cos(self.phi) < self.h_2
+    def gu_pieces(self):
+        """gu_distance_pdf as monomial pieces ((lo, hi, coeff, q),): coeff v^q on (lo, hi)."""
+        return ((self.h_0, self.gu_max, 2.0 / self.l ** 2, 1),)
+
+    def arx_pieces(self):
+        """arx_distance_pdf as monomial pieces ((lo, hi, coeff, q), ...).
+
+        Between breakpoints in {h_1, h_1/cos phi, h_2, h_2/cos phi}, the pdf's
+        min(u, h_2) and max(u cos phi, h_1) are each one of their arguments, so
+        each adds one u^2 or u term (min first); terms of one power share a piece.
+        """
+        c = math.cos(self.phi)
+        norm = _cone_norm(self)
+        breaks = sorted({self.h_1, self.h_1 / c, self.h_2, self.h_2 / c})
+        pieces = []
+        for lo, hi in zip(breaks, breaks[1:]):
+            mid = 0.5 * (lo + hi)
+            # (k, q): min(u, h_2) and max(u cos phi, h_1) as k u^(q-1)
+            top = (1.0, 2) if mid < self.h_2 else (self.h_2, 1)
+            bottom = (c, 2) if mid > self.h_1 / c else (self.h_1, 1)
+            if top[1] == bottom[1]:
+                terms = ((top[0] - bottom[0], top[1]),)
+            else:
+                terms = (top, (-bottom[0], bottom[1]))
+            pieces += [(lo, hi, 6.0 * k / norm, q) for k, q in terms]
+        return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +153,7 @@ def sample_gu_distance(rng, geom, size=None):
 def _cone_norm(geom):
     # pdf normalisation: uniform density over the truncated-cone volume leaves
     # a tan^2(phi) that the three-branch piecewise form must carry
-    return np.tan(geom.phi) ** 2 * (geom.h_2 ** 3 - geom.h_1 ** 3)
+    return math.tan(geom.phi) ** 2 * (geom.h_2 ** 3 - geom.h_1 ** 3)
 
 
 def arx_distance_pdf(u, geom):

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sagin_outage import cli
 from sagin_outage.analytic import (avg_throughput, op_a2a_closed, op_a2a_integral,
                                    op_s2g_closed, op_s2g_integral)
 from sagin_outage.analytic import closed_form as cf
-from sagin_outage.analytic.coefficients import DerivedCoefficients, build_case
+from sagin_outage.analytic.coefficients import build_case
 from sagin_outage.analytic.throughput import throughput_from_ops
 from sagin_outage.config import config_from_mapping
+from sagin_outage.errors import NumericError
 from sagin_outage.geometry import arx_distance_pdf, gu_distance_pdf
 from sagin_outage.mc import simulate_op
 from sagin_outage.swipt import IM_IC, P_IC
@@ -81,8 +86,7 @@ class TestCrossPathAgreement:
             "rates.threshold_mode": "fixed", "rates.gamma_s_db": 3.0,
             "swipt.p_th_dbm": 20.0, "link.eta_s_db": 124.0,
         })
-        co = DerivedCoefficients.for_case(cfg, "s2g", IM_IC, cfg.gamma_s)
-        assert co.p_sat < 0
+        assert build_case(cfg, "s2g", IM_IC, cfg.gamma_s).p_sat < 0
         assert abs(op_s2g_closed(cfg.gamma_s, cfg)
                    - op_s2g_integral(cfg.gamma_s, cfg)) <= self.TOL
 
@@ -92,15 +96,14 @@ class TestCrossPathAgreement:
             "rates.threshold_mode": "fixed", "rates.gamma_a_db": -4.56,
             "swipt.p_th_dbm": 15.0, "link.eta_s_db": 124.0,
         })
-        co = DerivedCoefficients.for_case(cfg, "a2a", IM_IC, cfg.gamma_a)
-        assert co.p_sat < 0
+        assert build_case(cfg, "a2a", IM_IC, cfg.gamma_a).p_sat < 0
         assert abs(op_a2a_closed(cfg.gamma_a, cfg)
                    - op_a2a_integral(cfg.gamma_a, cfg)) <= self.TOL
 
     def test_case2_cone_geometry(self):
         # h1/cos(phi) > h2 flips the piecewise pdf branches
         cfg = _cfg(**{"geometry.h1_m": 490.0, "link.eta_s_db": 112.0})
-        assert not cfg.cone.case1
+        assert cfg.cone.h_1 / np.cos(cfg.cone.phi) > cfg.cone.h_2
         ci = op_a2a_integral(cfg.gamma_a, cfg)
         cc = op_a2a_closed(cfg.gamma_a, cfg)
         est = simulate_op(cfg, "a2a", trials=400_000)
@@ -253,17 +256,26 @@ class TestDestinationPieces:
     """build_case's monomial pieces coeff * u^q on [lo, hi] against the
     destination-distance pdfs they stand for."""
 
-    @pytest.mark.parametrize("network, h1_m, case1", [
-        ("s2g", 400.0, True), ("a2a", 400.0, True), ("a2a", 490.0, False),
-    ], ids=["s2g", "a2a-case1", "a2a-case2"])
-    def test_pieces_sum_to_the_distance_pdf(self, network, h1_m, case1):
-        cfg = _cfg(**{"geometry.h1_m": h1_m})
-        assert cfg.cone.case1 == case1
+    @pytest.mark.parametrize("network, cone, side", [
+        ("s2g", {}, -1),
+        ("a2a", {}, -1),
+        ("a2a", {"geometry.h1_m": 490.0}, 1),
+        ("a2a", {"geometry.phi_rad": 1.2}, 1),
+        ("a2a", {"geometry.h1_m": 100.0, "geometry.phi_rad": 0.05}, -1),
+        ("a2a", {"geometry.h1_m": 500.0 * math.cos(math.pi / 12)}, 0),
+    ], ids=["s2g", "a2a-case1", "a2a-case2", "a2a-wide", "a2a-narrow", "a2a-boundary"])
+    def test_pieces_sum_to_the_distance_pdf(self, network, cone, side):
+        # side: sign of h1/cos(phi) - h2, where the cone edge leaves the slab
+        cfg = _cfg(**cone)
+        assert np.sign(round(cfg.cone.h_1 / np.cos(cfg.cone.phi) - cfg.cone.h_2, 6)) == side
         case = build_case(cfg, network, IM_IC, cfg.gamma_a)
         pdf = gu_distance_pdf if network == "s2g" else arx_distance_pdf
         breaks = sorted({y for lo, hi, _, _ in case.dest_pieces for y in (lo, hi)})
         assert (breaks[0], breaks[-1]) == (case.dest_lo, case.dest_hi)
-        u = np.concatenate([np.linspace(a, b, 9)[1:-1] for a, b in zip(breaks, breaks[1:])])
+        # at side 0, h1/cos(phi) and h2 may differ by rounding alone: points inside
+        # that ~1e-13 m interval land on its ends, where no piece counts
+        u = np.concatenate([np.linspace(a, b, 9)[1:-1]
+                            for a, b in zip(breaks, breaks[1:]) if b - a > 1e-6])
         pieces = sum(np.where((u > lo) & (u < hi), coeff * u ** q, 0.0)
                      for lo, hi, coeff, q in case.dest_pieces)
         want = pdf(u, cfg.cone)
@@ -272,3 +284,74 @@ class TestDestinationPieces:
         mass = sum(coeff * (hi ** (q + 1) - lo ** (q + 1)) / (q + 1)
                    for lo, hi, coeff, q in case.dest_pieces)
         assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+# Random configs whose closed path once overflowed a float in _Work.pieces_moment
+# (hi ** p with p = nu r + q + 1) and ended `sagin-outage run` with exit 1.
+OVERFLOW_S2G = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 2.5245693694844835,
+    "link.eta_s_db": 85.61661431560472, "swipt.mu": 0.6063127256251297,
+    "swipt.rho": 0.29271488965526243, "swipt.epsilon": 0.6794601820070677,
+    "rates.r_s": 0.2580241771930003, "fading.m_rd": 2.0,
+}
+OVERFLOW_A2A = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 5.8034,
+    "link.eta_s_db": 96.5801, "swipt.mu": 0.7231, "swipt.rho": 0.1684,
+    "swipt.epsilon": 0.6719, "rates.r_s": 0.3372, "rates.r_a": 0.1338,
+    "fading.m_rd": 1, "fading.K_rt": 3.4104, "swipt.chi": 0.568,
+}
+
+RANDOM_CONFIG = st.fixed_dictionaries({
+    "rates.threshold_mode": st.just("from_rate"),
+    "swipt.p_th_dbm": st.one_of(st.floats(-10.0, 40.0), st.just("inf")),
+    "link.eta_s_db": st.floats(85.0, 150.0),
+    "swipt.mu": st.floats(0.55, 0.95),
+    "swipt.rho": st.floats(0.05, 0.8),
+    "swipt.epsilon": st.floats(0.1, 0.9),
+    "rates.r_s": st.floats(0.01, 0.5),
+    "rates.r_a": st.floats(0.01, 0.5),
+    "fading.m_rd": st.sampled_from([1, 2, 3]),
+    "fading.K_rt": st.floats(0.0, 5.0),
+    "swipt.chi": st.floats(0.3, 0.9),
+})
+
+
+class TestRandomConfigs:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @example(OVERFLOW_S2G)
+    @example(OVERFLOW_A2A)
+    @given(RANDOM_CONFIG)
+    def test_outage_is_a_probability_or_a_numeric_error(self, mapping):
+        # any exception other than NumericError fails the test
+        cfg = config_from_mapping(mapping)
+        cases = [(fn, cfg.gamma_s, {}) for fn in (op_s2g_closed, op_s2g_integral)]
+        cases += [(fn, cfg.gamma_a, {"ic_mode": mode})
+                  for fn in (op_a2a_closed, op_a2a_integral) for mode in (IM_IC, P_IC)]
+        for fn, gamma, kwargs in cases:
+            try:
+                op = fn(gamma, cfg, **kwargs)
+            except NumericError:
+                continue
+            assert 0.0 <= op <= 1.0
+
+    def test_overflow_fallback_holds_for_numpy_floats(self):
+        # a numpy float overflows to inf under ** instead of raising OverflowError
+        plain = config_from_mapping(OVERFLOW_A2A)
+        wide = config_from_mapping({**OVERFLOW_A2A, "geometry.h2_m": np.float64(500.0)})
+        assert op_a2a_closed(wide.gamma_a, wide) == op_a2a_closed(plain.gamma_a, plain)
+
+    @pytest.mark.parametrize("mapping, network, column", [
+        (OVERFLOW_S2G, "s2g", "op_s2g"), (OVERFLOW_A2A, "a2a", "op_a2a_im"),
+    ], ids=["s2g", "a2a-im-ic"])
+    def test_overflowing_moment_runs_through_the_cli(self, mapping, network, column,
+                                                     tmp_path):
+        path = tmp_path / "c.cfg"
+        keys = {**mapping, "run.networks": network, "run.ic_mode": IM_IC,
+                "run.methods": "closed,integral"}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        closed, integral = (float(row[header.index(f"{column}_{m}")])
+                            for m in ("closed", "integral"))
+        assert abs(closed - integral) <= 2e-4

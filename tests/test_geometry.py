@@ -91,8 +91,8 @@ class TestGuDistance:
 
 class TestArxDistance:
     def test_case_selection(self):
-        assert CONE.case1                      # 400/cos(15 deg) = 414.1 < 500
-        assert not CONE_CASE2.case1            # 490/cos(15 deg) = 507.3 > 500
+        assert CONE.h_1 / np.cos(CONE.phi) < CONE.h_2                # 414.1 < 500
+        assert CONE_CASE2.h_1 / np.cos(CONE_CASE2.phi) > CONE_CASE2.h_2  # 507.3 > 500
 
     def test_pdf_zero_at_h1(self):
         assert geo.arx_distance_pdf(CONE.h_1, CONE) == 0.0

@@ -1,17 +1,18 @@
 """Record one BENCH file: perfbench medians of a parent commit and of this tree.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--repeats 10] [--parent REV]
+    python3 tools/bench_record.py --out BENCH_<n>.json
 
 Run from the repository root.  This tree (with any uncommitted changes) is the
 change.  Its parent is ``HEAD`` when tracked files have uncommitted (staged or
-unstaged) changes and ``HEAD~1`` when they have none; ``--parent`` overrides
-that.  The parent is exported with ``git archive`` into a temporary directory.
-For every workload in ``BENCHMARK.json`` and both ``--trace 0`` (end-to-end)
-and ``--trace 1`` (per-layer), ``perfbench/run.py`` runs ``--repeats`` times on
-each side for the ``run_seconds`` of ``BENCHMARK.json``, in pairs that share a
-seed (1, 2, ...) and alternate which side runs first.  The file keeps every run and the
-median of each metric per side.  It records what was measured and judges
-nothing: the exit status is nonzero only when a run could not be made.
+unstaged) changes and ``HEAD~1`` when they have none.  The parent is exported
+with ``git archive`` into a temporary directory.  For every workload in
+``BENCHMARK.json`` and both ``--trace 0`` (end-to-end) and ``--trace 1``
+(per-layer), ``perfbench/run.py`` runs REPEATS = 10 times on each side (the
+fewest pairs a gain may be judged on) for the ``run_seconds`` of
+``BENCHMARK.json``, in pairs that share a seed (1, 2, ...) and alternate which
+side runs first.  The file keeps every run and the median of each metric per
+side.  It records what was measured and judges nothing: the exit status is
+nonzero only when a run could not be made.
 """
 
 import argparse
@@ -25,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 10
 MACHINE_KEYS = ("cpu_model", "nproc", "affinity", "sagin_threads", "blas_threads",
                 "python", "numpy", "scipy", "setup_repeats")
 
@@ -65,23 +67,18 @@ def _summary(runs):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, type=Path, help="BENCH file to write")
-    p.add_argument("--repeats", type=int, default=10, help="runs per side, mode and workload")
-    p.add_argument("--parent", help="git revision of the parent "
-                   "(default: HEAD if the tree has uncommitted changes, else HEAD~1)")
     args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     units = {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
-    parent = args.parent or ("HEAD" if dirty else "HEAD~1")
+    parent = "HEAD" if dirty else "HEAD~1"
     record = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace M",
         "seconds": seconds,
-        "repeats": args.repeats,
-        "seeds": list(range(1, args.repeats + 1)),
+        "repeats": REPEATS,
+        "seeds": list(range(1, REPEATS + 1)),
         "parent": {"rev": parent, "commit": _git("rev-parse", parent)},
         "change": {"head": _git("rev-parse", "HEAD"), "uncommitted_changes": dirty},
         "machine": None,
