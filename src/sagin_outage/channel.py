@@ -102,9 +102,25 @@ def shadowed_rician_power_tail(x, p):
 def sample_shadowed_rician_power(rng, p, size=None):
     """|A + Z|^2 with A^2 ~ Gamma(m_sr, omega/m_sr) and Z complex with variance 2 b_sr."""
     a = np.sqrt(rng.gamma(p.m_sr, p.omega_sr / p.m_sr, size)) if p.omega_sr > 0 else 0.0
-    zr = rng.normal(0.0, np.sqrt(p.b_sr), size)
-    zi = rng.normal(0.0, np.sqrt(p.b_sr), size)
-    return (a + zr) ** 2 + zi ** 2
+    return _los_scatter_power(rng, a, np.sqrt(p.b_sr), size)
+
+
+def _los_scatter_power(rng, los, s, size):
+    """(los + s z1)^2 + (s z2)^2 for standard normals z1, then z2, formed in place.
+
+    The values are those of (los + rng.normal(0, s))^2 + rng.normal(0, s)^2 to
+    the bit: ``normal`` draws the same z and returns 0 + s z, which differs
+    from s z at most in the sign of a zero, and the square drops that sign.
+    """
+    re = np.asarray(rng.standard_normal(size))
+    re *= s
+    re += los
+    np.square(re, out=re)
+    im = np.asarray(rng.standard_normal(size))
+    im *= s
+    np.square(im, out=im)
+    re += im
+    return re[()]
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +203,7 @@ def rician_power_tail(x, p):
 def sample_rician_power(rng, p, size=None):
     """|mu_los + Z|^2 with |mu_los|^2 = K/(1+K) and E|Z|^2 = 1/(1+K); unit mean."""
     K = p.K_rt
-    mu_los = np.sqrt(K / (1.0 + K))
-    s = np.sqrt(0.5 / (1.0 + K))
-    zr = rng.normal(0.0, s, size)
-    zi = rng.normal(0.0, s, size)
-    return (mu_los + zr) ** 2 + zi ** 2
+    return _los_scatter_power(rng, np.sqrt(K / (1.0 + K)), np.sqrt(0.5 / (1.0 + K)), size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Monte Carlo outage and throughput estimation.
 
 Trials are drawn in fixed-size blocks, each from its own Philox substream
-keyed by (seed, block index) through the counter words.  Estimates are
-therefore bit-identical for a given (config, trials, seed) no matter how the
-blocks are scheduled across workers, and no matter which other (network,
-IC mode) cases are counted on the same draws: one pass over the blocks
-serves every requested case.  A variate that no requested case reads is not
-drawn; the stream is advanced past it instead, so every variate that is drawn
-keeps its value bit for bit.
+keyed by (seed, block index) through the counter words.  The calling thread,
+and idle workers of an executor when one is given, claim block indices from
+one iterator and add each block's integer failure counts to per-case totals.
+Estimates are therefore bit-identical for a given (config, trials, seed) no
+matter how the blocks are scheduled across workers, and no matter which other
+(network, IC mode) cases are counted on the same draws: one pass over the
+blocks serves every requested case, and one in-place SNR pass
+(``swipt.case_snrs``) counts every case of a block.  A variate that no
+requested case reads is not drawn; the stream is advanced past it instead, so
+every variate that is drawn keeps its value bit for bit.
 """
 
 import math
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,8 @@ from .geometry import (sample_arx_distance, sample_gu_distance,
                        sample_satellite_distance)
 from .channel import (sample_nakagami_power, sample_rician_power,
                       sample_shadowed_rician_power)
-from .swipt import IM_IC, P_IC, FadingDraw, snr_arx, snr_gu
+from .swipt import IM_IC, P_IC, FadingDraw, case_snrs
+from .swipt import snr_arx, snr_gu  # noqa: F401  perfbench/tracing.py wraps these names here
 
 BLOCK = 1 << 16
 NETWORKS = ("s2g", "a2a")
@@ -101,16 +107,6 @@ def draw_block(cfg, rng, n, networks=NETWORKS):
     return FadingDraw(X=X, Y=Y, Z=Z, w_sr_km=w_sr, w_rd_m=w_rd, w_rt_m=w_rt)
 
 
-def _snr_for(cfg, draw, network, ic_mode):
-    eta = cfg.eta_s
-    if network == "s2g":
-        return snr_gu(draw, eta, cfg.sp, cfg.noise, nu_rd=cfg.nak.nu_rd)
-    if network == "a2a":
-        return snr_arx(draw, eta, cfg.sp, cfg.noise, ic_mode=ic_mode,
-                       nu_rt=cfg.ric.nu_rt)
-    raise ConfigError(f"unknown network {network!r}")
-
-
 def _gamma_for(cfg, network):
     return cfg.gamma_s if network == "s2g" else cfg.gamma_a
 
@@ -123,30 +119,62 @@ def _estimate(failures, trials, seed):
                           method="mc", seed=seed, flags=flags)
 
 
-def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None):
+def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None, executor=None):
     """Outage frequency over exact per-trial SNRs, with binomial standard error.
 
     ``network`` is "s2g" or "a2a" for one ``OutageEstimate``, or a sequence of
     (network, ic_mode) cases counted on one pass over the Philox blocks and
     returned as a ``SharedDrawEstimates``.  Each case's estimate is
     bit-identical to the single-case call with the same (config, trials, seed).
+
+    With a ``ThreadPoolExecutor`` as ``executor``, up to ``max_workers - 1``
+    helper tasks on it claim blocks beside the calling thread, so workers that
+    are idle share the blocks; the counts, and so every estimate, are the same
+    for any executor and any schedule.
     """
     if isinstance(network, str):
-        return simulate_op(cfg, [(network, ic_mode)], trials=trials, seed=seed)[network, ic_mode]
+        return simulate_op(cfg, [(network, ic_mode)], trials=trials, seed=seed,
+                           executor=executor)[network, ic_mode]
     trials = cfg.trials if trials is None else int(trials)
     seed = cfg.seed if seed is None else int(seed)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("seed must lie in [0, 2**64)")
-    failures = dict.fromkeys(map(tuple, network), 0)
-    gammas = {case: _gamma_for(cfg, case[0]) for case in failures}
-    networks = {net for net, _ in failures}
-    for block_index, start in enumerate(range(0, trials, BLOCK)):
-        draw = draw_block(cfg, _block_rng(seed, block_index), min(BLOCK, trials - start),
-                          networks)
-        for case, g in gammas.items():
-            failures[case] += int(np.count_nonzero(_snr_for(cfg, draw, *case) < g))
+    cases = tuple(dict.fromkeys(map(tuple, network)))
+    failures = dict.fromkeys(cases, 0)
+    gammas = {case: _gamma_for(cfg, case[0]) for case in cases}
+    networks = {net for net, _ in cases}
+    n_blocks = -(-trials // BLOCK)
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+
+    def count_blocks():
+        # one critical section per block: add its counts, claim the next index
+        counts = {}
+        try:
+            while True:
+                with lock:
+                    for case, f in counts.items():
+                        failures[case] += f
+                    block_index = next(blocks, None)
+                if block_index is None:
+                    return
+                start = block_index * BLOCK
+                draw = draw_block(cfg, _block_rng(seed, block_index),
+                                  min(BLOCK, trials - start), networks)
+                counts = {case: int(np.count_nonzero(snr < gammas[case]))
+                          for case, snr in case_snrs(draw, cfg.eta_s, cfg.sp, cfg.noise,
+                                                     cases, cfg.nak.nu_rd,
+                                                     cfg.ric.nu_rt)}
+        except BaseException:
+            with lock:
+                for _ in blocks:        # leave nothing for the other threads
+                    pass
+            raise
+
+    workers = executor._max_workers if executor is not None else 1
+    _with_helpers(count_blocks, executor, min(workers, n_blocks) - 1)
     # p-IC replaces a nonnegative interference term of the im-IC SINR by 0.0, so
     # snr_p >= snr_im bit for bit: every p-IC outage trial is an im-IC one
     paired = ("a2a", IM_IC) in failures and ("a2a", P_IC) in failures
@@ -154,6 +182,25 @@ def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None):
         trials=trials, seed=seed,
         estimates={case: _estimate(f, trials, seed) for case, f in failures.items()},
         im_only=failures["a2a", IM_IC] - failures["a2a", P_IC] if paired else None)
+
+
+def _with_helpers(task, executor, helpers):
+    """Run ``task`` on this thread and in ``helpers`` tasks on ``executor``.
+
+    ``task`` claims its work piece by piece and returns when none is left, so
+    a helper that has not started by then has nothing to do: it is cancelled,
+    not waited on, and a worker that calls this never blocks on a task queued
+    behind it.  A helper that has started is waited on; an exception of any
+    run reaches the caller.
+    """
+    futures = [executor.submit(task) for _ in range(helpers)]
+    try:
+        task()
+    finally:
+        started = [f for f in futures if not f.cancel()]
+        wait(started)           # none is left running after the call
+    for f in started:
+        f.result()
 
 
 def simulate_throughput(cfg, trials=None, seed=None, ic_mode=IM_IC):

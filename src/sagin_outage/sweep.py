@@ -41,7 +41,10 @@ class SweepResult:
 def _worker_count():
     env = os.environ.get("SAGIN_THREADS")
     if not env:
-        return min(8, os.cpu_count() or 1)
+        # the CPUs this process may run on, which a pinned process has fewer of
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        return min(8, cpus or 1)
     try:
         n = int(env)
     except ValueError:
@@ -72,7 +75,7 @@ def _analytic(cfg, method, network, mode):
     return fn(cfg.gamma_a, cfg, ic_mode=mode)
 
 
-def _evaluate_point(cfg, variable, value, seed):
+def _evaluate_point(cfg, variable, value, seed, pool):
     row = {c: "" for c in SCHEMA_COLUMNS}
     row["sweep_variable"] = variable or ""
     row["sweep_value"] = value if value is not None else ""
@@ -80,8 +83,10 @@ def _evaluate_point(cfg, variable, value, seed):
     ops = {}
     cases = _cases(cfg)
     methods = [m for m in METHODS if m in cfg.methods]
-    # one set of draws serves every MC output of the point
-    shared = (simulate_op(cfg, [(net, mode) for _, net, mode in cases], seed=seed)
+    # one set of draws serves every MC output of the point; pool workers with
+    # no point left to take help with its blocks
+    shared = (simulate_op(cfg, [(net, mode) for _, net, mode in cases], seed=seed,
+                          executor=pool)
               if "mc" in methods and cases else None)
     for stem, net, mode in cases:
         for meth in methods:
@@ -124,7 +129,7 @@ def run_sweep(cfg):
                       cfg.with_overrides({variable: val, "sweep.variable": None}))
     result = SweepResult(variable=variable or "")
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futs = [pool.submit(_evaluate_point, c, variable, v, s)
+        futs = [pool.submit(_evaluate_point, c, variable, v, s, pool)
                 for c, v, s in zip(points, values, seeds)]
         result.rows = [f.result() for f in futs]   # grid order regardless of finish
     return result

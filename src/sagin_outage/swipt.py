@@ -2,7 +2,9 @@
 
 The harvested power is linear in the received satellite power up to the
 saturation threshold and flat above it.  All SNR evaluators are vectorised:
-fields of FadingDraw may be scalars or equal-length arrays.
+fields of FadingDraw may be scalars or equal-length arrays.  ``case_snrs`` is
+the one SNR formula: it forms every requested case's SNR in one in-place pass,
+and ``snr_gu`` and ``snr_arx`` are its one-case calls.
 """
 
 from dataclasses import dataclass
@@ -106,33 +108,70 @@ def shares(sp, network, ic_mode):
 
 def snr_gu(draw, eta_s, sp, noise, nu_rd=2.0):
     """End-to-end SNR at the ground user through the relay."""
-    return _snr(draw, draw.Y, draw.w_rd_m, nu_rd, eta_s, sp, noise,
-                noise.sigma_d2, shares(sp, "s2g", IM_IC))
+    (_, snr), = case_snrs(draw, eta_s, sp, noise, [("s2g", IM_IC)], nu_rd=nu_rd)
+    return snr[()]
 
 
 def snr_arx(draw, eta_s, sp, noise, ic_mode=IM_IC, nu_rt=2.0):
     """SNR of the relay's own transmission at the aerial receiver."""
-    return _snr(draw, draw.Z, draw.w_rt_m, nu_rt, eta_s, sp, noise,
-                noise.sigma_t2, shares(sp, "a2a", ic_mode))
+    (_, snr), = case_snrs(draw, eta_s, sp, noise, [("a2a", ic_mode)], nu_rt=nu_rt)
+    return snr[()]
 
 
-def _snr(draw, G, dist_m, nu, eta_s, sp, noise, s2, share):
-    """signal chi lin g / (relay noise + interference chi lin g + s2), with
-    g = G dist_m^-nu the destination gain and lin the harvester input."""
-    signal, interference = share
+def case_snrs(draw, eta_s, sp, noise, cases, nu_rd=2.0, nu_rt=2.0):
+    """Yield ``(case, snr)`` for every (network, ic_mode) case, in one pass over ``draw``.
+
+    Each SINR is  signal chi lin g / (relay noise + interference chi lin g + s2),
+    with g = G dist^-nu the destination gain, lin = min(g_sat, p_th) the
+    harvester input and relay noise = mu_eps chi lin g / g_sat (0 where
+    g_sat = eta_s X / w_sr^2 is not positive).  g_sat and lin are formed once;
+    g, the relay noise and the numerator once per network; the interference
+    term and the division once per case.  Every product and sum keeps the
+    order of the expression above, so an snr is the same to the bit whichever
+    cases share the pass.  Cases come grouped by network, in request order
+    within one.  The work is done in place in a few buffers: a yielded array
+    is overwritten by the next case, so read it before asking for the next.
+    """
+    per_net = {"s2g": (draw.Y, draw.w_rd_m, nu_rd, noise.sigma_d2),
+               "a2a": (draw.Z, draw.w_rt_m, nu_rt, noise.sigma_t2)}
+    by_net = {}      # network -> (signal share, [(ic_mode, interference share)])
+    for network, ic_mode in cases:
+        signal, interference = shares(sp, network, ic_mode)
+        by_net.setdefault(network, (signal, []))[1].append((ic_mode, interference))
     X = np.asarray(draw.X, dtype=float)
-    G = np.asarray(G, dtype=float)
-    w_m = np.asarray(draw.w_sr_km, dtype=float) * 1e3
-    chi = sp.chi_rho_eps
-    me = noise.mu_eps(sp)
-    g_sat = eta_s * X / w_m ** 2
-    g = G * np.asarray(dist_m, dtype=float) ** (-nu)
-    lin = np.minimum(g_sat, sp.p_th)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        relay_noise = np.where(g_sat > 0, me * chi * lin * g / g_sat, 0.0)
-    # p-IC adds a scalar 0.0: no array pass, and the sum keeps its value to the bit
-    return signal * chi * lin * g / (
-        relay_noise + (interference * chi * lin * g if interference else 0.0) + s2)
+    w_m = np.asarray(draw.w_sr_km, dtype=float)
+    shape = np.broadcast_shapes(X.shape, w_m.shape, *(
+        np.shape(a) for net in by_net for a in per_net[net][:2]))
+    chi, me = sp.chi_rho_eps, noise.mu_eps(sp)
+    g_sat, lin, g, relay_noise, num, snr = (np.empty(shape) for _ in range(6))
+    np.multiply(w_m, 1e3, out=lin)
+    np.square(lin, out=lin)
+    np.multiply(X, eta_s, out=g_sat)
+    g_sat /= lin
+    np.minimum(g_sat, sp.p_th, out=lin)
+    zero = ~(g_sat > 0)
+    for network, (signal, modes) in by_net.items():
+        G, dist_m, nu, s2 = per_net[network]
+        np.power(np.asarray(dist_m, dtype=float), -nu, out=g)
+        g *= G
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(lin, me * chi, out=relay_noise)
+            relay_noise *= g
+            relay_noise /= g_sat
+        np.copyto(relay_noise, 0.0, where=zero)
+        np.multiply(lin, signal * chi, out=num)
+        num *= g
+        for ic_mode, interference in modes:
+            if interference:
+                np.multiply(lin, interference * chi, out=snr)
+                snr *= g
+                snr += relay_noise
+                snr += s2
+            else:
+                # p-IC: adding a zero interference term would change no bit
+                np.add(relay_noise, s2, out=snr)
+            np.divide(num, snr, out=snr)
+            yield (network, ic_mode), snr
 
 
 def gamma_from_rate(rate, rho):

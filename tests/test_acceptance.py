@@ -7,6 +7,7 @@ minutes; everything is deterministic for the fixed seeds used here.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,23 +45,25 @@ ETA_GRID = np.linspace(88.0, 148.0, 15)
 def cross_path_grid():
     """closed / integral / MC@1e7 on the 15-point gain grid, all networks."""
     rows = []
-    for eta_db in ETA_GRID:
-        cfg = _grid_cfg(float(eta_db))
-        # one pass over shared draws: each case's estimate is bit-identical to
-        # its single-case call with the same (config, trials, seed)
-        mc = simulate_op(cfg, [("s2g", IM_IC), ("a2a", IM_IC), ("a2a", P_IC)],
-                         trials=10_000_000, seed=SEED)
-        entry = {"eta_db": float(eta_db)}
-        entry["s2g"] = (op_s2g_closed(cfg.gamma_s, cfg),
-                        op_s2g_integral(cfg.gamma_s, cfg),
-                        mc["s2g", IM_IC])
-        entry["a2a_im"] = (op_a2a_closed(cfg.gamma_a, cfg, ic_mode=IM_IC),
-                           op_a2a_integral(cfg.gamma_a, cfg, ic_mode=IM_IC),
-                           mc["a2a", IM_IC])
-        entry["a2a_p"] = (op_a2a_closed(cfg.gamma_a, cfg, ic_mode=P_IC),
-                          op_a2a_integral(cfg.gamma_a, cfg, ic_mode=P_IC),
-                          mc["a2a", P_IC])
-        rows.append(entry)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for eta_db in ETA_GRID:
+            cfg = _grid_cfg(float(eta_db))
+            # one pass over shared draws, its blocks split with a second thread:
+            # each case's estimate is bit-identical to its serial single-case call
+            # with the same (config, trials, seed)
+            mc = simulate_op(cfg, [("s2g", IM_IC), ("a2a", IM_IC), ("a2a", P_IC)],
+                             trials=10_000_000, seed=SEED, executor=pool)
+            entry = {"eta_db": float(eta_db)}
+            entry["s2g"] = (op_s2g_closed(cfg.gamma_s, cfg),
+                            op_s2g_integral(cfg.gamma_s, cfg),
+                            mc["s2g", IM_IC])
+            entry["a2a_im"] = (op_a2a_closed(cfg.gamma_a, cfg, ic_mode=IM_IC),
+                               op_a2a_integral(cfg.gamma_a, cfg, ic_mode=IM_IC),
+                               mc["a2a", IM_IC])
+            entry["a2a_p"] = (op_a2a_closed(cfg.gamma_a, cfg, ic_mode=P_IC),
+                              op_a2a_integral(cfg.gamma_a, cfg, ic_mode=P_IC),
+                              mc["a2a", P_IC])
+            rows.append(entry)
     return rows
 
 

@@ -131,6 +131,45 @@ class TestRician:
         assert stat < CHI2_99_49
 
 
+class TestSamplerValues:
+    """The in-place samplers against the two-temporary formulas they replace."""
+
+    @staticmethod
+    def _shadowed(rng, p, size):
+        a = np.sqrt(rng.gamma(p.m_sr, p.omega_sr / p.m_sr, size)) if p.omega_sr > 0 else 0.0
+        zr = rng.normal(0.0, np.sqrt(p.b_sr), size)
+        zi = rng.normal(0.0, np.sqrt(p.b_sr), size)
+        return (a + zr) ** 2 + zi ** 2
+
+    @staticmethod
+    def _rician(rng, p, size):
+        K = p.K_rt
+        s = np.sqrt(0.5 / (1.0 + K))
+        zr = rng.normal(0.0, s, size)
+        zi = rng.normal(0.0, s, size)
+        return (np.sqrt(K / (1.0 + K)) + zr) ** 2 + zi ** 2
+
+    PARAMS = [
+        ("shadowed", HEAVY), ("shadowed", LIGHT),
+        ("shadowed", ch.ShadowedRicianParams(m_sr=1, b_sr=0.2, omega_sr=0.0)),
+        ("rician", RIC), ("rician", ch.RicianParams(K_rt=0.0, nu_rt=2.0)),
+    ]
+
+    @pytest.mark.parametrize("kind, p", PARAMS)
+    def test_blocks_bit_identical_to_the_formula(self, kind, p):
+        new = {"shadowed": ch.sample_shadowed_rician_power,
+               "rician": ch.sample_rician_power}[kind]
+        old = {"shadowed": self._shadowed, "rician": self._rician}[kind]
+        for block, size in enumerate((1, 3, 4096, 65_536, 70_001)):
+            a = np.random.Generator(np.random.Philox(key=block + 1))
+            b = np.random.Generator(np.random.Philox(key=block + 1))
+            assert np.array_equal(new(a, p, size), old(b, p, size))
+            # both leave the stream at the same place
+            assert np.array_equal(a.random(4), b.random(4))
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        assert new(rng_a, p) == old(rng_b, p, None)
+
+
 class TestLinkBudget:
     def test_boresight_limit(self):
         assert ch.beam_gain(0.0, math.radians(0.3), 3.02) == pytest.approx(3.02)

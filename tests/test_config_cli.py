@@ -382,3 +382,13 @@ class TestCliEntry:
         assert not out.exists()
         monkeypatch.setenv("SAGIN_THREADS", "3")
         assert sweep._worker_count() == 3
+
+    @pytest.mark.parametrize("allowed, want", [({0}, 1), ({2, 5, 7}, 3), (set(range(64)), 8)])
+    def test_default_thread_count_follows_cpu_affinity(self, allowed, want, monkeypatch):
+        monkeypatch.delenv("SAGIN_THREADS", raising=False)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: allowed,
+                            raising=False)
+        assert sweep._worker_count() == want
+        monkeypatch.setenv("SAGIN_THREADS", "5")
+        assert sweep._worker_count() == 5

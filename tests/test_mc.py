@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from sagin_outage.mc import (OutageEstimate, _block_rng, _skip_doubles,
                              common_random_numbers_compare, simulate_op,
                              simulate_throughput)
 from sagin_outage.analytic import op_s2g_integral
-from sagin_outage.sweep import run_sweep
+from sagin_outage.sweep import emit_csv, run_sweep
 from sagin_outage.swipt import IM_IC, P_IC
 
 
@@ -168,6 +172,101 @@ class TestSharedDraws:
         assert est_im == simulate_op(cfg, "a2a", ic_mode=IM_IC, trials=200_000, seed=1)
         assert est_p == simulate_op(cfg, "a2a", ic_mode=P_IC, trials=200_000, seed=1)
         assert "resolution_floor" in est_im.flags and "resolution_floor" in est_p.flags
+
+
+class TestBlockSharing:
+    TRIALS = 5 * mc.BLOCK + 7
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_executor_of_any_size_equals_the_serial_call(self, workers):
+        cfg = _cfg(**{"link.eta_s_db": 115.0})
+        serial = simulate_op(cfg, CASES, trials=self.TRIALS, seed=9)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shared = simulate_op(cfg, CASES, trials=self.TRIALS, seed=9, executor=pool)
+            single = simulate_op(cfg, "a2a", ic_mode=P_IC, trials=self.TRIALS, seed=9,
+                                 executor=pool)
+        assert shared == serial
+        assert single == serial["a2a", P_IC]
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self):
+        # a lost update of the shared counts or a block claimed twice changes a count
+        cfg = _cfg(**{"link.eta_s_db": 115.0})
+        trials = 12 * mc.BLOCK + 5
+        serial = simulate_op(cfg, CASES, trials=trials, seed=13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2 * (os.cpu_count() or 1) + 2) as pool:
+                runs = [pool.submit(simulate_op, cfg, CASES, trials=trials, seed=13,
+                                    executor=pool) for _ in range(3)]
+                done, _ = wait(runs, timeout=120.0)
+                assert len(done) == len(runs), "a shared-block run did not finish in 120 s"
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run.result() == serial for run in runs)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        caller, helper_failed = threading.get_ident(), threading.Event()
+        real = mc.draw_block
+
+        def draw(cfg, rng, n, networks=mc.NETWORKS):
+            if threading.get_ident() != caller:
+                helper_failed.set()
+                raise RuntimeError("helper failed")
+            helper_failed.wait(10.0)    # let the helper claim a block first
+            return real(cfg, rng, n, networks)
+
+        monkeypatch.setattr(mc, "draw_block", draw)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                simulate_op(_cfg(), CASES, trials=3 * mc.BLOCK, seed=2, executor=pool)
+        assert helper_failed.is_set()
+
+    def test_helper_that_has_not_started_is_cancelled(self):
+        # the pool's only worker is busy, so the helper stays queued: the call
+        # must cancel it and return rather than wait for it
+        cfg = _cfg()
+        release, submitted = threading.Event(), []
+        with ThreadPoolExecutor(max_workers=1) as busy:
+            blocker = busy.submit(release.wait, 30.0)
+
+            class Pool:
+                _max_workers = 2
+
+                def submit(self, fn, *args):
+                    submitted.append(busy.submit(fn, *args))
+                    return submitted[-1]
+
+            try:
+                est = simulate_op(cfg, CASES, trials=2 * mc.BLOCK, seed=3, executor=Pool())
+                assert not blocker.done()
+            finally:
+                release.set()
+        assert len(submitted) == 1 and submitted[0].cancelled()
+        assert est == simulate_op(cfg, CASES, trials=2 * mc.BLOCK, seed=3)
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_mc_sweep_csv_byte_identical_across_worker_counts(self, threads, tmp_path,
+                                                              monkeypatch):
+        # five equal points: the last ones run while other workers have no point
+        # left and take blocks of theirs instead
+        cfg = _cfg(**{"sweep.variable": "link.eta_s_db",
+                      "sweep.values": "100,109,118,127,136",
+                      "run.networks": "s2g,a2a", "run.ic_mode": "both",
+                      "run.methods": "mc", "run.trials": 4 * mc.BLOCK + 3, "run.seed": 5})
+        texts = []
+        for n in ("1", threads):
+            monkeypatch.setenv("SAGIN_THREADS", n)
+            out = tmp_path / f"threads{n}.csv"
+            done = []
+            runner = threading.Thread(target=lambda: done.append(run_sweep(cfg)),
+                                      daemon=True)
+            runner.start()
+            runner.join(timeout=120.0)
+            assert done, f"the {n}-worker sweep did not finish within 120 s"
+            emit_csv(done[0], out)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestGoldenValues:

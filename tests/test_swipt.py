@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -139,6 +140,75 @@ class TestShares:
         for mode, want in ((swipt.IM_IC, im), (swipt.P_IC, p)):
             got = swipt.snr_arx(d, eta, sp, noise, ic_mode=mode, nu_rt=cfg.ric.nu_rt)
             assert np.array_equal(got, want)
+
+
+CASES = [("s2g", swipt.IM_IC), ("a2a", swipt.IM_IC), ("a2a", swipt.P_IC)]
+
+
+def _orders():
+    """Every nonempty subset of CASES in every order."""
+    for size in (1, 2, 3):
+        yield from itertools.permutations(CASES, size)
+
+
+def _one_case(draw, eta, sp, noise, case, nu_rd, nu_rt):
+    network, mode = case
+    if network == "s2g":
+        return swipt.snr_gu(draw, eta, sp, noise, nu_rd=nu_rd)
+    return swipt.snr_arx(draw, eta, sp, noise, ic_mode=mode, nu_rt=nu_rt)
+
+
+class TestCaseSnrs:
+    @staticmethod
+    def _block_with_zero_x():
+        cfg = config_from_mapping({"link.eta_s_db": 118.0, "swipt.p_th_dbm": 35.0,
+                                   "fading.nu_rd": 2.5, "fading.nu_rt": 1.5})
+        d = draw_block(cfg, _block_rng(11, 2), 20_000)
+        d.X[::7] = 0.0
+        return cfg, d
+
+    @pytest.mark.parametrize("cases", list(_orders()), ids=str)
+    def test_every_subset_and_order_equals_the_one_case_calls(self, cases):
+        cfg, d = self._block_with_zero_x()
+        args = (d, cfg.eta_s, cfg.sp, cfg.noise)
+        nus = (cfg.nak.nu_rd, cfg.ric.nu_rt)
+        got = {case: snr.copy() for case, snr in swipt.case_snrs(*args, cases, *nus)}
+        assert sorted(got) == sorted(cases)
+        for case in cases:
+            assert np.array_equal(got[case], _one_case(*args, case, *nus))
+
+    def test_zero_satellite_power_matches_the_masked_expression(self):
+        # X = 0 gives g_sat = 0 and a 0/0 relay noise, which counts as 0
+        cfg, d = self._block_with_zero_x()
+        sp, noise, eta = cfg.sp, cfg.noise, cfg.eta_s
+        chi, me = sp.chi_rho_eps, noise.mu_eps(sp)
+        g_sat = eta * d.X / (d.w_sr_km * 1e3) ** 2
+        lin = np.minimum(g_sat, sp.p_th)
+        zu = d.Z * d.w_rt_m ** (-cfg.ric.nu_rt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relay = np.where(g_sat > 0, me * chi * lin * zu / g_sat, 0.0)
+        want = (1.0 - sp.mu) * chi * lin * zu / (relay + sp.mu * chi * lin * zu
+                                                 + noise.sigma_t2)
+        got = swipt.snr_arx(d, eta, sp, noise, nu_rt=cfg.ric.nu_rt)
+        assert np.count_nonzero(d.X == 0.0) > 1000
+        assert np.array_equal(got, want)
+        assert np.all(got[d.X == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("x", [0.0, 2e-3, 1.0])
+    def test_scalar_draws(self, x):
+        d = _draw(X=x, Y=0.7, Z=1.3)
+        for cases in _orders():
+            got = {case: snr.copy()
+                   for case, snr in swipt.case_snrs(d, 1e12, SP, NOISE, cases, 2.0, 2.0)}
+            for case in cases:
+                want = _one_case(d, 1e12, SP, NOISE, case, 2.0, 2.0)
+                assert np.ndim(want) == 0
+                assert got[case] == want
+                assert (want == 0.0) == (x == 0.0)
+
+    def test_unknown_case_rejected(self):
+        with pytest.raises(ConfigError):
+            list(swipt.case_snrs(_draw(X=1.0), 1.0, SP, NOISE, [("g2g", swipt.IM_IC)]))
 
 
 class TestGammaFromRate:
