@@ -6,14 +6,14 @@ closed-form series with Chebyshev-Gauss quadrature for the residual
 one-dimensional integrals.
 """
 
-from .analytic import (avg_throughput, op_a2a_closed, op_a2a_integral,
-                       op_s2g_closed, op_s2g_integral)
+from .analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
+                       op_s2g_integral)
 from .config import (FIGURE_PRESETS, ScenarioConfig, apply_preset,
                      config_from_mapping, default_config, load_config)
 from .errors import ConfigError, DomainError, NumericError
-from .mc import (OutageEstimate, common_random_numbers_compare, simulate_op,
-                 simulate_throughput)
-from .sweep import SweepResult, emit_csv, run_sweep
+from .mc import OutageEstimate, common_random_numbers_compare, simulate_op
+from .sweep import (SweepResult, avg_throughput, emit_csv, run_sweep,
+                    simulate_throughput)
 from .swipt import IM_IC, P_IC, gamma_from_rate
 
 __version__ = "0.1.0"

@@ -14,6 +14,9 @@ pieces of its distance measure.  Five series blocks cover every regime:
   sat_above_knee   saturated branch above a positive saturation point;
   sat_below_knee   saturated branch when the saturation point is negative.
 
+When the preferred unsaturated route raises NumericError, the other one is
+evaluated on the same memo if its series parameter is within its bound.
+
 Every constant comes from the `OutageCase` of `build_case`: (a, b), p_sat,
 and the saturated branch's scale sat_scale and bound point sat_x_min, where
 the satellite-fading tail bounds that branch's mass.
@@ -395,37 +398,32 @@ def _sat_below_knee(work):
 # ---------------------------------------------------------------------------
 
 def _blocks(case):
-    """(route, sign, block) of each series block whose signed sum is the success
-    probability; raises NumericError when a route's series parameter is too large."""
+    """Routes in preference order, each a list of (route, sign, block) whose signed
+    sum is the success probability.  An unsaturated route is listed only when its
+    series parameter is within its bound; NumericError is raised when neither is."""
     if case.p_sat <= 0.0:
-        return [("sat-below-knee", 1.0, _sat_below_knee)]
+        return [[("sat-below-knee", 1.0, _sat_below_knee)]]
     if math.isinf(case.p_sat):
-        blocks = [("linear", 1.0, _unsat_linear)]
+        routes = [[("linear", 1.0, _unsat_linear)]]
     else:
         param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
         param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
-        if param_direct <= _ROUTE_SWITCH or param_direct <= param_tail:
-            if param_direct > _SERIES_BLOWUP:
-                raise NumericError("unsaturated-branch series parameter too large",
-                                   {"param": param_direct})
-            blocks = [("direct", 1.0, _unsat_taylor)]
-        else:
-            if param_tail > _SERIES_BLOWUP_EXP:
-                raise NumericError("saturation-tail series parameter too large",
-                                   {"param": param_tail})
-            blocks = [("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)]
+        routes = []
+        if param_direct <= _SERIES_BLOWUP:
+            routes.append([("direct", 1.0, _unsat_taylor)])
+        if param_tail <= _SERIES_BLOWUP_EXP:
+            routes.append([("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)])
+        if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
+            routes.reverse()        # the tail route is preferred
+        if not routes:
+            raise NumericError("unsaturated-branch series parameters too large",
+                               {"direct": param_direct, "tail": param_tail})
     if shadowed_rician_power_tail(case.sat_x_min, case.sr) > 1e-18:
-        blocks.append(("sat-above-knee", 1.0, _sat_above_knee))
-    return blocks
+        routes = [r + [("sat-above-knee", 1.0, _sat_above_knee)] for r in routes]
+    return routes
 
 
-def _closed_outage(case, cgq_n):
-    if case.gamma <= 0.0:
-        return 0.0
-    if not case.feasible:
-        return 1.0
-    blocks = _blocks(case)
-    work = _Work(case, cgq_n)
+def _route_outage(work, blocks):
     val, noise = 1.0, 0.0
     for route, sign, block in blocks:
         acc = block(work)
@@ -439,8 +437,25 @@ def _closed_outage(case, cgq_n):
     clamped = min(max(val, 0.0), 1.0)
     if abs(clamped - val) > 1e-6:
         warnings.warn(f"closed-form outage clamped by {abs(clamped - val):.3e}; "
-                      "series may be struggling", stacklevel=3)
+                      "series may be struggling", stacklevel=4)
     return float(clamped)
+
+
+def _closed_outage(case, cgq_n):
+    """Outage by the first route that succeeds; else the first route's NumericError."""
+    if case.gamma <= 0.0:
+        return 0.0
+    if not case.feasible:
+        return 1.0
+    routes = _blocks(case)
+    work = _Work(case, cgq_n)
+    first = None
+    for blocks in routes:
+        try:
+            return _route_outage(work, blocks)
+        except NumericError as exc:
+            first = first or exc
+    raise first
 
 
 def op_s2g_closed(gamma_s, cfg):

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import poch
+from scipy.special import gamma as gamma_fn, gammaincc, gammaln, poch
 
 from .errors import ConfigError, DomainError
 from .specfun import bessel, log_bessel_i0
@@ -88,7 +88,6 @@ def shadowed_rician_power_pdf(x, p):
 
 def shadowed_rician_power_tail(x, p):
     """Pr[|g|^2 > x], exact finite sum: alpha * sum_k zeta(k) Gamma(k+1, bb x)/bb^(k+1)."""
-    from scipy.special import gammaincc, gamma as gamma_fn
     x = np.asarray(x, dtype=float)
     zk = p.zeta()
     bb = p.beta_bar
@@ -141,7 +140,6 @@ class NakagamiParams:
 
 def nakagami_power_pdf(x, p):
     """Unit-mean gamma density with shape m_rd."""
-    from scipy.special import gammaln
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("channel power must be nonnegative")
@@ -154,7 +152,6 @@ def nakagami_power_pdf(x, p):
 
 
 def nakagami_power_tail(x, p):
-    from scipy.special import gammaincc
     x = np.asarray(x, dtype=float)
     out = gammaincc(p.m_rd, p.m_rd * np.maximum(x, 0.0))
     return out if out.ndim else float(out)
@@ -193,6 +190,8 @@ def rician_power_pdf(x, p):
 
 def rician_power_tail(x, p):
     """Pr[|g|^2 > x] through the noncentral-chi-square survival function."""
+    # imported here, not at the top: scipy.stats more than doubles the import time
+    # of the package, and only the a2a integral path reads this tail
     from scipy.stats import ncx2
     x = np.asarray(x, dtype=float)
     K = p.K_rt

@@ -16,7 +16,7 @@ from .channel import (NakagamiParams, RicianParams, SatelliteLink,
                       effective_gain)
 from .errors import ConfigError
 from .geometry import ConeGeometry, OrbitGeometry
-from .swipt import IM_IC, P_IC, NoiseParams, SwiptParams, gamma_from_rate
+from .swipt import IM_IC, NETWORKS, P_IC, NoiseParams, SwiptParams, gamma_from_rate
 
 DEFAULTS = {
     "geometry.w_e_km": 6371.0,
@@ -76,6 +76,8 @@ _INT_KEYS = {"fading.m_sr", "run.trials", "run.seed", "run.cgq_n"}
 MAX_GRID_POINTS = 10_000
 _STR_KEYS = {"rates.threshold_mode", "run.ic_mode", "run.networks",
              "run.methods", "sweep.variable", "sweep.values"}
+# the evaluation paths, in the order a sweep runs them
+METHODS = ("mc", "closed", "integral")
 
 # keys the sweep machinery may drive
 SWEEPABLE = {
@@ -247,11 +249,11 @@ class ScenarioConfig:
             _set("ic_modes", (IM_IC, P_IC) if ic_mode == "both" else (ic_mode,))
             _set("networks", names("run.networks"))
             for net in self.networks:
-                if net not in ("s2g", "a2a"):
+                if net not in NETWORKS:
                     raise ConfigError(f"run.networks: unknown network {net!r}")
             _set("methods", names("run.methods"))
             for meth in self.methods:
-                if meth not in ("mc", "closed", "integral"):
+                if meth not in METHODS:
                     raise ConfigError(f"run.methods: unknown method {meth!r}")
             if g("run.trials") < 1:
                 raise ConfigError("run.trials must be >= 1")

@@ -1,4 +1,4 @@
-"""Monte Carlo outage and throughput estimation.
+"""Monte Carlo outage estimation.
 
 Trials are drawn in fixed-size blocks, each from its own Philox substream
 keyed by (seed, block index) through the counter words.  The calling thread,
@@ -20,17 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic.throughput import throughput_from_ops
 from .errors import ConfigError
 from .geometry import (sample_arx_distance, sample_gu_distance,
                        sample_satellite_distance)
 from .channel import (sample_nakagami_power, sample_rician_power,
                       sample_shadowed_rician_power)
-from .swipt import IM_IC, P_IC, FadingDraw, case_snrs
+from .swipt import IM_IC, NETWORKS, P_IC, FadingDraw, case_snrs
 from .swipt import snr_arx, snr_gu  # noqa: F401  perfbench/tracing.py wraps these names here
 
 BLOCK = 1 << 16
-NETWORKS = ("s2g", "a2a")
 
 # outage below ~10 successes-worth of resolution is flagged, not trusted
 RESOLUTION_FACTOR = 10.0
@@ -107,10 +105,6 @@ def draw_block(cfg, rng, n, networks=NETWORKS):
     return FadingDraw(X=X, Y=Y, Z=Z, w_sr_km=w_sr, w_rd_m=w_rd, w_rt_m=w_rt)
 
 
-def _gamma_for(cfg, network):
-    return cfg.gamma_s if network == "s2g" else cfg.gamma_a
-
-
 def _estimate(failures, trials, seed):
     value = failures / trials
     se = math.sqrt(value * (1.0 - value) / trials)
@@ -143,7 +137,7 @@ def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None, executor=No
         raise ConfigError("seed must lie in [0, 2**64)")
     cases = tuple(dict.fromkeys(map(tuple, network)))
     failures = dict.fromkeys(cases, 0)
-    gammas = {case: _gamma_for(cfg, case[0]) for case in cases}
+    gammas = {case: cfg.gamma_s if case[0] == "s2g" else cfg.gamma_a for case in cases}
     networks = {net for net, _ in cases}
     n_blocks = -(-trials // BLOCK)
     blocks = iter(range(n_blocks))
@@ -201,12 +195,6 @@ def _with_helpers(task, executor, helpers):
         wait(started)           # none is left running after the call
     for f in started:
         f.result()
-
-
-def simulate_throughput(cfg, trials=None, seed=None, ic_mode=IM_IC):
-    """Average throughput with both outage terms estimated on the same draws."""
-    res = simulate_op(cfg, [("s2g", IM_IC), ("a2a", ic_mode)], trials=trials, seed=seed)
-    return throughput_from_ops(cfg, res["s2g", IM_IC].value, res["a2a", ic_mode].value)
 
 
 def common_random_numbers_compare(cfg, trials=None, seed=None):

@@ -1,4 +1,7 @@
-"""Sweep execution over one configuration variable and CSV emission.
+"""Sweep execution over one configuration variable, throughput, and CSV emission.
+
+Throughput combines the two outage probabilities by ``throughput_from_ops``,
+both in a sweep's ``throughput_{method}`` cells and in ``avg_throughput``.
 
 The CSV schema is fixed (schema v1): one row per grid point, every column
 always present, floats at 10 significant digits, '.' decimal separator,
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
                        op_s2g_integral)
-from .analytic.throughput import throughput_from_ops
+from .config import METHODS
 from .errors import ConfigError, NumericError
 from .mc import simulate_op
 from .swipt import IM_IC
@@ -54,9 +57,6 @@ def _worker_count():
     return n
 
 
-METHODS = ("mc", "closed", "integral")
-
-
 def _cases(cfg):
     """(column stem, network, ic_mode) of every requested outage output."""
     cases = [("s2g", "s2g", IM_IC)] if "s2g" in cfg.networks else []
@@ -73,6 +73,31 @@ def _analytic(cfg, method, network, mode):
         return fn(cfg.gamma_s, cfg)
     fn = op_a2a_closed if method == "closed" else op_a2a_integral
     return fn(cfg.gamma_a, cfg, ic_mode=mode)
+
+
+def throughput_from_ops(cfg, op_s2g, op_a2a):
+    """(1 - rho) T / 2 * [r_s (1 - OP_s2g) + r_a (1 - OP_a2a)]."""
+    sp = cfg.sp
+    pre = (1.0 - sp.rho) * sp.block_s / 2.0
+    r_s = cfg.raw["rates.r_s"]
+    r_a = cfg.raw["rates.r_a"]
+    return float(pre * (r_s * (1.0 - op_s2g) + r_a * (1.0 - op_a2a)))
+
+
+def simulate_throughput(cfg, trials=None, seed=None, ic_mode=IM_IC):
+    """Average throughput with both outage terms estimated on the same draws."""
+    res = simulate_op(cfg, [("s2g", IM_IC), ("a2a", ic_mode)], trials=trials, seed=seed)
+    return throughput_from_ops(cfg, res["s2g", IM_IC].value, res["a2a", ic_mode].value)
+
+
+def avg_throughput(cfg, method="closed", ic_mode=IM_IC):
+    """Average throughput with the outage terms from the chosen path."""
+    if method == "mc":
+        return simulate_throughput(cfg, ic_mode=ic_mode)
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    return throughput_from_ops(cfg, _analytic(cfg, method, "s2g", IM_IC),
+                               _analytic(cfg, method, "a2a", ic_mode))
 
 
 def _evaluate_point(cfg, variable, value, seed, pool):
@@ -102,7 +127,7 @@ def _evaluate_point(cfg, variable, value, seed, pool):
                 except NumericError as exc:
                     diags.append(f"{key}:{exc}")
                     ops[key] = None
-            row[key] = _blank(ops[key])
+            row[key] = "" if ops[key] is None else ops[key]
 
     # throughput needs both networks; the im-IC outage feeds it when both modes run
     if "s2g" in cfg.networks and "a2a" in cfg.networks:
@@ -133,10 +158,6 @@ def run_sweep(cfg):
                 for c, v, s in zip(points, values, seeds)]
         result.rows = [f.result() for f in futs]   # grid order regardless of finish
     return result
-
-
-def _blank(v):
-    return "" if v is None else v
 
 
 def _fmt(v):

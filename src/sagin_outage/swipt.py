@@ -15,6 +15,7 @@ from .errors import ConfigError, DomainError
 
 IM_IC = "im-ic"
 P_IC = "p-ic"
+NETWORKS = ("s2g", "a2a")
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from sagin_outage import channel as ch
 from sagin_outage import geometry as geo
 from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral,
                                    op_s2g_closed, op_s2g_integral)
-from sagin_outage.analytic.throughput import avg_throughput, throughput_from_ops
 from sagin_outage.config import config_from_mapping
 from sagin_outage.mc import common_random_numbers_compare, simulate_op
+from sagin_outage.sweep import avg_throughput, throughput_from_ops
 from sagin_outage.swipt import IM_IC, P_IC
 
 SEED = 20240808

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sagin_outage import cli
-from sagin_outage.analytic import (avg_throughput, op_a2a_closed, op_a2a_integral,
-                                   op_s2g_closed, op_s2g_integral)
+from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
+                                   op_s2g_integral)
 from sagin_outage.analytic import closed_form as cf
 from sagin_outage.analytic.coefficients import build_case
-from sagin_outage.analytic.throughput import throughput_from_ops
-from sagin_outage.config import config_from_mapping
-from sagin_outage.errors import NumericError
+from sagin_outage.config import METHODS, config_from_mapping
+from sagin_outage.errors import ConfigError, NumericError
 from sagin_outage.geometry import arx_distance_pdf, gu_distance_pdf
 from sagin_outage.mc import simulate_op
+from sagin_outage.sweep import (avg_throughput, run_sweep, simulate_throughput,
+                                throughput_from_ops)
 from sagin_outage.swipt import IM_IC, P_IC
 
 
@@ -175,6 +176,21 @@ class TestThroughput:
         pre = (1 - cfg.sp.rho) * cfg.sp.block_s / 2
         assert thr == pytest.approx(pre * cfg.raw["rates.r_s"] * (1 - op_s), abs=1e-12)
 
+    def test_mc_is_simulate_throughput(self):
+        cfg = _cfg(**{"run.trials": 20_000})
+        assert avg_throughput(cfg, "mc") == simulate_throughput(cfg)
+
+    def test_sweep_cells_are_avg_throughput(self):
+        cfg = _cfg(**{"run.networks": "s2g,a2a", "run.methods": "mc,closed,integral",
+                      "run.trials": 20_000})
+        row, = run_sweep(cfg).rows
+        for method in METHODS:
+            assert row[f"throughput_{method}"] == avg_throughput(cfg, method)
+
+    def test_unknown_method_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            avg_throughput(_cfg(), "bogus")
+
 
 class TestTruncatingSum:
     """closed_form._converge on synthetic terms: rel_tol 1e-12 puts the small-term
@@ -301,6 +317,25 @@ OVERFLOW_A2A = {
     "fading.m_rd": 1, "fading.K_rt": 3.4104, "swipt.chi": 0.568,
 }
 
+# A random config whose preferred (Taylor) route loses too much precision for
+# s2g and a2a p-IC; the linear - tail route is within its bound and gives the value.
+FALLBACK = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 35.48775079447011,
+    "link.eta_s_db": 127.84896288528859, "swipt.mu": 0.7935779302034267,
+    "swipt.rho": 0.5970501352420587, "swipt.epsilon": 0.4069517063120319,
+    "rates.r_s": 0.42990507216779955, "rates.r_a": 0.47777668866685025,
+    "fading.m_rd": 3, "fading.K_rt": 2.5624996725149414,
+}
+# Its s2g Taylor route loses too much precision too, and its tail parameter,
+# about 104, is beyond the tail route's bound of 28: no route is left.
+NO_ROUTE = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 3.3267725536432344,
+    "link.eta_s_db": 91.26633166857488, "swipt.mu": 0.7016934839850291,
+    "swipt.rho": 0.46071989020621296, "swipt.epsilon": 0.8315557115220619,
+    "rates.r_s": 0.420469447573155, "rates.r_a": 0.2718217214748589,
+    "fading.m_rd": 3, "fading.K_rt": 1.1732021743551924,
+}
+
 RANDOM_CONFIG = st.fixed_dictionaries({
     "rates.threshold_mode": st.just("from_rate"),
     "swipt.p_th_dbm": st.one_of(st.floats(-10.0, 40.0), st.just("inf")),
@@ -340,18 +375,65 @@ class TestRandomConfigs:
         wide = config_from_mapping({**OVERFLOW_A2A, "geometry.h2_m": np.float64(500.0)})
         assert op_a2a_closed(wide.gamma_a, wide) == op_a2a_closed(plain.gamma_a, plain)
 
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @example(FALLBACK)
+    @given(RANDOM_CONFIG)
+    def test_outage_orderings(self, mapping):
+        # OP is nondecreasing in the threshold and nonincreasing in the gain, and
+        # im-IC OP >= p-IC OP; a NumericError leaves its comparison vacuous
+        cfg = config_from_mapping(mapping)
+        louder = config_from_mapping({**mapping,
+                                      "link.eta_s_db": mapping["link.eta_s_db"] + 3.0})
+        for s2g, a2a, tol in ((op_s2g_closed, op_a2a_closed, 2e-4),
+                              (op_s2g_integral, op_a2a_integral, 2e-6)):
+            def op(network, c=cfg, scale=1.0, ic_mode=IM_IC):
+                try:
+                    if network == "s2g":
+                        return s2g(scale * c.gamma_s, c)
+                    return a2a(scale * c.gamma_a, c, ic_mode=ic_mode)
+                except NumericError:
+                    return None
+
+            for network in ("s2g", "a2a"):
+                base = op(network)
+                pairs = [(base, op(network, scale=1.2)), (op(network, c=louder), base)]
+                if network == "a2a":
+                    pairs.append((op(network, ic_mode=P_IC), base))
+                for lower, upper in pairs:
+                    if lower is not None and upper is not None:
+                        assert lower <= upper + tol, (s2g.__name__, network, lower, upper)
+
+    @staticmethod
+    def _cli_row(tmp_path, keys):
+        """(exit code, {column: cell}) of `sagin-outage run` on the keys."""
+        path = tmp_path / "c.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "o.csv"
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        return code, dict(zip(header, row))
+
     @pytest.mark.parametrize("mapping, network, column", [
         (OVERFLOW_S2G, "s2g", "op_s2g"), (OVERFLOW_A2A, "a2a", "op_a2a_im"),
     ], ids=["s2g", "a2a-im-ic"])
     def test_overflowing_moment_runs_through_the_cli(self, mapping, network, column,
                                                      tmp_path):
-        path = tmp_path / "c.cfg"
-        keys = {**mapping, "run.networks": network, "run.ic_mode": IM_IC,
-                "run.methods": "closed,integral"}
-        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
-        out = tmp_path / "o.csv"
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-        header, row = (line.split(",") for line in out.read_text().splitlines())
-        closed, integral = (float(row[header.index(f"{column}_{m}")])
-                            for m in ("closed", "integral"))
-        assert abs(closed - integral) <= 2e-4
+        code, row = self._cli_row(tmp_path, {**mapping, "run.networks": network,
+                                             "run.ic_mode": IM_IC,
+                                             "run.methods": "closed,integral"})
+        assert code == 0
+        assert abs(float(row[f"{column}_closed"]) - float(row[f"{column}_integral"])) <= 2e-4
+
+    def test_fallback_route_runs_through_the_cli(self, tmp_path):
+        code, row = self._cli_row(tmp_path, {**FALLBACK, "run.networks": "s2g,a2a",
+                                             "run.ic_mode": P_IC,
+                                             "run.methods": "closed,integral"})
+        assert code == 0 and row["diagnostics"] == ""
+        for column in ("op_s2g", "op_a2a_p"):
+            closed, integral = row[f"{column}_closed"], row[f"{column}_integral"]
+            assert closed != "" and abs(float(closed) - float(integral)) <= 2e-4
+
+    def test_no_route_left_raises(self):
+        cfg = config_from_mapping(NO_ROUTE)
+        with pytest.raises(NumericError):
+            op_s2g_closed(cfg.gamma_s, cfg)

@@ -13,10 +13,9 @@ from sagin_outage import mc
 from sagin_outage.config import config_from_mapping
 from sagin_outage.errors import ConfigError
 from sagin_outage.mc import (OutageEstimate, _block_rng, _skip_doubles,
-                             common_random_numbers_compare, simulate_op,
-                             simulate_throughput)
+                             common_random_numbers_compare, simulate_op)
 from sagin_outage.analytic import op_s2g_integral
-from sagin_outage.sweep import emit_csv, run_sweep
+from sagin_outage.sweep import emit_csv, run_sweep, simulate_throughput
 from sagin_outage.swipt import IM_IC, P_IC
 
 
