@@ -25,9 +25,9 @@ All blocks but unsat_taylor run in one loop nest, `_series`, which adds the
 factors they share; each supplies a term function built by `_g2113_terms`
 (CGQ integrals of a G2113 destination bracket) or `_gamma_terms` (CGQ
 integrals of Gamma(s, .) at the saturation point times a destination
-factor).  unsat_taylor keeps its own k -> k1 -> k2 -> n nest: with n
-outermost, n would truncate on the largest term over every (k1, k2) and
-evaluate more of its G2123 brackets.
+factor).  unsat_taylor keeps its own k -> k1 -> k2 -> n nest of G2123
+brackets: with n outermost, n would truncate on the largest term over
+every (k1, k2) instead of on each k2 term's own n sum.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -38,7 +38,6 @@ returned.
 """
 
 import math
-import warnings
 
 import numpy as np
 from scipy.special import gammaln
@@ -436,8 +435,9 @@ def _route_outage(work, blocks):
                             "routes": work.diagnostics["routes"]})
     clamped = min(max(val, 0.0), 1.0)
     if abs(clamped - val) > 1e-6:
-        warnings.warn(f"closed-form outage clamped by {abs(clamped - val):.3e}; "
-                      "series may be struggling", stacklevel=4)
+        # no comma: the message lands in the CSV's unquoted diagnostics cell
+        raise NumericError(f"closed-form outage outside 0..1 by {abs(clamped - val):.3e}",
+                           {"outage": val, "routes": work.diagnostics["routes"]})
     return float(clamped)
 
 

@@ -3,13 +3,13 @@
 Everything the outage series need lives here: the log upper incomplete
 gamma (one expansion per region: ascending series, Lentz continued fraction,
 downward recurrence) and its cancellation-safe differences, Bessel wrappers
-over scipy (I0 in log form through the scaled ``i0e``), four Meijer-G
-instances (two by a nested trapezoid rule on the Mellin-Barnes contour, each
-level a power sum in x^(-i h) for the step h, two by closed identities that
-the oracle table checks), and the Chebyshev-Gauss
-quadrature rule. The heavy machinery is evaluated in the log domain with
-explicit signs because the series couple enormous and tiny factors whose
-product is O(1).
+over scipy (I0 in log form through the scaled ``i0e``), Meijer-G in the one
+family b3 = a1 - 1 the series use (G2123 as two incomplete gammas, G2113 by
+a nested trapezoid rule on the Mellin-Barnes contour, each level a power sum
+in x^(-i h) for the step h; G0110 and G2002 by identities the oracle table
+checks), and the Chebyshev-Gauss quadrature rule.  The heavy machinery is
+evaluated in the log domain with explicit signs because the series couple
+enormous and tiny factors whose product is O(1).
 """
 
 from functools import lru_cache
@@ -260,26 +260,6 @@ def bessel(kind, order, x):
 # Meijer G
 # ---------------------------------------------------------------------------
 
-_MB_INSTANCES = {
-    # instance -> (num_b, num_a, den_a, den_b) index layout given params tuple
-    "G2123": lambda p: ((p[2], p[3]), (p[0],), (p[1],), (p[4],)),
-    "G2113": lambda p: ((p[1], p[2]), (p[0],), (), (p[3],)),
-}
-
-
-def _mb_logrho(num_b, num_a, den_a, den_b, s):
-    out = np.zeros_like(s)
-    for b in num_b:
-        out = out + loggamma(b + s)
-    for a in num_a:
-        out = out + loggamma(1.0 - a - s)
-    for a in den_a:
-        out = out - loggamma(a + s)
-    for b in den_b:
-        out = out - loggamma(1.0 - b - s)
-    return out
-
-
 # the trapezoid starts with this many intervals on [0, t_hi] and halves its
 # step until two levels agree; a contour still moving at the cap raises
 _MB_FIRST_INTERVALS = 64
@@ -312,39 +292,30 @@ def _mb_power_sum(c, lnx, t0, h):
     return np.einsum("bj,bj->j", starts, parts[:nb] + 1j * parts[nb:]).real
 
 
-def _mb_contour_log(num_b, num_a, den_a, den_b, xs):
-    """Vertical-line Mellin-Barnes integral of rho(s) x^-s, vectorised over xs.
+def _mb_contour_log(s3, hi, lnx):
+    """G2113 of the family: the Mellin-Barnes integral of Gamma(s + s3)
+    Gamma(s - s3) / (hi - s) x^-s on a vertical line in |s3| < Re s < hi,
+    vectorised over lnx = log x; returns (sign, log|G|) arrays.
 
-    Returns (sign, log|G|) arrays. The abscissa is placed by minimising the
-    real-axis integrand magnitude (keeps the oscillatory cancellation small),
-    the truncation height by walking the envelope down 50 nats from its peak.
-    The integral over t in [0, t_hi] is a nested trapezoid rule, which
+    The abscissa minimises the real-axis integrand magnitude (keeps the
+    oscillatory cancellation small), the truncation height walks the envelope
+    down 50 nats from its peak.  [0, t_hi] is a nested trapezoid rule, which
     converges geometrically for an integrand analytic in a strip about the
-    line: each halving of the step evaluates only the new midpoints and adds
-    them to a log-rescaled running sum.
+    line: each halving of the step adds only the new midpoints to a
+    log-rescaled running sum.
     """
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise DomainError("Mellin-Barnes evaluation needs x > 0")
-    lnx = np.log(xs)
-    lo = max(-b for b in num_b)
-    hi = min(1.0 - a for a in num_a)
-    if hi - lo < 1e-9:
-        raise NumericError("no valid Mellin-Barnes contour for these parameters",
-                           {"num_b": num_b, "num_a": num_a})
+    def log_rho(s):
+        return loggamma(s + s3) + loggamma(s - s3) - np.log(hi - s)
+
+    lo = abs(s3)
     pad = min(0.05 * (hi - lo), 0.02)
     grid = np.linspace(lo + pad, hi - pad, 41)
-    lbar = float(np.mean(lnx))
-    f_real = _mb_logrho(num_b, num_a, den_a, den_b, grid.astype(complex)).real - grid * lbar
+    f_real = log_rho(grid.astype(complex)).real - grid * float(np.mean(lnx))
     sigma = float(grid[np.argmin(f_real)])
 
-    peak = float(_mb_logrho(num_b, num_a, den_a, den_b, np.array([sigma + 0j]))[0].real)
+    peak = float(log_rho(sigma + 0j).real)
     t_hi = 8.0
-    while t_hi < 400.0:
-        env = float(_mb_logrho(num_b, num_a, den_a, den_b,
-                               np.array([sigma + 1j * t_hi]))[0].real)
-        if env < peak - 50.0:
-            break
+    while t_hi < 400.0 and float(log_rho(sigma + 1j * t_hi).real) >= peak - 50.0:
         t_hi *= 1.6
 
     # result_j = (h/pi) * sum_k w_k Re[exp(lr_k - s_k lnx_j)] with s_k = sigma + i k h;
@@ -357,7 +328,7 @@ def _mb_contour_log(num_b, num_a, den_a, den_b, xs):
     total = np.zeros(lnx.shape)
     prev = None
     while True:
-        lr = _mb_logrho(num_b, num_a, den_a, den_b, sigma + 1j * (t0 + dt * np.arange(count)))
+        lr = log_rho(sigma + 1j * (t0 + dt * np.arange(count)))
         m_new = max(big_m, float(np.max(lr.real)))
         c = np.exp(lr - m_new)
         if prev is None:
@@ -381,21 +352,49 @@ def _mb_contour_log(num_b, num_a, den_a, den_b, xs):
         n *= 2
 
 
+def _g2123_log(s1, c, xs):
+    """G2123 of the family: Gamma(s) / ((s + s1)(c - s)) is (Gamma(s) / (s + s1)
+    + Gamma(s) / (c - s)) / (c + s1), the Mellin transforms of x^s1 Gamma(-s1, x)
+    and x^-c gamma(c, x) (DLMF 8.14.4-5), both positive."""
+    lnx = np.log(xs)
+    upper = s1 * lnx + np.array([log_gamma_upper(-s1, x) for x in xs])
+    lower = np.array([_log_gamma_pair(c, x)[0] for x in xs]) - c * lnx
+    return np.ones(lnx.shape), np.logaddexp(upper, lower) - np.log(c + s1)
+
+
 def meijer_g_log(instance, params, xs):
-    """(sign, log|G|) arrays for the two contour-evaluated instances."""
-    layout = _MB_INSTANCES.get(instance)
-    if layout is None:
-        raise DomainError(f"unknown Meijer-G contour instance {instance!r}")
-    num_b, num_a, den_a, den_b = layout(tuple(float(p) for p in params))
-    return _mb_contour_log(num_b, num_a, den_a, den_b, xs)
+    """(sign, log|G|) arrays of G2123 or G2113 where b3 = a1 - 1 =: -c, the one
+    family the outage series use: Gamma(1 - a1 - s) / Gamma(1 - b3 - s) in the
+    Mellin-Barnes integrand is 1 / (c - s), with c read as 1 - a1.
+
+    G2123 (a1, a2, b1, b2, b3) = (1 - c, s1 + 1, s1, 0, -c) is two incomplete
+    gammas (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c) runs the
+    contour (_mb_contour_log).  Other parameters raise DomainError, and an empty
+    strip max(-b1, -b2) < Re s < c raises NumericError.
+    """
+    p = tuple(float(v) for v in params)
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs <= 0):
+        raise DomainError("Meijer-G evaluation needs x > 0")
+    family = len(p) > 1 and abs(p[-1] - (p[0] - 1.0)) <= 1e-12 * max(1.0, abs(p[0]))
+    if family and instance == "G2123" and len(p) == 5 and p[1] == p[2] + 1 and p[3] == 0:
+        lo = max(-p[2], 0.0)
+    elif family and instance == "G2113" and len(p) == 4 and p[2] == -p[1]:
+        lo = abs(p[1])
+    else:
+        raise DomainError(f"Meijer-G {instance} {p} is outside the family b3 = a1 - 1")
+    hi = 1.0 - p[0]
+    if hi - lo < 1e-9:
+        raise NumericError("no valid Mellin-Barnes contour for these parameters",
+                           {"instance": instance, "params": p})
+    if instance == "G2123":
+        return _g2123_log(p[2], hi, xs)
+    return _mb_contour_log(p[1], hi, np.log(xs))
 
 
 def meijer_g(instance, params, x):
-    """Evaluate one of the four supported Meijer-G instances at scalar x > 0.
-
-    instances: 'G0110' (params (a1,)), 'G2002' (params (b1, b2)),
-    'G2123' (params (a1, a2, b1, b2, b3)), 'G2113' (params (a1, b1, b2, b3)).
-    """
+    """Meijer-G at scalar x > 0: 'G0110' (params (a1,)), 'G2002' (params (b1, b2)),
+    or 'G2123' and 'G2113' in the family of meijer_g_log."""
     if x <= 0:
         raise DomainError("meijer_g needs x > 0")
     if instance == "G0110":

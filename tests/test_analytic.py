@@ -335,6 +335,15 @@ NO_ROUTE = {
     "rates.r_s": 0.420469447573155, "rates.r_a": 0.2718217214748589,
     "fading.m_rd": 3, "fading.K_rt": 1.1732021743551924,
 }
+# A random config where both s2g routes land below 0 (direct at -2.04e-5, linear -
+# tail at -2.24e-5) while integral reads 1.876e-5: the deep-outage CGQ error,
+# beyond the 1e-6 that is clamped as noise.
+OUTSIDE_UNIT = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 30.995,
+    "link.eta_s_db": 149.608, "swipt.mu": 0.7047, "swipt.rho": 0.7374,
+    "swipt.epsilon": 0.8444, "rates.r_s": 0.04656, "rates.r_a": 0.05425,
+    "fading.m_rd": 3, "fading.K_rt": 2.620, "swipt.chi": 0.8716,
+}
 
 RANDOM_CONFIG = st.fixed_dictionaries({
     "rates.threshold_mode": st.just("from_rate"),
@@ -432,6 +441,14 @@ class TestRandomConfigs:
         for column in ("op_s2g", "op_a2a_p"):
             closed, integral = row[f"{column}_closed"], row[f"{column}_integral"]
             assert closed != "" and abs(float(closed) - float(integral)) <= 2e-4
+
+    def test_outage_outside_the_unit_interval_is_reported(self, tmp_path):
+        code, row = self._cli_row(tmp_path, {**OUTSIDE_UNIT, "run.networks": "s2g",
+                                             "run.methods": "closed,integral"})
+        assert code == 0 and row["op_s2g_closed"] == ""
+        assert "op_s2g_closed:" in row["diagnostics"]
+        assert "outside 0..1" in row["diagnostics"]
+        assert float(row["op_s2g_integral"]) > 0.0
 
     def test_no_route_left_raises(self):
         cfg = config_from_mapping(NO_ROUTE)

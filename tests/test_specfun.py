@@ -152,19 +152,38 @@ class TestMeijerG:
         expected = 2.0 * math.sqrt(math.pi / 2.0) * math.exp(-1.0)
         assert sf.meijer_g("G2002", (0.25, -0.25), 0.25) == pytest.approx(expected, rel=1e-12)
 
-    def test_contour_against_frozen_oracle(self):
+    def test_g2123_against_frozen_oracle(self):
         # series-generated G^{2,1}_{2,3} point, 60-digit mpmath reference
         params = (1.0 - 1 - 1.0, 4.0, 3.0, 0.0, -2.0)   # n=1, s1=3, nu=2, q=1
         expected = 0.04226892032968818153711155
         assert sf.meijer_g("G2123", params, 1.7) == pytest.approx(expected, rel=1e-8)
 
-    def test_vectorised_log_matches_scalar(self):
-        params = (-1.0, 3.0, 2.0, 0.0, -2.0)
+    # G2123 where the oracle table has no rows (its s1 lies in [4, 43], c in
+    # [0.74, 4.5]): s1 = 0, where Gamma(0, x) = E1(x), and the negative s1 and
+    # large c the a2a Taylor route reaches.  References are
+    # mpmath.meijerg([[1 - c], [s1 + 1]], [[s1, 0], [-c]], x) at 50 digits.
+    @pytest.mark.parametrize("s1,c,x,expected", [
+        (0.0, 1.5, 0.003, 3.933595352195477893344521),
+        (0.0, 1.5, 120.0, 0.0004494504427212266791759319),
+        (-3.0, 5.5, 0.02, 99999.94015786286744865196),
+        (-3.0, 5.5, 300.0, 4.974504830295430152331154e-13),
+        (-40.0, 42.0, 0.5, 1.121385426514015177525407e+58),
+        (-40.0, 42.0, 250.0, 3.235329852319940041079022e-52),
+    ])
+    def test_g2123_beyond_the_oracle_rows(self, s1, c, x, expected):
+        params = (1.0 - c, s1 + 1.0, s1, 0.0, -c)
+        assert sf.meijer_g("G2123", params, x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("instance,params", [
+        ("G2123", (-1.0, 3.0, 2.0, 0.0, -2.0)),
+        ("G2113", (-1.5, 0.5, -0.5, -2.5)),
+    ])
+    def test_vectorised_log_matches_scalar(self, instance, params):
         xs = np.array([0.02, 1.7, 260.0])
-        sgn, lg = sf.meijer_g_log("G2123", params, xs)
+        sgn, lg = sf.meijer_g_log(instance, params, xs)
         for i, x in enumerate(xs):
             assert sgn[i] * np.exp(lg[i]) == pytest.approx(
-                sf.meijer_g("G2123", params, float(x)), rel=1e-9)
+                sf.meijer_g(instance, params, float(x)), rel=1e-9)
 
     def test_g2113_against_frozen_oracle(self):
         # s2=2.5, s3=0.5, q=1, nu=2: mpmath reference at 60 digits
@@ -176,15 +195,32 @@ class TestMeijerG:
         with pytest.raises(DomainError):
             sf.meijer_g("G0110", (1.0,), 0.0)
 
-    def test_zero_width_strip_raises(self):
-        # b1 = 0 and a1 = 1 close the strip between the two pole sequences
+    @pytest.mark.parametrize("instance,params", [
+        ("G2113", (1.0, 0.0, -0.0, 0.0)),         # |s3| = 0 = c
+        ("G2123", (0.0, -1.0, -2.0, 0.0, -1.0)),  # -s1 = 2 > c = 1
+    ])
+    def test_zero_width_strip_raises(self, instance, params):
+        # the strip max(-b1, -b2) < Re s < c between the two pole sequences is empty
         with pytest.raises(NumericError, match="no valid Mellin-Barnes contour"):
-            sf.meijer_g_log("G2113", (1.0, 0.0, 0.5, 0.2), [1.5])
+            sf.meijer_g_log(instance, params, [1.5])
+
+    @pytest.mark.parametrize("instance,params", [
+        ("G2113", (1.0, 0.0, 0.5, 0.2)),          # b2 != -b1, b3 != a1 - 1
+        ("G2113", (-1.5, 0.5, -0.5, -2.0)),       # b3 != a1 - 1
+        ("G2123", (-1.0, 3.5, 2.0, 0.0, -2.0)),   # a2 != b1 + 1
+        ("G2123", (-1.0, 3.0, 2.0, 0.5, -2.0)),   # b2 != 0
+        ("G2123", (-1.0, 3.0, 2.0, 0.0, -2.5)),   # b3 != a1 - 1
+        ("G2123", (-1.5, 0.5, -0.5, -2.5)),       # the G2113 layout
+        ("G3333", (-1.5, 0.5, -0.5, -2.5)),
+    ])
+    def test_parameters_outside_the_family_raise(self, instance, params):
+        with pytest.raises(DomainError):
+            sf.meijer_g_log(instance, params, [1.5])
 
     def test_contour_unconverged_at_the_last_level_raises(self, monkeypatch):
         # this point needs 256 intervals; stop the halving one level short
-        params = (1.0 - 1 - 1.0, 4.0, 3.0, 0.0, -2.0)
+        params = (-22.0, 0.5, -0.5, -23.0)
         monkeypatch.setattr(sf, "_MB_MAX_INTERVALS", 128)
         with pytest.raises(NumericError, match="did not converge") as err:
-            sf.meijer_g_log("G2123", params, [1.7])
+            sf.meijer_g_log("G2113", params, [0.38343216138618902])
         assert err.value.diagnostics["n"] == 128

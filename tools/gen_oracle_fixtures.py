@@ -69,8 +69,8 @@ for v in [0.5, 1.5, 2.5, -0.5, 1.0, 3.0, 7.5]:
 # --- retired Whittaker-W rows ------------------------------------------------
 # The table once held Whittaker-W rows drawn at this point of the stream.  The
 # library no longer evaluates W, but the same 36 (integers, uniform) draws are
-# still taken, with the same arguments, so every contour row below keeps its
-# committed parameters.
+# still taken, with the same arguments, so every G2123/G2113 row below keeps
+# its committed parameters.
 for _ in range(36):
     rng.integers(-40, 8)
     rng.uniform(-3.5, 3.0)
@@ -84,7 +84,7 @@ for v in [0.5, 1.5, 3.0]:
         emit("G2002", (v / 2, -v / 2), x,
              2 * mp.power(mp.mpf(x), 0) * mp.besselk(v, 2 * mp.sqrt(mp.mpf(x))))
 
-# --- contour-evaluated Meijer-G instances ------------------------------------
+# --- Meijer-G instances of the series, family b3 = a1 - 1 --------------------
 n_2123 = 0
 while n_2123 < 45:
     n = int(rng.integers(0, 4)); k1 = int(rng.integers(0, 6)); k2 = int(rng.integers(0, 40))
