@@ -6,10 +6,11 @@ downward recurrence) and its cancellation-safe differences, Bessel wrappers
 over scipy (I0 in log form through the scaled ``i0e``), Meijer-G in the one
 family b3 = a1 - 1 the series use (G2123 as two incomplete gammas, G2113 by
 a nested trapezoid rule on the Mellin-Barnes contour, each level a power sum
-in x^(-i h) for the step h; G0110 and G2002 by identities the oracle table
-checks), and the Chebyshev-Gauss quadrature rule.  The heavy machinery is
-evaluated in the log domain with explicit signs because the series couple
-enormous and tiny factors whose product is O(1).
+in x^(-i h) for the step h, stopped at the first level within 1e-6 of the
+previous one; G0110 and G2002 by identities the oracle table checks), and the
+Chebyshev-Gauss quadrature rule.  The heavy machinery is evaluated in the log
+domain with explicit signs because the series couple enormous and tiny factors
+whose product is O(1).
 """
 
 from functools import lru_cache
@@ -264,6 +265,11 @@ def bessel(kind, order, x):
 # step until two levels agree; a contour still moving at the cap raises
 _MB_FIRST_INTERVALS = 64
 _MB_MAX_INTERVALS = 2 ** 16
+# two levels agree when their log|G| differ by less than _MB_AGREE max(1, |log G|)
+# + 1e-12.  The rule converges geometrically, each halving roughly squaring the
+# error, so once a level is within 1e-6 of the coarser one it is itself good to
+# about 1e-12, and a further halving would only confirm it
+_MB_AGREE = 1e-6
 
 
 def _mb_power_sum(c, lnx, t0, h):
@@ -302,7 +308,8 @@ def _mb_contour_log(s3, hi, lnx):
     down 50 nats from its peak.  [0, t_hi] is a nested trapezoid rule, which
     converges geometrically for an integrand analytic in a strip about the
     line: each halving of the step adds only the new midpoints to a
-    log-rescaled running sum.
+    log-rescaled running sum.  The first level that agrees with the previous
+    one to _MB_AGREE (1e-6 of max(1, |log G|), plus 1e-12) is returned.
     """
     def log_rho(s):
         return loggamma(s + s3) + loggamma(s - s3) - np.log(hi - s)
@@ -341,7 +348,8 @@ def _mb_contour_log(s3, hi, lnx):
         cur_log = m + np.log(np.maximum(np.abs(vals), 1e-300)) - np.log(np.pi)
         if prev is not None:
             ps, pl = prev
-            same = (ps == cur_sign) & (np.abs(pl - cur_log) < 1e-9 * np.maximum(1.0, np.abs(cur_log)) + 1e-12)
+            same = (ps == cur_sign) & (
+                np.abs(pl - cur_log) < _MB_AGREE * np.maximum(1.0, np.abs(cur_log)) + 1e-12)
             if np.all(same | (cur_log < m - 600)):
                 return cur_sign, cur_log
         if n >= _MB_MAX_INTERVALS:

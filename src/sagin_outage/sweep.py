@@ -5,12 +5,15 @@ both in a sweep's ``throughput_{method}`` cells and in ``avg_throughput``.
 
 The CSV schema is fixed (schema v1): one row per grid point, every column
 always present, floats at 10 significant digits, '.' decimal separator,
-newline-terminated rows.  Methods that were not requested leave their cells
-empty; per-point numeric failures are recorded in the diagnostics column and
-the run continues.
+newline-terminated rows, and a cell that holds a comma, a quote or a newline
+(a diagnostic) in double quotes.  Methods that were not requested leave their
+cells empty; per-point numeric failures are recorded in the diagnostics column
+and the run continues.
 """
 
+import csv
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -65,14 +68,24 @@ def _cases(cfg):
     return cases
 
 
+# closed cells run one at a time.  The Mellin-Barnes contour is a run of short
+# numpy calls on a few hundred points, each of which releases and retakes the
+# interpreter lock, so two closed cells side by side take more CPU time than one
+# after the other and finish no sooner; integral cells scale and keep the pool
+_CLOSED_LOCK = threading.Lock()
+
+
 def _analytic(cfg, method, network, mode):
     # evaluators are looked up by module attribute at call time, so a wrapper
     # set on this module (a tracer, a test double) sees every call
+    if method == "closed":
+        with _CLOSED_LOCK:
+            if network == "s2g":
+                return op_s2g_closed(cfg.gamma_s, cfg)
+            return op_a2a_closed(cfg.gamma_a, cfg, ic_mode=mode)
     if network == "s2g":
-        fn = op_s2g_closed if method == "closed" else op_s2g_integral
-        return fn(cfg.gamma_s, cfg)
-    fn = op_a2a_closed if method == "closed" else op_a2a_integral
-    return fn(cfg.gamma_a, cfg, ic_mode=mode)
+        return op_s2g_integral(cfg.gamma_s, cfg)
+    return op_a2a_integral(cfg.gamma_a, cfg, ic_mode=mode)
 
 
 def throughput_from_ops(cfg, op_s2g, op_a2a):
@@ -170,7 +183,8 @@ def _fmt(v):
 
 def emit_csv(result, path):
     """Write the sweep result with the fixed schema-v1 column order."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(SCHEMA_COLUMNS) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in SCHEMA_COLUMNS) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SCHEMA_COLUMNS)
+        writer.writerows([_fmt(row.get(c, "")) for c in SCHEMA_COLUMNS]
+                         for row in result.rows)

@@ -123,11 +123,15 @@ def test_criterion_4_optimal_time_split():
     base = {"rates.threshold_mode": "from_rate", "link.eta_s_db": 120.0,
             "run.seed": SEED}
     ops_s, ops_a = [], []
-    for rho in rhos:
-        cfg = config_from_mapping({**base, "swipt.rho": rho})
-        ops_s.append(simulate_op(cfg, "s2g", trials=2_000_000, seed=SEED).value)
-        ops_a.append(simulate_op(cfg, "a2a", ic_mode=IM_IC,
-                                 trials=2_000_000, seed=SEED).value)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for rho in rhos:
+            cfg = config_from_mapping({**base, "swipt.rho": rho})
+            # both cases on one pass over shared draws, each bit-identical to
+            # its single-case call with the same (config, trials, seed)
+            mc = simulate_op(cfg, [("s2g", IM_IC), ("a2a", IM_IC)],
+                             trials=2_000_000, seed=SEED, executor=pool)
+            ops_s.append(mc["s2g", IM_IC].value)
+            ops_a.append(mc["a2a", IM_IC].value)
     rho_s = rhos[int(np.argmin(ops_s))]
     rho_a = rhos[int(np.argmin(ops_a))]
     interior_s = 0.05 < rho_s < 0.90 and abs(rho_s - 0.61) <= 0.05
@@ -146,11 +150,16 @@ def test_criterion_5_saturation_floor():
             "run.seed": SEED}
     sat = {}
     lin = {}
-    for name, fad in (("heavy", heavy), ("light", light)):
-        cfg_sat = config_from_mapping({**base, **fad, "swipt.p_th_dbm": -60.0})
-        cfg_lin = config_from_mapping({**base, **fad, "swipt.p_th_dbm": "inf"})
-        sat[name] = simulate_op(cfg_sat, "s2g", trials=10_000_000, seed=SEED).value
-        lin[name] = simulate_op(cfg_lin, "s2g", trials=10_000_000, seed=SEED).value
+    # the configs differ in p_th, so they share no draws; each call's blocks are
+    # split with a second thread, which leaves its estimate unchanged
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for name, fad in (("heavy", heavy), ("light", light)):
+            cfg_sat = config_from_mapping({**base, **fad, "swipt.p_th_dbm": -60.0})
+            cfg_lin = config_from_mapping({**base, **fad, "swipt.p_th_dbm": "inf"})
+            sat[name] = simulate_op(cfg_sat, "s2g", trials=10_000_000, seed=SEED,
+                                    executor=pool).value
+            lin[name] = simulate_op(cfg_lin, "s2g", trials=10_000_000, seed=SEED,
+                                    executor=pool).value
         # the unsaturated branch must be dead: bound Pr[branch 1] analytically
         x_max = cfg_sat.sp.p_th * (cfg_sat.orbit.w_max * 1e3) ** 2 / cfg_sat.eta_s
         pr_branch1 = 1.0 - ch.shadowed_rician_power_tail(x_max, cfg_sat.sr)

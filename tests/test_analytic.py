@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -419,7 +420,8 @@ class TestRandomConfigs:
         path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         out = tmp_path / "o.csv"
         code = cli.main(["run", "--config", str(path), "--out", str(out)])
-        header, row = (line.split(",") for line in out.read_text().splitlines())
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
         return code, dict(zip(header, row))
 
     @pytest.mark.parametrize("mapping, network, column", [

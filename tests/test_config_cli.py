@@ -1,4 +1,7 @@
+import csv
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from sagin_outage.channel import effective_gain
 from sagin_outage.config import (FIGURE_PRESETS, apply_preset, config_from_mapping,
                                  default_config, load_config)
 from sagin_outage.errors import ConfigError
-from sagin_outage.sweep import SCHEMA_COLUMNS, emit_csv, run_sweep
+from sagin_outage.sweep import SCHEMA_COLUMNS, SweepResult, emit_csv, run_sweep
 
 
 class TestDefaults:
@@ -340,6 +343,62 @@ class TestSweepCsv:
         val = float(row[SCHEMA_COLUMNS.index("op_s2g_mc")])
         assert 0.0 <= val <= 1.0
         assert out.read_text().endswith("\n")
+
+    def test_diagnostic_with_a_comma_stays_one_cell(self, tmp_path):
+        message = 'op_s2g_closed:outside [0, 1] by 2e-05;route "tail", noise 1e-3'
+        row = {c: "" for c in SCHEMA_COLUMNS}
+        row.update(sweep_variable="link.eta_s_db", sweep_value=148.0,
+                   op_s2g_integral=1.876e-5, diagnostics=message)
+        out = tmp_path / "d.csv"
+        emit_csv(SweepResult(variable="link.eta_s_db", rows=[row]), out)
+        with open(out, newline="") as fh:
+            header, cells = csv.reader(fh)
+        assert tuple(header) == SCHEMA_COLUMNS and len(cells) == 18
+        assert cells[-1] == message
+        assert cells[SCHEMA_COLUMNS.index("op_s2g_integral")] == "1.876e-05"
+
+    @staticmethod
+    def _closed_sweep_cfg(methods):
+        return config_from_mapping({
+            "sweep.variable": "link.eta_s_db", "sweep.values": "88,103,118",
+            "run.networks": "a2a", "run.ic_mode": "both", "run.methods": methods,
+            "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 35.0,
+        })
+
+    def test_closed_cells_run_one_at_a_time(self, monkeypatch):
+        lock = threading.Lock()
+        in_flight = [0]
+        most = [0]
+
+        def closed(gamma, cfg, ic_mode):
+            with lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            time.sleep(0.02)          # long enough for a second worker to collide
+            with lock:
+                in_flight[0] -= 1
+            return 0.5
+
+        monkeypatch.setattr(sweep, "op_a2a_closed", closed)
+        monkeypatch.setenv("SAGIN_THREADS", "2")
+        res = run_sweep(self._closed_sweep_cfg("closed"))
+        assert [r["op_a2a_p_closed"] for r in res.rows] == [0.5] * 3
+        assert most[0] == 1
+
+    def test_integral_cells_do_not_take_the_closed_lock(self, monkeypatch):
+        held = {}
+
+        def recorder(method):
+            def evaluate(gamma, cfg, ic_mode):
+                held.setdefault(method, []).append(sweep._CLOSED_LOCK.locked())
+                return 0.5
+            return evaluate
+
+        monkeypatch.setattr(sweep, "op_a2a_closed", recorder("closed"))
+        monkeypatch.setattr(sweep, "op_a2a_integral", recorder("integral"))
+        monkeypatch.setenv("SAGIN_THREADS", "1")
+        run_sweep(self._closed_sweep_cfg("closed,integral"))
+        assert held == {"closed": [True] * 6, "integral": [False] * 6}
 
     def test_row_order_matches_grid(self, tmp_path):
         cfg = self._small_cfg()

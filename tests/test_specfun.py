@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sagin_outage import specfun as sf
+from sagin_outage.analytic import closed_form as cf
+from sagin_outage.config import config_from_mapping
 from sagin_outage.errors import DomainError, NumericError
 
 
@@ -216,6 +218,32 @@ class TestMeijerG:
     def test_parameters_outside_the_family_raise(self, instance, params):
         with pytest.raises(DomainError):
             sf.meijer_g_log(instance, params, [1.5])
+
+    @pytest.mark.parametrize("network,eta_db", [("a2a", 88.0), ("s2g", 103.0)])
+    def test_stop_rule_matches_a_later_stop(self, network, eta_db, monkeypatch):
+        # every G2113 call of one closed case on the acceptance-grid thresholds,
+        # against the same calls run on to two levels agreeing to 1e-9
+        cfg = config_from_mapping({"rates.threshold_mode": "from_rate",
+                                   "swipt.p_th_dbm": 35.0, "link.eta_s_db": eta_db})
+        calls = []
+
+        def recording(instance, params, xs):
+            got = sf.meijer_g_log(instance, params, xs)
+            if instance == "G2113":
+                calls.append((params, np.array(xs), got))
+            return got
+
+        monkeypatch.setattr(cf, "meijer_g_log", recording)
+        if network == "s2g":
+            cf.op_s2g_closed(cfg.gamma_s, cfg)
+        else:
+            cf.op_a2a_closed(cfg.gamma_a, cfg)
+        assert calls
+        monkeypatch.setattr(sf, "_MB_AGREE", 1e-9)
+        for params, xs, (sign, log) in calls:
+            ref_sign, ref_log = sf.meijer_g_log("G2113", params, xs)
+            assert np.array_equal(sign, ref_sign)
+            assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-10
 
     def test_contour_unconverged_at_the_last_level_raises(self, monkeypatch):
         # this point needs 256 intervals; stop the halving one level short
