@@ -29,6 +29,12 @@ factor).  unsat_taylor keeps its own k -> k1 -> k2 -> n nest of G2123
 brackets: with n outermost, n would truncate on the largest term over
 every (k1, k2) instead of on each k2 term's own n sum.
 
+The destination distance measure enters through the ends of its pieces:
+`_Work.end_sum` is the one signed sum over them, used by the G2123 and G2113
+brackets and by the moments of unsat_overshoot, all in log space so no power
+of an end overflows.  Only `pieces_dgamma` runs per piece, since its
+incomplete-gamma difference needs both limits of a piece at once.
+
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
 a Taylor index k2 that reaches `_K2_CAP` marks the result truncated
@@ -83,12 +89,16 @@ class _Work:
         # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
         self.sat_decay = self.beta_bar * case.b_lin * self.w_nodes ** 2 / case.a_lin
         # destination pieces grouped by q; one row per (piece, end) in the order
-        # hi, lo: y, log y, orientation * sign(coeff), log(|coeff| / nu)
+        # hi, lo: y, log(y / y_max), orientation * sign(coeff), log(|coeff| / nu)
+        # + q log y_max, with y_max = dest_hi.  Powers of y are taken relative to
+        # y_max: the rounding of p log y then does not grow with p log y_max
+        self.log_y_max = math.log(case.dest_hi)
         by_q = {}
         for lo, hi, coeff, q in case.dest_pieces:
             for y, orient in ((hi, 1.0), (lo, -1.0)):
                 by_q.setdefault(q, []).append(
-                    (y, math.log(y), orient * np.sign(coeff), math.log(abs(coeff) / case.nu)))
+                    (y, math.log(y / case.dest_hi), orient * np.sign(coeff),
+                     math.log(abs(coeff) / case.nu) + q * self.log_y_max))
         self.dest_groups = [(q, *(np.array(col) for col in zip(*rows)))
                             for q, rows in by_q.items()]
         self.memo = {}
@@ -109,25 +119,32 @@ class _Work:
         logs = np.array([log_gamma_upper(s, x) for x in xs])
         return np.ones_like(logs), logs
 
-    def _bracket(self, instance, m, params, scale, cols):
-        """(sign, log) per column of the destination bracket: the signed sum over
-        piece ends y of (coeff/nu) y^(nu m + q + 1) G(params(e) | scale y^nu col),
-        e = (q + 1)/nu, for each col in cols."""
+    def end_sum(self, m, f):
+        """(sign, log) arrays of the signed sum over piece ends y of
+        orientation (coeff/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu, with
+        f(e, ys) returning F as (sign, log) arrays of shape (len(ys), columns)
+        or broadcast to it; one sum per column."""
         nu = self.case.nu
         signs, logs = [], []
-        for q, ys, log_ys, orient, log_coef in self.dest_groups:
-            e = (q + 1.0) / nu
-            xs = scale * ys[:, None] ** nu * cols[None, :]
-            gs, gl = meijer_g_log(instance, params(e), xs.ravel())
-            signs.append(orient[:, None] * gs.reshape(xs.shape))
-            logs.append((log_coef + (nu * m + q + 1.0) * log_ys)[:, None]
-                        + gl.reshape(xs.shape))
-        logs = np.concatenate(logs)          # (pieces*2, len(cols))
+        for q, ys, log_rel, orient, log_coef in self.dest_groups:
+            fs, fl = f((q + 1.0) / nu, ys)
+            signs.append(orient[:, None] * fs)
+            logs.append((log_coef + (nu * m + q + 1.0) * log_rel)[:, None] + fl)
+        logs = np.concatenate(logs)          # (pieces*2, columns)
         signs = np.concatenate(signs)
         top = logs.max(axis=0)
         vals = np.sum(signs * np.exp(logs - top[None, :]), axis=0)
         with np.errstate(divide="ignore"):
-            return np.sign(vals), top + np.log(np.abs(vals))
+            return np.sign(vals), top + np.log(np.abs(vals)) + (nu * m + 1.0) * self.log_y_max
+
+    def _bracket(self, instance, m, params, scale, cols):
+        """end_sum with F = G(params(e) | scale y^nu col), for each col in cols."""
+        def meijer(e, ys):
+            xs = scale * ys[:, None] ** self.case.nu * cols[None, :]
+            gs, gl = meijer_g_log(instance, params(e), xs.ravel())
+            return gs.reshape(xs.shape), gl.reshape(xs.shape)
+
+        return self.end_sum(m, meijer)
 
     @_memo
     def g2123_pieces(self, n, s1):
@@ -146,27 +163,18 @@ class _Work:
 
     @_memo
     def pieces_moment(self, r):
-        """(sign, log) of sum over pieces of coeff (hi^p - lo^p)/p, p = nu r + q + 1."""
-        case = self.case
-        logs, signs = [], []
-        for lo, hi, coeff, q in case.dest_pieces:
-            p = case.nu * r + q + 1.0
-            try:    # math.pow raises on overflow for numpy floats too, where ** gives inf
-                val = (math.pow(hi, p) - math.pow(lo, p)) / p
-            except OverflowError:
-                # hi^p is beyond a float: hi^p - lo^p = hi^p (1 - (lo/hi)^p), 0 < lo < hi
-                logs.append(math.log(abs(coeff)) + p * math.log(hi)
-                            + math.log1p(-(lo / hi) ** p) - math.log(p))
-                signs.append(np.sign(coeff))
-                continue
-            logs.append(math.log(abs(coeff) * abs(val)) if val != 0 else -np.inf)
-            signs.append(np.sign(coeff) * np.sign(val))
-        return logsumexp_signed(np.array(logs), np.array(signs))
+        """(sign, log) of sum over pieces of coeff (hi^p - lo^p)/p, p = nu r + q + 1:
+        end_sum with F = nu/p = 1/(r + e), in log space, where no power overflows."""
+        sign, log = self.end_sum(r, lambda e, ys: (1.0, np.full((1, 1), -math.log(r + e))))
+        return float(sign[0]), float(log[0])
 
     @_memo
     def pieces_dgamma(self, order):
         """(sign, log) of sum over pieces of (coeff/nu) c_eff^(-(q+1)/nu)
-        DeltaGamma(order + (q+1)/nu, c_eff lo^nu, c_eff hi^nu)."""
+        DeltaGamma(order + (q+1)/nu, c_eff lo^nu, c_eff hi^nu).
+
+        Not an end_sum: log_delta_gamma takes both limits of a piece together,
+        which keeps the difference of two nearly equal Gamma values accurate."""
         case = self.case
         nu, c_eff = case.nu, self.c_eff
         logs, signs = [], []
@@ -435,8 +443,7 @@ def _route_outage(work, blocks):
                             "routes": work.diagnostics["routes"]})
     clamped = min(max(val, 0.0), 1.0)
     if abs(clamped - val) > 1e-6:
-        # no comma: the message lands in the CSV's unquoted diagnostics cell
-        raise NumericError(f"closed-form outage outside 0..1 by {abs(clamped - val):.3e}",
+        raise NumericError(f"closed-form outage outside [0, 1] by {abs(clamped - val):.3e}",
                            {"outage": val, "routes": work.diagnostics["routes"]})
     return float(clamped)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..channel import shadowed_rician_power_pdf
 from ..errors import NumericError
-from ..specfun import _leggauss_cached
+from ..specfun import gauss_legendre
 from ..swipt import IM_IC
 from .coefficients import build_case
 
@@ -24,20 +24,16 @@ _ABS_TOL = 1e-6        # two successive levels closer than half this have conver
 
 def _dest_nodes(case, n_per_piece):
     us, ws = [], []
-    x, w = _leggauss_cached(n_per_piece)
     for lo, hi, coeff, q in case.dest_pieces:
-        half = 0.5 * (hi - lo)
-        u = half * (x + 1.0) + lo
+        u, w = gauss_legendre(lo, hi, n_per_piece)
         us.append(u)
-        ws.append(coeff * u ** q * w * half)
+        ws.append(coeff * u ** q * w)
     return np.concatenate(us), np.concatenate(ws)
 
 
 def _sat_nodes(case, n_w):
-    x, w = _leggauss_cached(n_w)
-    half = 0.5 * (case.w_max_m - case.w_min_m)
-    wm = half * (x + 1.0) + case.w_min_m
-    return wm, (wm / case.w_norm_m2) * w * half
+    wm, w = gauss_legendre(case.w_min_m, case.w_max_m, n_w)
+    return wm, (wm / case.w_norm_m2) * w
 
 
 def _sat_factor(case, z, w_nodes, w_wts):
@@ -51,12 +47,9 @@ def _sat_factor(case, z, w_nodes, w_wts):
 
 
 def _log_grid(z_lo, z_hi, n_z):
-    x, w = _leggauss_cached(n_z)
-    s_lo, s_hi = math.log(z_lo), math.log(z_hi)
-    half = 0.5 * (s_hi - s_lo)
-    s = half * (x + 1.0) + s_lo
+    s, w = gauss_legendre(math.log(z_lo), math.log(z_hi), n_z)
     z = np.exp(s)
-    return z, w * half * z      # jacobian z ds
+    return z, w * z      # jacobian z ds
 
 
 def _branch1(case, n_dest, n_w, n_z):

@@ -4,10 +4,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaincc, gammaln, poch
+from scipy.special import gamma as gamma_fn, gammaincc, gammaln, jv, poch
 
 from .errors import ConfigError, DomainError
-from .specfun import bessel, log_bessel_i0
+from .specfun import log_bessel_i0
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -218,9 +218,12 @@ def beam_gain(theta_sr, theta_3db, gain_r):
     if theta_sr < 0 or theta_3db <= 0:
         raise DomainError("beam_gain needs theta_sr >= 0 and theta_3db > 0")
     rho = 2.07123 * np.sin(theta_sr) / np.sin(theta_3db)
+    if rho < 0:
+        raise DomainError(f"beam_gain needs sin(theta_sr) / sin(theta_3db) >= 0, got "
+                          f"theta_sr = {theta_sr!r} rad and theta_3db = {theta_3db!r} rad")
     if rho == 0.0:
         return float(gain_r)
-    j_part = bessel("J", 1, rho) / (2.0 * rho) + 36.0 * bessel("J", 3, rho) / rho ** 3
+    j_part = jv(1, rho) / (2.0 * rho) + 36.0 * jv(3, rho) / rho ** 3
     return float(gain_r * j_part)
 
 
@@ -253,10 +256,6 @@ class SatelliteLink:
         xi = db_to_linear(self.xi_db)
         return float(xi ** 2 * self.wavelength ** 2
                      / ((4.0 * np.pi) ** 2 * BOLTZMANN * self.T_noise * self.bandwidth))
-
-    @property
-    def rho_sr(self):
-        return 2.07123 * np.sin(self.theta_sr) / np.sin(self.theta_3db)
 
 
 def effective_gain(link):

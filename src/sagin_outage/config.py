@@ -11,6 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import (NakagamiParams, RicianParams, SatelliteLink,
                       ShadowedRicianParams, db_to_linear, dbm_to_watt,
                       effective_gain)
@@ -188,6 +190,18 @@ class ScenarioConfig:
         def g(key):
             return raw[key]
 
+        def linear(key, convert=db_to_linear):
+            """convert(raw[key]), which must come out a finite float."""
+            try:
+                with np.errstate(over="ignore"):
+                    value = float(convert(raw[key]))
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: {raw[key]!r} gives a linear value beyond "
+                                  "the float range")
+            return value
+
         def names(key):
             if not isinstance(raw[key], str):
                 raise ConfigError(f"{key}: expected comma-separated text, got {raw[key]!r}")
@@ -214,16 +228,16 @@ class ScenarioConfig:
             _set("nak", NakagamiParams(m_rd=g("fading.m_rd"), nu_rd=g("fading.nu_rd")))
             _set("ric", RicianParams(K_rt=g("fading.K_rt"), nu_rt=g("fading.nu_rt")))
             p_th_dbm = g("swipt.p_th_dbm")
-            p_th = math.inf if math.isinf(p_th_dbm) else float(dbm_to_watt(p_th_dbm))
+            p_th = math.inf if math.isinf(p_th_dbm) else linear("swipt.p_th_dbm", dbm_to_watt)
             _set("sp", SwiptParams(chi=g("swipt.chi"), rho=g("swipt.rho"),
                                    epsilon=g("swipt.epsilon"), mu=g("swipt.mu"),
                                    p_th=p_th, block_s=g("swipt.block_s")))
-            _set("noise", NoiseParams(sigma_r2=float(dbm_to_watt(g("noise.sigma_r_dbm"))),
-                                      sigma_rb2=float(dbm_to_watt(g("noise.sigma_rb_dbm"))),
-                                      sigma_d2=float(dbm_to_watt(g("noise.sigma_d_dbm"))),
-                                      sigma_t2=float(dbm_to_watt(g("noise.sigma_t_dbm")))))
+            _set("noise", NoiseParams(sigma_r2=linear("noise.sigma_r_dbm", dbm_to_watt),
+                                      sigma_rb2=linear("noise.sigma_rb_dbm", dbm_to_watt),
+                                      sigma_d2=linear("noise.sigma_d_dbm", dbm_to_watt),
+                                      sigma_t2=linear("noise.sigma_t_dbm", dbm_to_watt)))
             if g("link.eta_s_db") is not None:     # a direct override wins over the link chain
-                _set("eta_s", float(db_to_linear(g("link.eta_s_db"))))
+                _set("eta_s", linear("link.eta_s_db"))
             else:
                 _set("eta_s", effective_gain(SatelliteLink(
                     P_s=g("link.P_s_w"), xi_db=g("link.xi_db"),
@@ -238,11 +252,12 @@ class ScenarioConfig:
             if g("rates.r_s") < 0 or g("rates.r_a") < 0:
                 raise ConfigError("rates.r_s / rates.r_a must be nonnegative")
             if threshold_mode == "from_rate":
-                _set("gamma_s", gamma_from_rate(g("rates.r_s"), self.sp.rho))
-                _set("gamma_a", gamma_from_rate(g("rates.r_a"), self.sp.rho))
+                rate = lambda r: gamma_from_rate(r, self.sp.rho)
+                _set("gamma_s", linear("rates.r_s", rate))
+                _set("gamma_a", linear("rates.r_a", rate))
             else:
-                _set("gamma_s", float(db_to_linear(g("rates.gamma_s_db"))))
-                _set("gamma_a", float(db_to_linear(g("rates.gamma_a_db"))))
+                _set("gamma_s", linear("rates.gamma_s_db"))
+                _set("gamma_a", linear("rates.gamma_a_db"))
             ic_mode = g("run.ic_mode")
             if ic_mode not in (IM_IC, P_IC, "both"):
                 raise ConfigError("run.ic_mode must be 'im-ic', 'p-ic' or 'both'")

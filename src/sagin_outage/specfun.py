@@ -2,15 +2,15 @@
 
 Everything the outage series need lives here: the log upper incomplete
 gamma (one expansion per region: ascending series, Lentz continued fraction,
-downward recurrence) and its cancellation-safe differences, Bessel wrappers
-over scipy (I0 in log form through the scaled ``i0e``), Meijer-G in the one
-family b3 = a1 - 1 the series use (G2123 as two incomplete gammas, G2113 by
-a nested trapezoid rule on the Mellin-Barnes contour, each level a power sum
-in x^(-i h) for the step h, stopped at the first level within 1e-6 of the
-previous one; G0110 and G2002 by identities the oracle table checks), and the
-Chebyshev-Gauss quadrature rule.  The heavy machinery is evaluated in the log
-domain with explicit signs because the series couple enormous and tiny factors
-whose product is O(1).
+downward recurrence) and its cancellation-safe differences, ln I0 through
+scipy's scaled ``i0e``, Meijer-G in the one family b3 = a1 - 1 the series use
+(G2123 as two incomplete gammas, G2113 by a nested trapezoid rule on the
+Mellin-Barnes contour, each level a power sum in x^(-i h) for the step h,
+stopped at the first level within 1e-6 of the previous one; G0110 and G2002
+by identities the oracle table checks), and the two quadrature rules: the
+Gauss-Legendre rule on an interval and the Chebyshev-Gauss rule.  The heavy
+machinery is evaluated in the log domain with explicit signs because the
+series couple enormous and tiny factors whose product is O(1).
 """
 
 from functools import lru_cache
@@ -112,12 +112,6 @@ def _log_upper_recurrence(a, x):
     return lg
 
 
-@lru_cache(maxsize=64)
-def _leggauss_cached(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 def _log_gamma_pair(a, x):
     """(log gamma(a, x), log Gamma(a, x)) for a > 0, x > 0, each expansion run once.
 
@@ -187,12 +181,10 @@ def log_delta_gamma(a, b, c):
         return sign, _log_gamma_pair(a, c)[0]
     if c <= 1.0000001 * b:
         # nearly coincident limits: integrate directly on [b, c]
-        nodes, wts = _leggauss_cached(64)
-        t = 0.5 * (c - b) * (nodes + 1.0) + b
+        t, wts = gauss_legendre(b, c, 64)
         logf = (a - 1.0) * np.log(t) - t
         m = logf.max()
-        val = float(np.sum(wts * np.exp(logf - m))) * 0.5 * (c - b)
-        return sign, m + np.log(val)
+        return sign, m + np.log(float(np.sum(wts * np.exp(logf - m))))
     llb, lub = _log_gamma_pair(a, b)
     llc, luc = _log_gamma_pair(a, c)
     r_upper = luc - lub
@@ -209,8 +201,21 @@ def delta_gamma(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev-Gauss quadrature
+# Gauss-Legendre and Chebyshev-Gauss quadrature
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _legendre_rule(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gauss_legendre(lo, hi, n):
+    """n-point Gauss-Legendre rule on [lo, hi] as (nodes, weights); exact for
+    polynomials of degree <= 2n - 1.  The rule on [-1, 1] is built once per n."""
+    x, w = _legendre_rule(n)
+    half = 0.5 * (hi - lo)
+    return half * (x + 1.0) + lo, w * half
+
 
 def cgq_points(a, b, n):
     """First-kind Chebyshev-Gauss rule with the circular-weight compensation on [a, b].
@@ -237,24 +242,6 @@ def log_bessel_i0(x):
     """ln I0(x) = x + ln i0e(x) over scipy's exponentially scaled I0; finite for any x."""
     x = np.asarray(x, dtype=float)
     return x + np.log(i0e(x))
-
-
-def bessel(kind, order, x):
-    """Bessel dispatch for the kinds the outage expressions use: 'J', 'K'.
-
-    I0 appears only inside exponentials, so it has the log form log_bessel_i0.
-    """
-    kind = kind.upper()
-    if kind == "J":
-        if np.any(np.asarray(x) < 0):
-            raise DomainError("J_v evaluated for x >= 0 only")
-        return jv(order, x)
-    if kind == "K":
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa <= 0):
-            raise DomainError("K_v(x) diverges at x = 0 and needs x > 0")
-        return kv(order, x)
-    raise DomainError(f"unknown Bessel kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +412,11 @@ def _fixture_eval(kind, params, x):
     if kind == "delta_gamma":
         return delta_gamma(*params)  # params (a, b, c); x unused (0)
     if kind == "bessel_j":
-        return float(bessel("J", params[0], x))
+        return float(jv(params[0], x))
     if kind == "bessel_i0":
         return float(np.exp(log_bessel_i0(x)))
     if kind == "bessel_k":
-        return float(bessel("K", params[0], x))
+        return float(kv(params[0], x))
     if kind in ("G0110", "G2002", "G2123", "G2113"):
         return meijer_g(kind, params, x)
     raise DomainError(f"unknown fixture kind {kind!r}")

@@ -1,7 +1,9 @@
 """Hybrid time/power-splitting energy harvesting and the relayed-link SNRs.
 
 The harvested power is linear in the received satellite power up to the
-saturation threshold and flat above it.  All SNR evaluators are vectorised:
+saturation threshold and flat above it: the ``min(g_sat, p_th)`` of
+``case_snrs`` (the analytic paths carry it as the saturation point of
+``analytic.coefficients.build_case``).  All SNR evaluators are vectorised:
 fields of FadingDraw may be scalars or equal-length arrays.  ``case_snrs`` is
 the one SNR formula: it forms every requested case's SNR in one in-place pass,
 and ``snr_gu`` and ``snr_arx`` are its one-case calls.
@@ -81,15 +83,6 @@ class FadingDraw:
     w_sr_km: np.ndarray
     w_rd_m: np.ndarray
     w_rt_m: np.ndarray
-
-
-def harvested_power(X, w_sr_m, eta_s, sp):
-    """Relay transmit power: chi_(rho,eps) * min(eta_s X / w^2, p_th)."""
-    X = np.asarray(X, dtype=float)
-    if np.any(X < 0):
-        raise DomainError("channel power must be nonnegative")
-    recv = eta_s * X / np.asarray(w_sr_m, dtype=float) ** 2
-    return sp.chi_rho_eps * np.minimum(recv, sp.p_th)
 
 
 def shares(sp, network, ic_mode):

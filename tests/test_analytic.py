@@ -318,6 +318,41 @@ OVERFLOW_A2A = {
     "fading.m_rd": 1, "fading.K_rt": 3.4104, "swipt.chi": 0.568,
 }
 
+
+class TestPiecesMoment:
+    """_Work.pieces_moment(r), the sum over pieces of coeff (hi^p - lo^p)/p with
+    p = nu r + q + 1, taken in log space over the piece ends."""
+
+    @staticmethod
+    def _work(network, mapping):
+        cfg = config_from_mapping(mapping)
+        gamma = cfg.gamma_s if network == "s2g" else cfg.gamma_a
+        return cf._Work(build_case(cfg, network, IM_IC, gamma), 8)
+
+    @pytest.mark.parametrize("network, mapping", [("s2g", {}), ("a2a", {})])
+    @pytest.mark.parametrize("r", [0, 1, 2, 5, 10, 20, 30])
+    def test_equals_the_piece_sum_where_it_is_finite(self, network, mapping, r):
+        work = self._work(network, mapping)
+        nu = work.case.nu
+        want = sum(coeff * (hi ** (nu * r + q + 1) - lo ** (nu * r + q + 1)) / (nu * r + q + 1)
+                   for lo, hi, coeff, q in work.case.dest_pieces)
+        sign, log = work.pieces_moment(r)
+        assert sign * math.exp(log) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("network, mapping, r, expected", [
+        # log of the sum at 50 digits (mpmath)
+        ("s2g", OVERFLOW_S2G, 100, 1344.0443445159866588),
+        ("s2g", OVERFLOW_S2G, 250, 3362.4941959527735455),
+        ("a2a", OVERFLOW_A2A, 60, 745.49473952121057890),
+        ("a2a", OVERFLOW_A2A, 150, 1868.5711625524716528),
+    ])
+    def test_log_form_where_a_power_overflows(self, network, mapping, r, expected):
+        work = self._work(network, mapping)
+        with pytest.raises(OverflowError):
+            math.pow(work.case.dest_hi, work.case.nu * r + 2.0)
+        assert work.pieces_moment(r) == (1.0, pytest.approx(expected, rel=1e-13))
+
+
 # A random config whose preferred (Taylor) route loses too much precision for
 # s2g and a2a p-IC; the linear - tail route is within its bound and gives the value.
 FALLBACK = {
@@ -380,7 +415,8 @@ class TestRandomConfigs:
             assert 0.0 <= op <= 1.0
 
     def test_overflow_fallback_holds_for_numpy_floats(self):
-        # a numpy float overflows to inf under ** instead of raising OverflowError
+        # a numpy float overflows to inf under ** where a float raises OverflowError;
+        # the moments take no power outside log space, so neither reaches them
         plain = config_from_mapping(OVERFLOW_A2A)
         wide = config_from_mapping({**OVERFLOW_A2A, "geometry.h2_m": np.float64(500.0)})
         assert op_a2a_closed(wide.gamma_a, wide) == op_a2a_closed(plain.gamma_a, plain)
@@ -449,7 +485,7 @@ class TestRandomConfigs:
                                              "run.methods": "closed,integral"})
         assert code == 0 and row["op_s2g_closed"] == ""
         assert "op_s2g_closed:" in row["diagnostics"]
-        assert "outside 0..1" in row["diagnostics"]
+        assert "outside [0, 1] by" in row["diagnostics"]
         assert float(row["op_s2g_integral"]) > 0.0
 
     def test_no_route_left_raises(self):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from sagin_outage import channel as ch
+from sagin_outage.config import config_from_mapping
 from sagin_outage.errors import ConfigError, DomainError
 
 HEAVY = ch.ShadowedRicianParams(m_sr=2, b_sr=0.063, omega_sr=0.0005)
@@ -175,12 +176,17 @@ class TestLinkBudget:
         assert ch.beam_gain(0.0, math.radians(0.3), 3.02) == pytest.approx(3.02)
 
     def test_reference_beam_scaling(self):
-        link = ch.SatelliteLink(P_s=1.0, xi_db=2.0, wavelength=0.15, T_noise=300.0,
-                                bandwidth=15e6, gain_s_db=53.45, gain_r_db=4.8,
-                                theta_sr=math.radians(0.8), theta_3db=math.radians(0.3))
-        assert link.rho_sr == pytest.approx(5.5227, abs=1e-3)
-        assert link.rho_sr == pytest.approx(2.07123 * math.sin(math.radians(0.8))
-                                            / math.sin(math.radians(0.3)), rel=1e-14)
+        # J1(r)/(2r) + 36 J3(r)/r^3 at r = 2.07123 sin(0.8 deg)/sin(0.3 deg) = 5.52313,
+        # the default link angles (mpmath at 50 digits)
+        got = ch.beam_gain(math.radians(0.8), math.radians(0.3), 1.0)
+        assert got == pytest.approx(0.022661186173737496812, rel=1e-12)
+
+    def test_beam_angles_with_a_negative_ratio_raise(self):
+        # theta_sr = 200 deg: sin(theta_sr) < 0; the message names both angles
+        with pytest.raises(DomainError, match="theta_sr.*theta_3db"):
+            ch.beam_gain(math.radians(200.0), math.radians(0.3), 1.0)
+        with pytest.raises(ConfigError, match="theta_sr"):
+            config_from_mapping({"link.theta_sr_deg": 200.0})
 
     def test_gain_below_boresight_on_grid(self):
         g0 = ch.beam_gain(0.0, math.radians(0.3), 1.0)

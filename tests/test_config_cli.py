@@ -2,6 +2,7 @@ import csv
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,28 @@ class TestValidation:
         assert cli.main(["validate", "--config", str(path)]) == 2
         out = capsys.readouterr()
         assert "configuration valid" not in out.out and key in out.err
+
+    @pytest.mark.parametrize("mapping", [
+        {"rates.threshold_mode": "from_rate", "rates.r_s": 600.0},
+        {"link.eta_s_db": 4000.0},
+        {"rates.gamma_s_db": 4000.0},
+        {"noise.sigma_d_dbm": 4000.0},
+        {"swipt.p_th_dbm": 4000.0},
+    ], ids=["r_s", "eta_s_db", "gamma_s_db", "sigma_d_dbm", "p_th_dbm"])
+    def test_linear_value_beyond_a_float_is_a_config_error(self, mapping):
+        # none may become inf: eta = inf once gave OP 1 from closed and integral
+        # but 0 from mc, and p_th = inf silently selects the linear harvester
+        key = list(mapping)[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # and no numpy overflow warning
+            with pytest.raises(ConfigError, match=key):
+                config_from_mapping(mapping)
+
+    def test_overflowing_rate_threshold_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rate.cfg"
+        path.write_text("rates.threshold_mode = from_rate\nrates.r_s = 600\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "rates.r_s" in capsys.readouterr().err
 
     def test_sweep_variable_whitelist(self):
         with pytest.raises(ConfigError, match="sweepable"):

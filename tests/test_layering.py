@@ -2,7 +2,8 @@
 
 ``mc`` is the low-level engine: it imports nothing from ``analytic`` or
 ``sweep``, and no ``analytic`` module imports ``mc`` or ``sweep``, so the
-package has no import cycle to dodge.  Imports sit at module level; the one
+package has no import cycle to dodge.  No module imports another's private
+(underscore) name.  Imports sit at module level; the one
 exception is ``scipy.stats``, which only the a2a integral path reads and which
 would more than double the package's import time.
 """
@@ -60,3 +61,11 @@ def test_the_only_function_level_import_is_ncx2():
             for path in sorted(SRC.rglob("*.py"))
             for module, func, names in _imports(path) if func is not None]
     assert lazy == [("channel.py", "rician_power_tail", "scipy.stats", ("ncx2",))]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [(path.name, module, name)
+               for path in sorted(SRC.rglob("*.py"))
+               for module, _, names in _imports(path) if _within(module, "sagin_outage")
+               for name in names if name.startswith("_")]
+    assert not private

@@ -24,28 +24,6 @@ class TestHarvestedPower:
         sp = swipt.SwiptParams(chi=0.6, rho=0.4, epsilon=0.4, mu=0.7, p_th=1.0)
         assert sp.chi_rho_eps == pytest.approx(0.6 * (0.8 / 0.6 + 0.4), rel=1e-14)  # 1.04
 
-    def test_saturated_branch(self):
-        # received power at twice the threshold: harvested is chi_re * p_th
-        eta = 1.0
-        w_m = 1.0
-        x = 2.0 * SP.p_th
-        assert swipt.harvested_power(x, w_m, eta, SP) == pytest.approx(
-            SP.chi_rho_eps * SP.p_th, rel=1e-14)
-
-    def test_linear_when_threshold_infinite(self):
-        sp = swipt.SwiptParams(chi=0.6, rho=0.4, epsilon=0.4, mu=0.7, p_th=math.inf)
-        xs = np.array([0.1, 10.0, 1e6])
-        np.testing.assert_allclose(swipt.harvested_power(xs, 1.0, 2.0, sp),
-                                   sp.chi_rho_eps * 2.0 * xs, rtol=1e-14)
-
-    def test_continuous_and_nondecreasing(self):
-        xs = np.linspace(0.0, 4 * SP.p_th, 4001)
-        h = swipt.harvested_power(xs, 1.0, 1.0, SP)
-        assert np.all(np.diff(h) >= -1e-18)
-        knee = SP.p_th
-        assert swipt.harvested_power(knee * (1 - 1e-12), 1.0, 1.0, SP) == pytest.approx(
-            swipt.harvested_power(knee * (1 + 1e-12), 1.0, 1.0, SP), rel=1e-9)
-
 
 class TestSnrGu:
     def test_large_x_limit_is_mu_prime(self):
