@@ -16,31 +16,22 @@ pieces of its distance measure.  Five series blocks cover every regime:
 
 When the preferred unsaturated route raises NumericError, the other one is
 evaluated on the same memo if its series parameter is within its bound.
+Every constant comes from the `OutageCase` of `build_case`.
 
-Every constant comes from the `OutageCase` of `build_case`: (a, b), p_sat,
-and the saturated branch's scale sat_scale and bound point sat_x_min, where
-the satellite-fading tail bounds that branch's mass.
-
-All blocks but unsat_taylor run in one loop nest, `_series`, which adds the
-factors they share; each supplies a term function built by `_g2113_terms`
-(CGQ integrals of a G2113 destination bracket) or `_gamma_terms` (CGQ
-integrals of Gamma(s, .) at the saturation point times a destination
-factor).  unsat_taylor keeps its own k -> k1 -> k2 -> n nest of G2123
-brackets: with n outermost, n would truncate on the largest term over
-every (k1, k2) instead of on each k2 term's own n sum.
-
-The destination distance measure enters through the ends of its pieces:
-`_Work.end_sum` is the one signed sum over them, used by the G2123 and G2113
-brackets and by the moments of unsat_overshoot, all in log space so no power
-of an end overflows.  Only `pieces_dgamma` runs per piece, since its
-incomplete-gamma difference needs both limits of a piece at once.
+Every block is one call of the loop nest `_series`, which adds the factors
+the blocks share, with a term function of its own: unsat_taylor's takes an
+incomplete-gamma difference times a G2123 destination bracket, `_g2113_terms`
+integrate a G2113 bracket by CGQ and `_gamma_terms` Gamma(s, .) at the
+saturation point times a destination factor.  `_Work.end_sum` is the one
+signed sum over the ends of the destination pieces, in log space so no power
+of an end overflows; `_piece_dgammas` takes both limits of a piece at once,
+so its incomplete-gamma differences do not cancel to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
-a Taylor index k2 that reaches `_K2_CAP` marks the result truncated
-(`_k2_sum`).  All sums run in signed log space; cancellation is monitored
-against the largest term so a noisy series is reported instead of silently
-returned.
+a Taylor index k2 that reaches `_K2_CAP` marks the result truncated.  All
+sums run in signed log space; cancellation is monitored against the largest
+term so a noisy series is reported instead of silently returned.
 """
 
 import math
@@ -49,11 +40,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import NumericError
-from ..channel import shadowed_rician_power_tail
 from ..specfun import (cgq_points, log_delta_gamma, log_gamma_upper, logsumexp_signed,
                        meijer_g_log)
 from ..swipt import IM_IC
-from .coefficients import REL_TOL, build_case
+from .coefficients import REL_TOL, SAT_NEGLIGIBLE, build_case, checked_outage, settled_outage
 
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 _SERIES_BLOWUP = 250.0      # cap for the Bessel-tamed unsaturated series
@@ -137,29 +127,42 @@ class _Work:
         with np.errstate(divide="ignore"):
             return np.sign(vals), top + np.log(np.abs(vals)) + (nu * m + 1.0) * self.log_y_max
 
-    def _bracket(self, instance, m, params, scale, cols):
-        """end_sum with F = G(params(e) | scale y^nu col), for each col in cols."""
-        def meijer(e, ys):
-            xs = scale * ys[:, None] ** self.case.nu * cols[None, :]
-            gs, gl = meijer_g_log(instance, params(e), xs.ravel())
-            return gs.reshape(xs.shape), gl.reshape(xs.shape)
-
-        return self.end_sum(m, meijer)
+    @_memo
+    def taylor_dgamma(self, order):
+        """(sign, log) of DeltaGamma(order, bb b w_min^2/a, bb b w_max^2/a)."""
+        case, bb = self.case, self.beta_bar
+        return log_delta_gamma(order, bb * case.b_lin * case.w_min_m ** 2 / case.a_lin,
+                               bb * case.b_lin * case.w_max_m ** 2 / case.a_lin)
 
     @_memo
     def g2123_pieces(self, n, s1):
-        """(sign, log) of the destination bracket of the Taylor-route series."""
+        """(sign, log) of the Taylor route's destination bracket, the end_sum of
+        G2123 at x = omega y^nu, omega = dest_c / p_sat, c = n + e, taken as its
+        halves [x^s1 Gamma(-s1, x) + x^-c gamma(c, x)] / (c + s1).  The lower half
+        runs per piece, (coeff/nu) omega^-c DeltaGamma(c, omega lo^nu, omega hi^nu)
+        / (c + s1), since the power of y cancels in it."""
         omega = self.case.dest_c / self.case.p_sat
-        sign, log = self._bracket("G2123", n, lambda e: (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e),
-                                  omega, np.ones(1))
-        return float(sign[0]), float(log[0])
+
+        def upper(e, ys):
+            xs = omega * ys ** self.case.nu
+            logs = [log_gamma_upper(-s1, x) for x in xs]
+            return 1.0, (s1 * np.log(xs) + logs - math.log(n + e + s1))[:, None]
+
+        up_s, up_l = self.end_sum(n, upper)
+        es, signs, logs = self._piece_dgammas(n, omega)
+        return logsumexp_signed(np.append(logs - n * math.log(omega) - np.log(n + es + s1), up_l),
+                                np.append(signs, up_s))
 
     @_memo
     def g2113_nodes(self, s2, s3, cst):
         """(sign, log) on the CGQ nodes of the G2113 destination bracket at
-        argument cst y^nu w^2."""
-        return self._bracket("G2113", s2, lambda e: (1.0 - s2 - e, s3, -s3, -s2 - e),
-                             cst, self.w_nodes ** 2)
+        argument cst y^nu w^2: end_sum of G2113((1 - s2 - e, s3, -s3, -s2 - e) | .)."""
+        def meijer(e, ys):
+            xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
+            gs, gl = meijer_g_log("G2113", (1.0 - s2 - e, s3, -s3, -s2 - e), xs.ravel())
+            return gs.reshape(xs.shape), gl.reshape(xs.shape)
+
+        return self.end_sum(s2, meijer)
 
     @_memo
     def pieces_moment(self, r):
@@ -169,21 +172,25 @@ class _Work:
         return float(sign[0]), float(log[0])
 
     @_memo
-    def pieces_dgamma(self, order):
-        """(sign, log) of sum over pieces of (coeff/nu) c_eff^(-(q+1)/nu)
-        DeltaGamma(order + (q+1)/nu, c_eff lo^nu, c_eff hi^nu).
-
-        Not an end_sum: log_delta_gamma takes both limits of a piece together,
-        which keeps the difference of two nearly equal Gamma values accurate."""
-        case = self.case
-        nu, c_eff = case.nu, self.c_eff
-        logs, signs = [], []
-        for lo, hi, coeff, q in case.dest_pieces:
+    def _piece_dgammas(self, order, scale):
+        """Per destination piece: arrays e = (q+1)/nu and (sign, log) of (coeff/nu)
+        scale^-e DeltaGamma(order + e, scale lo^nu, scale hi^nu), the difference taken
+        by log_delta_gamma from both limits at once, so it does not cancel."""
+        nu = self.case.nu
+        es, logs, signs = [], [], []
+        for lo, hi, coeff, q in self.case.dest_pieces:
             e = (q + 1.0) / nu
-            dg_s, dg_l = log_delta_gamma(order + e, c_eff * lo ** nu, c_eff * hi ** nu)
-            logs.append(math.log(abs(coeff) / nu) - e * math.log(c_eff) + dg_l)
+            dg_s, dg_l = log_delta_gamma(order + e, scale * lo ** nu, scale * hi ** nu)
+            es.append(e)
+            logs.append(math.log(abs(coeff) / nu) - e * math.log(scale) + dg_l)
             signs.append(np.sign(coeff) * dg_s)
-        return logsumexp_signed(np.array(logs), np.array(signs))
+        return np.array(es), np.array(signs), np.array(logs)
+
+    @_memo
+    def pieces_dgamma(self, order):
+        """(sign, log) of the sum over pieces of _piece_dgammas at scale c_eff."""
+        _, signs, logs = self._piece_dgammas(order, self.c_eff)
+        return logsumexp_signed(logs, signs)
 
 
 class _SignedSum:
@@ -211,10 +218,6 @@ class _SignedSum:
         if not self.logs:
             return 0.0
         return len(self.logs) * 1e-15 * math.exp(min(self.peak, 700.0))
-
-
-def _log_binom(n, k):
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
 _STOP = object()    # returned by a term to end its sum at once
@@ -248,23 +251,16 @@ def _converge(acc, indices, term):
     return peak, True
 
 
-def _k2_sum(acc, term, diagnostics):
-    """_converge over the Taylor index k2 <= _K2_CAP; reaching the cap marks truncation."""
-    peak, exhausted = _converge(acc, range(_K2_CAP + 1), term)
-    if exhausted:
-        diagnostics["truncated"] = True
-    return peak
-
-
 # ---------------------------------------------------------------------------
 # the series blocks
 # ---------------------------------------------------------------------------
 
 def _series(work, top_n, term):
-    """The n -> k1 -> k2 nest, for every k, of all blocks but unsat_taylor.
+    """The n -> k1 -> k2 nest, for every k, of every block.
 
     n runs through _converge over the destination weights, k1 over all of
-    0..k + top_n n, and k2 through _k2_sum.  The nest adds the factors every
+    0..k + top_n n, and k2 through _converge up to _K2_CAP, which marks the
+    result truncated when reached.  The nest adds the factors every
     block shares, log(alpha / w_norm) + log zeta_k + log C(k + top_n n, k1)
     + log w_n - log k2!, and the sign (-1)^k2; term(k, n, k1, k2) returns the
     rest as (sign, log), None to skip the index, or _STOP to end the k2 sum.
@@ -275,8 +271,11 @@ def _series(work, top_n, term):
     for k, log_zeta in work.sr_terms:
 
         def n_term(n):
+            kn = k + top_n * n
+
             def k1_sum(k1):
-                pref = base + log_zeta + _log_binom(k + top_n * n, k1) + logw_n[n]
+                log_binom = float(gammaln(kn + 1) - gammaln(k1 + 1) - gammaln(kn - k1 + 1))
+                pref = base + log_zeta + log_binom + logw_n[n]
 
                 def k2_term(k2):
                     got = term(k, n, k1, k2)
@@ -286,9 +285,12 @@ def _series(work, top_n, term):
                     acc.add((-1.0) ** k2 * got[0], lt)
                     return lt
 
-                return _k2_sum(acc, k2_term, work.diagnostics)
+                peak, exhausted = _converge(acc, range(_K2_CAP + 1), k2_term)
+                if exhausted:
+                    work.diagnostics["truncated"] = True
+                return peak
 
-            return max(k1_sum(k1) for k1 in range(k + top_n * n + 1))
+            return max(k1_sum(k1) for k1 in range(kn + 1))
 
         _converge(acc, range(len(logw_n)), n_term)
     return acc
@@ -337,41 +339,25 @@ def _gamma_terms(work, dest, scale):
 
 
 def _unsat_taylor(work):
-    """Unsaturated branch as a Taylor series in the satellite exponential."""
+    """Unsaturated branch as a Taylor series in the satellite exponential: the
+    satellite distance integral is DeltaGamma(k + k2 + 2) in closed form, times
+    the G2123 destination bracket at s1 = 1 + k1 + k2 - n; a zero bracket is
+    skipped."""
     case = work.case
-    a, b, bb = case.a_lin, case.b_lin, work.beta_bar
-    logw_n = case.dest_logw
-    log_c = math.log(case.dest_c)
-    acc = _SignedSum()
-    base = math.log(case.sr.alpha * a / 2.0) - math.log(case.w_norm_m2)
-    for k, log_zeta in work.sr_terms:
-        for k1 in range(k + 1):
-            lb = _log_binom(k, k1)
+    log_half_a, log_b, log_bb, log_c, log_p = (
+        math.log(v) for v in (case.a_lin / 2.0, case.b_lin, work.beta_bar, case.dest_c,
+                              case.p_sat))
 
-            def k2_term(k2):
-                dg_s, dg_l = log_delta_gamma(k + k2 + 2.0,
-                                             bb * b * case.w_min_m ** 2 / a,
-                                             bb * b * case.w_max_m ** 2 / a)
-                pref = (base + log_zeta + lb
-                        - (k1 + k2 + 2.0) * math.log(b)
-                        - (k + 2.0) * math.log(bb)
-                        - float(gammaln(k2 + 1.0)) + dg_l)
-                sign_k2 = (-1.0) ** k2 * dg_s
+    def term(k, n, k1, k2):
+        s1 = 1 + k1 + k2 - n
+        g_s, g_l = work.g2123_pieces(n, s1)
+        if g_s == 0.0:
+            return None
+        dg_s, dg_l = work.taylor_dgamma(k + k2 + 2.0)
+        return dg_s * g_s, (log_half_a - (k1 + k2 + 2.0) * log_b - (k + 2.0) * log_bb
+                            + dg_l + n * log_c + s1 * log_p + g_l)
 
-                def n_term(n):
-                    s1 = 1 + k1 + k2 - n
-                    g_s, g_l = work.g2123_pieces(n, s1)
-                    if g_s == 0.0:
-                        return None
-                    lt = (pref + logw_n[n] + n * log_c
-                          + s1 * math.log(case.p_sat) + g_l)
-                    acc.add(sign_k2 * g_s, lt)
-                    return lt
-
-                return _converge(acc, range(len(logw_n)), n_term)[0]
-
-            _k2_sum(acc, k2_term, work.diagnostics)
-    return acc
+    return _series(work, 0, term)
 
 
 def _unsat_linear(work):
@@ -391,13 +377,7 @@ def _sat_above_knee(work):
 
 def _sat_below_knee(work):
     """Saturated branch when the saturation point is at or below zero."""
-    case = work.case
-    param = work.c_eff * case.dest_hi ** case.nu
-    if param > _SERIES_BLOWUP_EXP:
-        raise NumericError("saturated-branch series parameter too large "
-                           "(use the integral path for this configuration)",
-                           {"param": param})
-    return _series(work, 1, _g2113_terms(work, work.c_eff * case.b_lin, work.c_eff))
+    return _series(work, 1, _g2113_terms(work, work.c_eff * work.case.b_lin, work.c_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +386,14 @@ def _sat_below_knee(work):
 
 def _blocks(case):
     """Routes in preference order, each a list of (route, sign, block) whose signed
-    sum is the success probability.  An unsaturated route is listed only when its
-    series parameter is within its bound; NumericError is raised when neither is."""
+    sum is the success probability.  A route is listed only when its series
+    parameter is within its bound; NumericError is raised when none is."""
     if case.p_sat <= 0.0:
+        param = case.dest_c * case.sat_scale * case.dest_hi ** case.nu
+        if param > _SERIES_BLOWUP_EXP:
+            raise NumericError("saturated-branch series parameter too large "
+                               "(use the integral path for this configuration)",
+                               {"param": param})
         return [[("sat-below-knee", 1.0, _sat_below_knee)]]
     if math.isinf(case.p_sat):
         routes = [[("linear", 1.0, _unsat_linear)]]
@@ -425,7 +410,7 @@ def _blocks(case):
         if not routes:
             raise NumericError("unsaturated-branch series parameters too large",
                                {"direct": param_direct, "tail": param_tail})
-    if shadowed_rician_power_tail(case.sat_x_min, case.sr) > 1e-18:
+    if case.sat_mass > SAT_NEGLIGIBLE:
         routes = [r + [("sat-above-knee", 1.0, _sat_above_knee)] for r in routes]
     return routes
 
@@ -441,19 +426,14 @@ def _route_outage(work, blocks):
         raise NumericError("closed-form series lost too much precision",
                            {"noise": noise, "outage": val,
                             "routes": work.diagnostics["routes"]})
-    clamped = min(max(val, 0.0), 1.0)
-    if abs(clamped - val) > 1e-6:
-        raise NumericError(f"closed-form outage outside [0, 1] by {abs(clamped - val):.3e}",
-                           {"outage": val, "routes": work.diagnostics["routes"]})
-    return float(clamped)
+    return checked_outage(val, "closed-form", {"routes": work.diagnostics["routes"]})
 
 
 def _closed_outage(case, cgq_n):
     """Outage by the first route that succeeds; else the first route's NumericError."""
-    if case.gamma <= 0.0:
-        return 0.0
-    if not case.feasible:
-        return 1.0
+    settled = settled_outage(case)
+    if settled is not None:
+        return settled
     routes = _blocks(case)
     work = _Work(case, cgq_n)
     first = None

@@ -19,12 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from ..channel import ShadowedRicianParams, nakagami_power_tail, rician_power_tail
+from ..channel import (ShadowedRicianParams, nakagami_power_tail, rician_power_tail,
+                       shadowed_rician_power_tail)
+from ..errors import NumericError
 from ..swipt import shares
 
 
-REL_TOL = 1e-12     # relative term size that counts as converged in every series
-_DEST_CAP = 80      # last index of the collapsed destination tail series
+REL_TOL = 1e-12         # relative term size that counts as converged in every series
+SAT_NEGLIGIBLE = 1e-18  # a saturated branch with no more mass than this is left out
+_RANGE_TOL = 1e-6       # an outage this far outside [0, 1] is clamped as noise
+_DEST_CAP = 80          # last index of the collapsed destination tail series
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,9 @@ class OutageCase:
     """Every constant either evaluation path reads for one (network, mode, gamma).
 
     The saturated branch scales the destination threshold by sat_scale and has
-    no mass below the satellite-fading value sat_x_min.  Linear EH and an
-    infeasible case have no such branch: sat_scale is 0 and sat_x_min inf.
+    no mass below the satellite-fading value (max(p_sat, 0) + b) w_min^2 / a, so
+    at most sat_mass.  Linear EH and an infeasible case have no such branch:
+    sat_scale and sat_mass are 0.
     """
 
     network: str
@@ -43,7 +48,7 @@ class OutageCase:
     p_sat: float               # p_th a / eta - b, the saturation point (inf: linear EH)
     feasible: bool             # a_lin above roundoff: threshold below the SNR ceiling
     sat_scale: float           # eta / (p_th a)
-    sat_x_min: float           # (max(p_sat, 0) + b) w_min^2 / a
+    sat_mass: float            # Pr[satellite fading > (max(p_sat, 0) + b) w_min^2 / a]
     # satellite fading and distance (metres)
     sr: ShadowedRicianParams
     w_min_m: float
@@ -111,9 +116,23 @@ def build_case(cfg, network, ic_mode, gamma):
 
     return OutageCase(
         network=network, gamma=gamma, a_lin=a, b_lin=b, p_sat=p_sat, feasible=feasible,
-        sat_scale=sat_scale, sat_x_min=sat_x_min,
+        sat_scale=sat_scale, sat_mass=shadowed_rician_power_tail(sat_x_min, cfg.sr),
         sr=cfg.sr, w_min_m=w_min_m, w_max_m=orbit.w_max * 1e3,
         w_norm_m2=(orbit.w_er * 1e3) * w_min_m,
         sigma2=sigma2, nu=nu, dest_pieces=pieces, dest_lo=pieces[0][0],
         dest_hi=pieces[-1][1], dest_tail=tail, dest_c=c, dest_logw=logw,
     )
+
+
+def settled_outage(case):
+    """0 at a threshold gamma <= 0, 1 for an infeasible case, else None (integrate)."""
+    return 0.0 if case.gamma <= 0.0 else None if case.feasible else 1.0
+
+
+def checked_outage(val, path, details):
+    """val clamped into [0, 1]; NumericError naming the path beyond _RANGE_TOL."""
+    clamped = min(max(val, 0.0), 1.0)
+    if abs(clamped - val) > _RANGE_TOL:
+        raise NumericError(f"{path} outage outside [0, 1] by {abs(clamped - val):.3e}",
+                           {"outage": val, **details})
+    return float(clamped)

@@ -15,7 +15,7 @@ from ..channel import shadowed_rician_power_pdf
 from ..errors import NumericError
 from ..specfun import gauss_legendre
 from ..swipt import IM_IC
-from .coefficients import build_case
+from .coefficients import SAT_NEGLIGIBLE, build_case, checked_outage, settled_outage
 
 _TAIL_CUT = 800.0      # exp(-x) below ~1e-300: integrand support cut-off
 _LEVELS = ((64, 64, 160), (96, 96, 288), (144, 144, 512))
@@ -69,8 +69,7 @@ def _branch1(case, n_dest, n_w, n_z):
 
 def _branch2(case, n_dest, n_w, n_z):
     """Pr[success, saturated]: z in (max(p_sat, 0), inf)."""
-    # the branch mass is bounded by the SR tail beyond sat_x_min (inf for linear EH)
-    if case.sr.beta_bar * case.sat_x_min > _TAIL_CUT:
+    if case.sat_mass <= SAT_NEGLIGIBLE:
         return 0.0
     z0 = max(case.p_sat, 0.0)
     z_cut = z0 + _TAIL_CUT * case.a_lin / (case.sr.beta_bar * case.w_min_m ** 2)
@@ -98,17 +97,17 @@ def _branch_mass(case, z_lo, z_hi, ratio, thr_scale, n_dest, n_w, n_z):
 
 
 def _outage(case):
-    if case.gamma <= 0.0:
-        return 0.0
-    if not case.feasible:
-        return 1.0
+    settled = settled_outage(case)
+    if settled is not None:
+        return settled
     prev = None
     for n_dest, n_w, n_z in _LEVELS:
         p1 = _branch1(case, n_dest, n_w, n_z)
         p2 = _branch2(case, n_dest, n_w, n_z)
         val = 1.0 - p1 - p2
         if prev is not None and abs(val - prev) < 0.5 * _ABS_TOL:
-            return float(min(max(val, 0.0), 1.0))
+            return checked_outage(val, "integral", {"network": case.network,
+                                                    "gamma": case.gamma})
         prev = val
     raise NumericError("outage quadrature did not reach the requested tolerance",
                        {"network": case.network, "gamma": case.gamma, "last": prev})

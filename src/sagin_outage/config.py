@@ -310,9 +310,9 @@ class ScenarioConfig:
 def config_from_mapping(mapping):
     """Build a validated config from a {flat_key: value} mapping."""
     raw = _merged(DEFAULTS, mapping)
-    if raw["link.eta_s_db"] is not None and "link.P_s_w" in mapping:
-        warnings.warn("link.eta_s_db overrides the physical link constants",
-                      stacklevel=2)
+    keys = [key for key in mapping if key.startswith("link.") and key != "link.eta_s_db"]
+    if raw["link.eta_s_db"] is not None and keys:
+        warnings.warn(f"link.eta_s_db overrides the physical link constants {keys}", stacklevel=2)
     return ScenarioConfig(raw=raw)
 
 

@@ -4,11 +4,11 @@ Everything the outage series need lives here: the log upper incomplete
 gamma (one expansion per region: ascending series, Lentz continued fraction,
 downward recurrence) and its cancellation-safe differences, ln I0 through
 scipy's scaled ``i0e``, Meijer-G in the one family b3 = a1 - 1 the series use
-(G2123 as two incomplete gammas, G2113 by a nested trapezoid rule on the
-Mellin-Barnes contour, each level a power sum in x^(-i h) for the step h,
-stopped at the first level within 1e-6 of the previous one; G0110 and G2002
-by identities the oracle table checks), and the two quadrature rules: the
-Gauss-Legendre rule on an interval and the Chebyshev-Gauss rule.  The heavy
+(G2113 by a nested trapezoid rule on the Mellin-Barnes contour, each level a
+power sum in x^(-i h) for the step h, stopped within 1e-6 of the previous
+level; G2123, which the closed path takes apart itself, as two incomplete
+gammas for the oracle table and tests; G0110 and G2002 by identities the
+oracle table checks), and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy
 machinery is evaluated in the log domain with explicit signs because the
 series couple enormous and tiny factors whose product is O(1).
 """

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaln
 
 from sagin_outage import cli
 from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
                                    op_s2g_integral)
-from sagin_outage.analytic import closed_form as cf
+from sagin_outage.analytic import closed_form as cf, direct_integral as di
 from sagin_outage.analytic.coefficients import build_case
 from sagin_outage.config import METHODS, config_from_mapping
 from sagin_outage.errors import ConfigError, NumericError
 from sagin_outage.geometry import arx_distance_pdf, gu_distance_pdf
 from sagin_outage.mc import simulate_op
+from sagin_outage.specfun import meijer_g_log
 from sagin_outage.sweep import (avg_throughput, run_sweep, simulate_throughput,
                                 throughput_from_ops)
 from sagin_outage.swipt import IM_IC, P_IC
@@ -56,6 +58,17 @@ class TestDegenerateBranches:
         assert op_a2a_integral(gamma, cfg, ic_mode=IM_IC) == 1.0
         assert op_a2a_integral(gamma, cfg, ic_mode=P_IC) < 1.0
         assert op_a2a_closed(gamma, cfg, ic_mode=P_IC) < 1.0
+
+    @pytest.mark.parametrize("excess", [2e-6, 5e-7])
+    def test_integral_outside_the_unit_interval(self, monkeypatch, excess):
+        # the closed path's rule: beyond 1e-6 raises, within it is clamped
+        cfg = _cfg(**{"swipt.p_th_dbm": "inf"})     # linear EH: no saturated branch
+        monkeypatch.setattr(di, "_branch1", lambda case, *level: -excess)
+        if excess > 1e-6:
+            with pytest.raises(NumericError, match="integral outage outside"):
+                op_s2g_integral(cfg.gamma_s, cfg)
+        else:
+            assert op_s2g_integral(cfg.gamma_s, cfg) == 1.0
 
 
 class TestCrossPathAgreement:
@@ -230,12 +243,6 @@ class TestTruncatingSum:
         peak, exhausted, seen, _ = self._run([0.0, -40.0, -40.0, -1.0, -40.0, 1.0])
         assert seen == [0, 1, 2, 3, 4, 5] and exhausted and peak == 1.0
 
-    def test_k2_cap_marks_truncation(self, monkeypatch):
-        monkeypatch.setattr(cf, "_K2_CAP", 16)
-        for term, truncated in ((lambda k2: 0.0, True), (lambda k2: cf._STOP, False)):
-            diagnostics = {"truncated": False}
-            cf._k2_sum(cf._SignedSum(), term, diagnostics)
-            assert diagnostics["truncated"] is truncated
 
 
 class TestSeriesSkeleton:
@@ -267,6 +274,40 @@ class TestSeriesSkeleton:
         added = [v for v in seen if v[3] == 0]
         assert added and {k2 for *_, k2 in seen} == {0, 1}
         assert len(acc.logs) == len(added) == len(seen) // 2
+
+    def test_k2_cap_marks_truncation(self, monkeypatch):
+        # a term that cancels the nest's -log k2! never falls small, so k2 reaches the cap
+        monkeypatch.setattr(cf, "_K2_CAP", 16)
+        for term, truncated in ((lambda k2: (1.0, float(gammaln(k2 + 1.0))), True),
+                                (lambda k2: cf._STOP, False)):
+            work, seen, _ = self._visits(0, term)
+            assert work.diagnostics["truncated"] is truncated
+            assert max(k2 for *_, k2 in seen) == (16 if truncated else 0)
+
+
+class TestTaylorBracket:
+    """_Work.g2123_pieces against its reference form, the end_sum of G2123 values."""
+
+    @pytest.mark.parametrize("eta_db", [131.05, 148.19])
+    @pytest.mark.parametrize("network, mode", [("s2g", IM_IC), ("a2a", IM_IC), ("a2a", P_IC)])
+    def test_equals_the_end_sum_of_g2123(self, eta_db, network, mode):
+        cfg = _cfg(**{"link.eta_s_db": eta_db})
+        case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)
+        assert cf._blocks(case)[0][0][0] == "direct"
+        work = cf._Work(case, cfg.cgq_n)
+        cf._unsat_taylor(work)
+        visited = [key[1:] for key in work.memo if key[0].__name__ == "g2123_pieces"]
+        assert len(visited) >= 20
+        omega = case.dest_c / case.p_sat
+        for n, s1 in visited:
+            def g2123(e, ys):
+                params = (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e)
+                gs, gl = meijer_g_log("G2123", params, omega * ys ** case.nu)
+                return gs[:, None], gl[:, None]
+
+            sign, log = work.end_sum(n, g2123)
+            got_sign, got_log = work.g2123_pieces(n, s1)
+            assert got_sign == sign[0] and abs(got_log - log[0]) <= 1e-12, (n, s1)
 
 
 class TestDestinationPieces:
@@ -362,14 +403,34 @@ FALLBACK = {
     "rates.r_s": 0.42990507216779955, "rates.r_a": 0.47777668866685025,
     "fading.m_rd": 3, "fading.K_rt": 2.5624996725149414,
 }
-# Its s2g Taylor route loses too much precision too, and its tail parameter,
-# about 104, is beyond the tail route's bound of 28: no route is left.
-NO_ROUTE = {
-    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 3.3267725536432344,
-    "link.eta_s_db": 91.26633166857488, "swipt.mu": 0.7016934839850291,
-    "swipt.rho": 0.46071989020621296, "swipt.epsilon": 0.8315557115220619,
-    "rates.r_s": 0.420469447573155, "rates.r_a": 0.2718217214748589,
-    "fading.m_rd": 3, "fading.K_rt": 1.1732021743551924,
+# Its a2a p-IC Taylor route loses too much precision, and its tail parameter,
+# about 42.5, is beyond the tail route's bound of 28: no route is left.
+NO_ROUTE_A2A = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 0.02190757664090981,
+    "link.eta_s_db": 88.45835473579115, "swipt.mu": 0.7161575900479059,
+    "swipt.rho": 0.3852037902023067, "swipt.epsilon": 0.8839252739032916,
+    "rates.r_s": 0.05815633432900556, "rates.r_a": 0.3964681610813414,
+    "fading.m_rd": 3, "fading.K_rt": 2.076525388435109, "swipt.chi": 0.46036278072229553,
+}
+# Deep outage on the Taylor route, where the lower-gamma half of each G2123
+# bracket is nearly equal at both piece ends: taken as a difference of end values
+# it cancels to rounding noise that the noise estimate does not see (s2g reads
+# -7.1e-8 for 3.7e-45), and both a2a cells land outside [0, 1].
+TAYLOR_CANCELS = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": -5.228336750076526,
+    "link.eta_s_db": 86.25667117696693, "swipt.mu": 0.6389173920265111,
+    "swipt.rho": 0.2730187722694791, "swipt.epsilon": 0.5309027961603154,
+    "rates.r_s": 0.35145689833020255, "rates.r_a": 0.14265048222944193,
+    "fading.m_rd": 1, "fading.K_rt": 2.1240774357010905, "swipt.chi": 0.5870943724621813,
+}
+# The same cancellation where nothing reports it: the a2a p-IC cell reads
+# 0.99825 against an integral of 0.9999994.
+TAYLOR_WRONG = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 3.026239243535958,
+    "link.eta_s_db": 94.10054593964726, "swipt.mu": 0.9332758773831097,
+    "swipt.rho": 0.16789055309733197, "swipt.epsilon": 0.747528360730451,
+    "rates.r_s": 0.4734375120068069, "rates.r_a": 0.2104985708009306,
+    "fading.m_rd": 2, "fading.K_rt": 1.0532781519081558, "swipt.chi": 0.7114335911776285,
 }
 # A random config where both s2g routes land below 0 (direct at -2.04e-5, linear -
 # tail at -2.24e-5) while integral reads 1.876e-5: the deep-outage CGQ error,
@@ -489,6 +550,31 @@ class TestRandomConfigs:
         assert float(row["op_s2g_integral"]) > 0.0
 
     def test_no_route_left_raises(self):
-        cfg = config_from_mapping(NO_ROUTE)
+        cfg = config_from_mapping(NO_ROUTE_A2A)
         with pytest.raises(NumericError):
-            op_s2g_closed(cfg.gamma_s, cfg)
+            op_a2a_closed(cfg.gamma_a, cfg, ic_mode=P_IC)
+
+    @pytest.mark.parametrize("mapping, network, mode", [
+        (TAYLOR_CANCELS, "s2g", IM_IC), (TAYLOR_CANCELS, "a2a", IM_IC),
+        (TAYLOR_CANCELS, "a2a", P_IC), (TAYLOR_WRONG, "a2a", P_IC),
+    ], ids=["cancels-s2g", "cancels-a2a-im-ic", "cancels-a2a-p-ic", "wrong-a2a-p-ic"])
+    def test_taylor_block_matches_the_unsaturated_integral(self, mapping, network, mode):
+        # the route takes no CGQ, so it must equal the integral's unsaturated
+        # branch to within its own noise estimate
+        cfg = config_from_mapping(mapping)
+        case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)
+        *_, coarse, fine = (di._branch1(case, *level) for level in di._LEVELS)
+        assert abs(fine - coarse) <= 1e-10
+        acc = cf._unsat_taylor(cf._Work(case, cfg.cgq_n))
+        assert abs(acc.value() - fine) <= max(10.0 * acc.noise_estimate(), 1e-9)
+
+    @pytest.mark.parametrize("mapping", [TAYLOR_CANCELS, TAYLOR_WRONG],
+                             ids=["cancels", "wrong"])
+    def test_taylor_fixture_cells_match_the_integral(self, mapping, tmp_path):
+        code, row = self._cli_row(tmp_path, {**mapping, "run.networks": "s2g,a2a",
+                                             "run.ic_mode": "both",
+                                             "run.methods": "closed,integral"})
+        assert code == 0
+        for column in ("op_s2g", "op_a2a_im", "op_a2a_p"):
+            closed, integral = row[f"{column}_closed"], row[f"{column}_integral"]
+            assert closed != "" and abs(float(closed) - float(integral)) <= 1e-6, column

@@ -173,6 +173,21 @@ class TestValidation:
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("link.P_s_w", 2.0), ("link.xi_db", 3.0), ("link.lambda_m", 0.1),
+        ("link.T_noise_k", -1.0), ("link.bandwidth_hz", 1e6), ("link.gain_s_db", 50.0),
+        ("link.gain_sr_db", 5.0), ("link.theta_sr_deg", 0.5), ("link.theta_3db_deg", 0.4),
+    ])
+    def test_link_key_ignored_under_a_direct_gain_warns(self, key, value):
+        # the direct gain drops the whole physical chain, invalid values included
+        with pytest.warns(UserWarning, match=key):
+            cfg = config_from_mapping({key: value, "link.eta_s_db": 120.0})
+        assert cfg.eta_s == config_from_mapping({"link.eta_s_db": 120.0}).eta_s
+        if value > 0:       # -1 K is rejected once the chain is read
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                config_from_mapping({key: value})
+
     @pytest.mark.parametrize("line", ["run.trials = none", "rates.r_s = none"])
     def test_missing_number_is_a_config_error(self, line, tmp_path):
         path = tmp_path / "none.cfg"
