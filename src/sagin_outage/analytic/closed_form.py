@@ -14,9 +14,10 @@ pieces of its distance measure.  Five series blocks cover every regime:
   sat_above_knee   saturated branch above a positive saturation point;
   sat_below_knee   saturated branch when the saturation point is negative.
 
-When the preferred unsaturated route raises NumericError, the other one is
-evaluated on the same memo if its series parameter is within its bound.
-Every constant comes from the `OutageCase` of `build_case`.
+Both unsaturated routes are listed whenever the saturation point is finite
+and positive; when the preferred one raises NumericError, the other one is
+evaluated on the same memo.  Every constant comes from the `OutageCase` of
+`build_case`.
 
 Every block is one call of the loop nest `_series`, which adds the factors
 the blocks share, with a term function of its own: unsat_taylor's takes an
@@ -29,9 +30,9 @@ so its incomplete-gamma differences do not cancel to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
-a Taylor index k2 that reaches `_K2_CAP` marks the result truncated.  All
-sums run in signed log space; cancellation is monitored against the largest
-term so a noisy series is reported instead of silently returned.
+a Taylor index k2 that reaches `_K2_CAP` raises NumericError.  All sums run
+in signed log space; cancellation is monitored against the largest term so a
+noisy series is reported instead of silently returned.
 """
 
 import math
@@ -39,15 +40,16 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ..errors import NumericError
+from ..errors import ConfigError, NumericError
 from ..specfun import (cgq_points, log_delta_gamma, log_gamma_upper, logsumexp_signed,
                        meijer_g_log)
 from ..swipt import IM_IC
 from .coefficients import REL_TOL, SAT_NEGLIGIBLE, build_case, checked_outage, settled_outage
 
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
-_SERIES_BLOWUP = 250.0      # cap for the Bessel-tamed unsaturated series
-_SERIES_BLOWUP_EXP = 28.0   # cap for plain alternating-exponential expansions
+# below the knee there is one route, with a contour call per term; past this it
+# failed on 10 of 12 random configs after 0.1-4.7 s each (2 read 1.0, as integral)
+_SERIES_BLOWUP_EXP = 28.0
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
 
@@ -64,7 +66,7 @@ def _memo(build):
 
 
 class _Work:
-    """Per-evaluation memo, CGQ nodes and diagnostics."""
+    """Per-evaluation memo and CGQ nodes."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -92,7 +94,6 @@ class _Work:
         self.dest_groups = [(q, *(np.array(col) for col in zip(*rows)))
                             for q, rows in by_q.items()]
         self.memo = {}
-        self.diagnostics = {"truncated": False, "routes": []}
 
     def cgq(self, w_pow, f):
         """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
@@ -259,8 +260,8 @@ def _series(work, top_n, term):
     """The n -> k1 -> k2 nest, for every k, of every block.
 
     n runs through _converge over the destination weights, k1 over all of
-    0..k + top_n n, and k2 through _converge up to _K2_CAP, which marks the
-    result truncated when reached.  The nest adds the factors every
+    0..k + top_n n, and k2 through _converge up to _K2_CAP; a k2 sum that
+    reaches it raises NumericError.  The nest adds the factors every
     block shares, log(alpha / w_norm) + log zeta_k + log C(k + top_n n, k1)
     + log w_n - log k2!, and the sign (-1)^k2; term(k, n, k1, k2) returns the
     rest as (sign, log), None to skip the index, or _STOP to end the k2 sum.
@@ -287,7 +288,8 @@ def _series(work, top_n, term):
 
                 peak, exhausted = _converge(acc, range(_K2_CAP + 1), k2_term)
                 if exhausted:
-                    work.diagnostics["truncated"] = True
+                    raise NumericError("closed-form series truncated at the k2 cap",
+                                       {"k": k, "n": n, "k1": k1, "cap": _K2_CAP})
                 return peak
 
             return max(k1_sum(k1) for k1 in range(kn + 1))
@@ -386,8 +388,9 @@ def _sat_below_knee(work):
 
 def _blocks(case):
     """Routes in preference order, each a list of (route, sign, block) whose signed
-    sum is the success probability.  A route is listed only when its series
-    parameter is within its bound; NumericError is raised when none is."""
+    sum is the success probability.  Both unsaturated routes are listed, the
+    Taylor one first unless its parameter is past both _ROUTE_SWITCH and the
+    tail route's; below the knee, NumericError is raised past _SERIES_BLOWUP_EXP."""
     if case.p_sat <= 0.0:
         param = case.dest_c * case.sat_scale * case.dest_hi ** case.nu
         if param > _SERIES_BLOWUP_EXP:
@@ -400,16 +403,10 @@ def _blocks(case):
     else:
         param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
         param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
-        routes = []
-        if param_direct <= _SERIES_BLOWUP:
-            routes.append([("direct", 1.0, _unsat_taylor)])
-        if param_tail <= _SERIES_BLOWUP_EXP:
-            routes.append([("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)])
+        routes = [[("direct", 1.0, _unsat_taylor)],
+                  [("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)]]
         if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
             routes.reverse()        # the tail route is preferred
-        if not routes:
-            raise NumericError("unsaturated-branch series parameters too large",
-                               {"direct": param_direct, "tail": param_tail})
     if case.sat_mass > SAT_NEGLIGIBLE:
         routes = [r + [("sat-above-knee", 1.0, _sat_above_knee)] for r in routes]
     return routes
@@ -417,20 +414,21 @@ def _blocks(case):
 
 def _route_outage(work, blocks):
     val, noise = 1.0, 0.0
-    for route, sign, block in blocks:
+    for _, sign, block in blocks:
         acc = block(work)
-        work.diagnostics["routes"].append(route)
         val -= sign * acc.value()
         noise += acc.noise_estimate()
+    routes = [route for route, _, _ in blocks]
     if noise > 1e-5:
         raise NumericError("closed-form series lost too much precision",
-                           {"noise": noise, "outage": val,
-                            "routes": work.diagnostics["routes"]})
-    return checked_outage(val, "closed-form", {"routes": work.diagnostics["routes"]})
+                           {"noise": noise, "outage": val, "routes": routes})
+    return checked_outage(val, "closed-form", {"routes": routes})
 
 
 def _closed_outage(case, cgq_n):
     """Outage by the first route that succeeds; else the first route's NumericError."""
+    if case.dest_logw is None:
+        raise ConfigError("fading.m_rd: the closed-form series requires an integer order")
     settled = settled_outage(case)
     if settled is not None:
         return settled

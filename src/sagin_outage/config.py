@@ -103,18 +103,18 @@ def _parse_scalar(key, text):
         except ValueError:
             pass                    # integral float forms such as 1e6
     try:
-        value = float(text)         # also reads "inf" (swipt.p_th_dbm = inf: linear EH)
+        return float(text)          # also reads "inf" (swipt.p_th_dbm = inf: linear EH)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {text!r}") from exc
-    if key not in _INT_KEYS:
-        return value
-    if not value.is_integer():
-        raise ConfigError(f"{key}: {text!r} is not an integer")
-    return int(value)
 
 
 def _finite(key, value):
-    """``value`` unless it is a non-finite number; only swipt.p_th_dbm takes +inf (linear EH)."""
+    """``value`` unless it is a non-finite number; only swipt.p_th_dbm takes +inf (linear EH).
+    An integer key takes an integral float as its int and rejects any other float."""
+    if key in _INT_KEYS and isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigError(f"{key}: {value!r} is not an integer")
+        return int(value)
     if (isinstance(value, float) and not math.isfinite(value)
             and not (key == "swipt.p_th_dbm" and value == math.inf)):
         raise ConfigError(f"{key}: {value!r} is not a finite number")
@@ -238,6 +238,11 @@ class ScenarioConfig:
                                       sigma_t2=linear("noise.sigma_t_dbm", dbm_to_watt)))
             if g("link.eta_s_db") is not None:     # a direct override wins over the link chain
                 _set("eta_s", linear("link.eta_s_db"))
+                ignored = [key for key in raw if key.startswith("link.")
+                           and key != "link.eta_s_db" and raw[key] != DEFAULTS[key]]
+                if ignored:
+                    warnings.warn(f"link.eta_s_db overrides the physical link constants "
+                                  f"{ignored}", stacklevel=4)
             else:
                 _set("eta_s", effective_gain(SatelliteLink(
                     P_s=g("link.P_s_w"), xi_db=g("link.xi_db"),
@@ -309,11 +314,7 @@ class ScenarioConfig:
 
 def config_from_mapping(mapping):
     """Build a validated config from a {flat_key: value} mapping."""
-    raw = _merged(DEFAULTS, mapping)
-    keys = [key for key in mapping if key.startswith("link.") and key != "link.eta_s_db"]
-    if raw["link.eta_s_db"] is not None and keys:
-        warnings.warn(f"link.eta_s_db overrides the physical link constants {keys}", stacklevel=2)
-    return ScenarioConfig(raw=raw)
+    return ScenarioConfig(raw=_merged(DEFAULTS, mapping))
 
 
 def load_config(path):

@@ -132,6 +132,13 @@ class TestCrossPathAgreement:
         est = simulate_op(cfg, "s2g", trials=400_000)
         assert abs(ci - est.value) < 4 * est.std_error
 
+    def test_real_m_rd_on_closed_path_is_a_config_error(self):
+        # the config check runs only when closed is a configured method
+        cfg = _cfg(**{"fading.m_rd": 1.5, "run.methods": "mc,integral",
+                      "link.eta_s_db": 125.0})
+        with pytest.raises(ConfigError, match="fading.m_rd"):
+            op_s2g_closed(cfg.gamma_s, cfg)
+
 
 class TestLimitsAndMonotonicity:
     def test_linear_eh_limit(self):
@@ -275,14 +282,13 @@ class TestSeriesSkeleton:
         assert added and {k2 for *_, k2 in seen} == {0, 1}
         assert len(acc.logs) == len(added) == len(seen) // 2
 
-    def test_k2_cap_marks_truncation(self, monkeypatch):
+    def test_k2_cap_raises(self, monkeypatch):
         # a term that cancels the nest's -log k2! never falls small, so k2 reaches the cap
         monkeypatch.setattr(cf, "_K2_CAP", 16)
-        for term, truncated in ((lambda k2: (1.0, float(gammaln(k2 + 1.0))), True),
-                                (lambda k2: cf._STOP, False)):
-            work, seen, _ = self._visits(0, term)
-            assert work.diagnostics["truncated"] is truncated
-            assert max(k2 for *_, k2 in seen) == (16 if truncated else 0)
+        with pytest.raises(NumericError, match="k2 cap"):
+            self._visits(0, lambda k2: (1.0, float(gammaln(k2 + 1.0))))
+        _, seen, _ = self._visits(0, lambda k2: cf._STOP)
+        assert seen and max(k2 for *_, k2 in seen) == 0
 
 
 class TestTaylorBracket:
@@ -395,7 +401,7 @@ class TestPiecesMoment:
 
 
 # A random config whose preferred (Taylor) route loses too much precision for
-# s2g and a2a p-IC; the linear - tail route is within its bound and gives the value.
+# s2g and a2a p-IC; the linear - tail route gives the value.
 FALLBACK = {
     "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 35.48775079447011,
     "link.eta_s_db": 127.84896288528859, "swipt.mu": 0.7935779302034267,
@@ -403,14 +409,23 @@ FALLBACK = {
     "rates.r_s": 0.42990507216779955, "rates.r_a": 0.47777668866685025,
     "fading.m_rd": 3, "fading.K_rt": 2.5624996725149414,
 }
-# Its a2a p-IC Taylor route loses too much precision, and its tail parameter,
-# about 42.5, is beyond the tail route's bound of 28: no route is left.
+# Its a2a p-IC Taylor route loses too much precision, and so does its tail
+# route (parameter about 42.5): no route is left.
 NO_ROUTE_A2A = {
     "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 0.02190757664090981,
     "link.eta_s_db": 88.45835473579115, "swipt.mu": 0.7161575900479059,
     "swipt.rho": 0.3852037902023067, "swipt.epsilon": 0.8839252739032916,
     "rates.r_s": 0.05815633432900556, "rates.r_a": 0.3964681610813414,
     "fading.m_rd": 3, "fading.K_rt": 2.076525388435109, "swipt.chi": 0.46036278072229553,
+}
+# Near-certain s2g outage (integral 1.0) where the Taylor parameter (255.8) is
+# so large that its k2 sums reach the cap; the tail route (29.2) gives the value.
+NO_ROUTE_S2G = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 4.0406934857116354,
+    "link.eta_s_db": 86.1570666690462, "swipt.mu": 0.7223455197086492,
+    "swipt.rho": 0.1135063745132411, "swipt.epsilon": 0.22558559154796642,
+    "rates.r_s": 0.27580604586069457, "rates.r_a": 0.252967767418389,
+    "fading.m_rd": 2, "fading.K_rt": 2.858438051446899, "swipt.chi": 0.3713844647797814,
 }
 # Deep outage on the Taylor route, where the lower-gamma half of each G2123
 # bracket is nearly equal at both piece ends: taken as a difference of end values
@@ -553,6 +568,14 @@ class TestRandomConfigs:
         cfg = config_from_mapping(NO_ROUTE_A2A)
         with pytest.raises(NumericError):
             op_a2a_closed(cfg.gamma_a, cfg, ic_mode=P_IC)
+
+    def test_truncated_taylor_route_falls_back_to_the_tail_route(self):
+        cfg = config_from_mapping(NO_ROUTE_S2G)
+        case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
+        assert len(cf._blocks(case)) == 2
+        with pytest.raises(NumericError, match="k2 cap"):
+            cf._unsat_taylor(cf._Work(case, 100))
+        assert abs(op_s2g_closed(cfg.gamma_s, cfg) - op_s2g_integral(cfg.gamma_s, cfg)) <= 1e-6
 
     @pytest.mark.parametrize("mapping, network, mode", [
         (TAYLOR_CANCELS, "s2g", IM_IC), (TAYLOR_CANCELS, "a2a", IM_IC),

@@ -12,6 +12,7 @@ from sagin_outage.channel import effective_gain
 from sagin_outage.config import (FIGURE_PRESETS, apply_preset, config_from_mapping,
                                  default_config, load_config)
 from sagin_outage.errors import ConfigError
+from sagin_outage.mc import simulate_op
 from sagin_outage.sweep import SCHEMA_COLUMNS, SweepResult, emit_csv, run_sweep
 
 
@@ -143,6 +144,17 @@ class TestValidation:
         path.write_text(f"{key} = 1e1\n")
         value = load_config(path).raw[key]
         assert value == 10 and type(value) is int
+        # the same rule for a number given in a mapping or as an override
+        with pytest.raises(ConfigError, match="not an integer"):
+            config_from_mapping({key: float(text)})
+        with pytest.raises(ConfigError, match="not an integer"):
+            default_config().with_overrides({key: float(text)})
+        value = config_from_mapping({key: 10.0}).raw[key]
+        assert value == 10 and type(value) is int
+
+    def test_integral_float_trials_run(self):
+        cfg = config_from_mapping({"run.trials": 1e5})
+        assert cfg.trials == 100_000 and simulate_op(cfg, "s2g").trials == 100_000
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_out_of_range_seed_rejected(self, seed):
@@ -187,6 +199,12 @@ class TestValidation:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 config_from_mapping({key: value})
+
+    def test_link_key_ignored_by_a_preset_warns(self):
+        # fig5 sets link.eta_s_db over a config whose own mapping set the link chain
+        cfg = config_from_mapping({"link.P_s_w": 10.0})
+        with pytest.warns(UserWarning, match="link.P_s_w"):
+            apply_preset(cfg, "fig5")
 
     @pytest.mark.parametrize("line", ["run.trials = none", "rates.r_s = none"])
     def test_missing_number_is_a_config_error(self, line, tmp_path):

@@ -1,0 +1,83 @@
+"""Scan random configs with the closed and integral paths, cell by cell.
+
+    PYTHONPATH=src python3 tools/closed_scan.py [N]
+
+Config i (0 <= i < N, default N = 300) draws from ``random.Random(f"scan-{i}")``,
+in this order: ``swipt.p_th_dbm`` (inf with probability 0.1, else U(-10, 40)),
+``link.eta_s_db`` U(85, 150), ``swipt.mu`` U(0.55, 0.95), ``swipt.rho``
+U(0.05, 0.8), ``swipt.epsilon`` U(0.1, 0.9), ``rates.r_s`` and ``rates.r_a``
+U(0.01, 0.5), ``fading.m_rd`` from {1, 2, 3}, ``fading.K_rt`` U(0, 5) and
+``swipt.chi`` U(0.3, 0.9); thresholds are ``from_rate`` and every other key keeps
+its default.  Each config gives three cells, s2g, a2a im-IC and a2a p-IC, each
+evaluated by the public ``op_*_closed`` and ``op_*_integral`` functions.
+
+One JSON line is printed per cell: the index, the case, and for each method its
+value (exact, as JSON writes a float) or its NumericError text.  A last line
+summarises: the blank ``closed`` cells by message, how many ``closed`` values
+lie more than 2e-4 from ``integral``, and the largest |closed - integral|.
+Comparing the output of two trees cell by cell shows every value that moved.
+"""
+
+import json
+import random
+import sys
+from collections import Counter
+
+from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
+                                   op_s2g_integral)
+from sagin_outage.config import config_from_mapping
+from sagin_outage.errors import NumericError
+from sagin_outage.swipt import IM_IC, P_IC
+
+OFF_TOL = 2e-4
+CASES = (("s2g", op_s2g_closed, op_s2g_integral, {}),
+         ("a2a-im-ic", op_a2a_closed, op_a2a_integral, {"ic_mode": IM_IC}),
+         ("a2a-p-ic", op_a2a_closed, op_a2a_integral, {"ic_mode": P_IC}))
+
+
+def scan_config(i):
+    """The {flat_key: value} mapping of config i."""
+    rng = random.Random(f"scan-{i}")
+    p_th = "inf" if rng.random() < 0.1 else rng.uniform(-10.0, 40.0)
+    return {"rates.threshold_mode": "from_rate", "swipt.p_th_dbm": p_th,
+            "link.eta_s_db": rng.uniform(85.0, 150.0), "swipt.mu": rng.uniform(0.55, 0.95),
+            "swipt.rho": rng.uniform(0.05, 0.8), "swipt.epsilon": rng.uniform(0.1, 0.9),
+            "rates.r_s": rng.uniform(0.01, 0.5), "rates.r_a": rng.uniform(0.01, 0.5),
+            "fading.m_rd": rng.choice([1, 2, 3]), "fading.K_rt": rng.uniform(0.0, 5.0),
+            "swipt.chi": rng.uniform(0.3, 0.9)}
+
+
+def _evaluate(fn, gamma, cfg, kwargs):
+    try:
+        return fn(gamma, cfg, **kwargs), None
+    except NumericError as exc:
+        return None, str(exc)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    n = int(argv[0]) if argv else 300
+    blank, off, worst = Counter(), 0, 0.0
+    for i in range(n):
+        cfg = config_from_mapping(scan_config(i))
+        for case, closed_fn, integral_fn, kwargs in CASES:
+            gamma = cfg.gamma_s if case == "s2g" else cfg.gamma_a
+            closed, closed_err = _evaluate(closed_fn, gamma, cfg, kwargs)
+            integral, integral_err = _evaluate(integral_fn, gamma, cfg, kwargs)
+            print(json.dumps({"index": i, "case": case,
+                              "closed": closed, "closed_error": closed_err,
+                              "integral": integral, "integral_error": integral_err}),
+                  flush=True)
+            if closed is None:
+                blank[closed_err] += 1
+            elif integral is not None:
+                off += abs(closed - integral) > OFF_TOL
+                worst = max(worst, abs(closed - integral))
+    print(json.dumps({"cells": 3 * n, "blank_closed": dict(blank),
+                      "closed_off_integral": off, "off_tol": OFF_TOL,
+                      "max_abs_closed_minus_integral": worst}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
