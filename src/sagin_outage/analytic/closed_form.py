@@ -24,9 +24,10 @@ the blocks share, with a term function of its own: unsat_taylor's takes an
 incomplete-gamma difference times a G2123 destination bracket, `_g2113_terms`
 integrate a G2113 bracket by CGQ and `_gamma_terms` Gamma(s, .) at the
 saturation point times a destination factor.  `_Work.end_sum` is the one
-signed sum over the ends of the destination pieces, in log space so no power
-of an end overflows; `_piece_dgammas` takes both limits of a piece at once,
-so its incomplete-gamma differences do not cancel to rounding noise.
+signed sum over the ends of the destination pieces, each distinct end once
+and in log space so no power of an end overflows; `_piece_dgammas` takes both
+limits of a piece at once, so its incomplete-gamma differences do not cancel
+to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -80,19 +81,26 @@ class _Work:
         self.log_wts = np.log(self.w_wts)
         # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
         self.sat_decay = self.beta_bar * case.b_lin * self.w_nodes ** 2 / case.a_lin
-        # destination pieces grouped by q; one row per (piece, end) in the order
-        # hi, lo: y, log(y / y_max), orientation * sign(coeff), log(|coeff| / nu)
-        # + q log y_max, with y_max = dest_hi.  Powers of y are taken relative to
-        # y_max: the rounding of p log y then does not grow with p log y_max
+        # destination pieces grouped by q, one row per distinct end y: pieces of
+        # one q that meet at y share its row, with the net coefficient
+        # sum(orientation * coeff), orientation +1 at hi and -1 at lo.  An end
+        # whose net is exactly 0 is dropped, and so is a group left with no end.
+        # A row holds y, log(y / y_max), sign(net), log(|net| / nu) + q log y_max,
+        # with y_max = dest_hi.  Powers of y are taken relative to y_max: the
+        # rounding of p log y then does not grow with p log y_max
         self.log_y_max = math.log(case.dest_hi)
         by_q = {}
         for lo, hi, coeff, q in case.dest_pieces:
+            ends = by_q.setdefault(q, {})
             for y, orient in ((hi, 1.0), (lo, -1.0)):
-                by_q.setdefault(q, []).append(
-                    (y, math.log(y / case.dest_hi), orient * np.sign(coeff),
-                     math.log(abs(coeff) / case.nu) + q * self.log_y_max))
-        self.dest_groups = [(q, *(np.array(col) for col in zip(*rows)))
-                            for q, rows in by_q.items()]
+                ends[y] = ends.get(y, 0.0) + orient * coeff
+        self.dest_groups = []
+        for q, ends in by_q.items():
+            rows = [(y, math.log(y / case.dest_hi), np.sign(net),
+                     math.log(abs(net) / case.nu) + q * self.log_y_max)
+                    for y, net in ends.items() if net != 0.0]
+            if rows:
+                self.dest_groups.append((q, *(np.array(col) for col in zip(*rows))))
         self.memo = {}
 
     def cgq(self, w_pow, f):
@@ -111,17 +119,17 @@ class _Work:
         return np.ones_like(logs), logs
 
     def end_sum(self, m, f):
-        """(sign, log) arrays of the signed sum over piece ends y of
-        orientation (coeff/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu, with
-        f(e, ys) returning F as (sign, log) arrays of shape (len(ys), columns)
-        or broadcast to it; one sum per column."""
+        """(sign, log) arrays of the signed sum over the distinct piece ends y of
+        (net/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu, net the end's signed
+        coefficient (see dest_groups), with f(e, ys) returning F as (sign, log)
+        arrays of shape (len(ys), columns) or broadcast to it; one sum per column."""
         nu = self.case.nu
         signs, logs = [], []
-        for q, ys, log_rel, orient, log_coef in self.dest_groups:
+        for q, ys, log_rel, sign, log_coef in self.dest_groups:
             fs, fl = f((q + 1.0) / nu, ys)
-            signs.append(orient[:, None] * fs)
+            signs.append(sign[:, None] * fs)
             logs.append((log_coef + (nu * m + q + 1.0) * log_rel)[:, None] + fl)
-        logs = np.concatenate(logs)          # (pieces*2, columns)
+        logs = np.concatenate(logs)          # (ends, columns)
         signs = np.concatenate(signs)
         top = logs.max(axis=0)
         vals = np.sum(signs * np.exp(logs - top[None, :]), axis=0)

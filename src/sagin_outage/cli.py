@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -27,8 +28,19 @@ def _load(args):
     return cfg
 
 
+def _check_out(path):
+    """ConfigError unless a file can be written at path, checked before the sweep runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output file {path}: it is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write output file {path}: {folder} is not a writable "
+                          "directory")
+
+
 def _cmd_run(args):
     cfg = _load(args)
+    _check_out(args.out)
     result = run_sweep(cfg)
     emit_csv(result, args.out)
     n_fail = sum(1 for r in result.rows if r["diagnostics"])

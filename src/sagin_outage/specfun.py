@@ -6,19 +6,23 @@ downward recurrence) and its cancellation-safe differences, ln I0 through
 scipy's scaled ``i0e``, Meijer-G in the one family b3 = a1 - 1 the series use
 (G2113 by a nested trapezoid rule on the Mellin-Barnes contour, each level a
 power sum in x^(-i h) for the step h, stopped within 1e-6 of the previous
-level; G2123, which the closed path takes apart itself, as two incomplete
-gammas for the oracle table and tests; G0110 and G2002 by identities the
-oracle table checks), and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy
-machinery is evaluated in the log domain with explicit signs because the
-series couple enormous and tiny factors whose product is O(1).
+level, its power tables kept in a small cache bounded in entries and bytes,
+one per argument grid and step; G2123, which the closed path takes apart
+itself, as two incomplete gammas for the oracle table and tests; G0110 and
+G2002 by identities the oracle table checks), and the Gauss-Legendre and
+Chebyshev-Gauss rules.  The heavy machinery is evaluated in the log domain
+with explicit signs because the series couple enormous and tiny factors whose
+product is O(1).
 """
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1, gammaln, i0e, jv, kv, kve, loggamma
 
-from .errors import DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +263,28 @@ _MB_MAX_INTERVALS = 2 ** 16
 _MB_AGREE = 1e-6
 
 
-def _mb_power_sum(c, lnx, t0, h):
-    """Re[sum_k c_k x_j^(-i (t0 + k h))] for each x_j, as a power sum in z_j = x_j^(-i h).
+# power tables of _mb_power_sum by (lnx bytes, h), least recently used first.
+# Within one closed case the G2113 calls of a block and destination group share
+# their argument grid, and h = t_hi / n takes few values, so a case holds about a
+# dozen keys.  8 entries serve 90% of the lookups of an a2a case; 16 serve 94%,
+# which saves under 1% more time and doubles the added peak memory.  A table
+# larger than the byte bound (a long argument array) is built but not kept
+_MB_TABLES = OrderedDict()
+_MB_TABLE_ENTRIES = 8
+_MB_TABLE_BYTES = 2 ** 22
+_MB_TABLE_LOCK = threading.Lock()
 
-    The nodes run in blocks of B = _MB_FIRST_INTERVALS (len(c) is a multiple of
-    B).  z^0..z^(B-1) are products of at most log2(B) squarings of z, and each
-    block start x_j^(-i t) is its own exp, so the rounding of a power grows
-    with B, not with k.  The contraction is one real einsum over the float view
-    of the powers, not BLAS, so no BLAS thread count enters the result.
-    """
+
+def _mb_powers(lnx, h):
+    """Read-only table z^0..z^(B-1) of z_j = x_j^(-i h), B = _MB_FIRST_INTERVALS:
+    products of at most log2(B) squarings of z, so the rounding of a power grows
+    with B.  A pure function of (lnx, h), kept in _MB_TABLES."""
+    key = (lnx.tobytes(), h)
+    with _MB_TABLE_LOCK:
+        powers = _MB_TABLES.get(key)
+        if powers is not None:
+            _MB_TABLES.move_to_end(key)
+            return powers
     b = _MB_FIRST_INTERVALS
     powers = np.empty((b, lnx.size), dtype=complex)
     powers[0] = 1.0
@@ -276,6 +293,28 @@ def _mb_power_sum(c, lnx, t0, h):
     while r < b:    # z^r = (z^(r/2))^2 times each power below r
         np.multiply(powers[:r], powers[r // 2] ** 2, out=powers[r:2 * r])
         r *= 2
+    powers.flags.writeable = False
+    if powers.nbytes <= _MB_TABLE_BYTES:
+        with _MB_TABLE_LOCK:
+            _MB_TABLES[key] = powers
+            held = sum(t.nbytes for t in _MB_TABLES.values())
+            while len(_MB_TABLES) > _MB_TABLE_ENTRIES or held > _MB_TABLE_BYTES:
+                held -= _MB_TABLES.popitem(last=False)[1].nbytes
+    return powers
+
+
+def _mb_power_sum(c, lnx, t0, h):
+    """Re[sum_k c_k x_j^(-i (t0 + k h))] for each x_j, as a power sum in z_j = x_j^(-i h).
+
+    The nodes run in blocks of B = _MB_FIRST_INTERVALS (len(c) is a multiple of
+    B).  z^0..z^(B-1) come from _mb_powers, which builds the table once per
+    (lnx, h) and shares it between calls, and each block start x_j^(-i t) is its
+    own exp, so the rounding of a power grows with B, not with k.  The
+    contraction is one real einsum over the float view of the powers, not BLAS,
+    so no BLAS thread count enters the result.
+    """
+    b = _MB_FIRST_INTERVALS
+    powers = _mb_powers(lnx, h)
     blocks = c.reshape(-1, b)
     nb = len(blocks)
     # rows: sum_r Re(c_r) z^r per block, then sum_r Im(c_r) z^r
@@ -426,12 +465,17 @@ def run_oracle_suite(path):
     """Compare library values against the committed high-precision table.
 
     Row format: kind<space>comma-separated-params<space>x<space>oracle-value.
-    Returns (n_pass, failures, max_rel) where failures is a list of lines.
+    Returns (n_pass, failures, max_rel) where failures is a list of lines; a
+    table that cannot be opened raises ConfigError.
     """
     n_pass = 0
     failures = []
     max_rel = 0.0
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read oracle table {path}: {exc}") from exc
+    with fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -398,6 +399,65 @@ class TestPiecesMoment:
         with pytest.raises(OverflowError):
             math.pow(work.case.dest_hi, work.case.nu * r + 2.0)
         assert work.pieces_moment(r) == (1.0, pytest.approx(expected, rel=1e-13))
+
+
+class TestDestinationEnds:
+    """_Work.dest_groups holds one row per distinct (q, end), carrying the net
+    signed coefficient of the pieces that meet there."""
+
+    @staticmethod
+    def _per_piece_end_rows(case):
+        """The rows one per (piece, end), orientation +1 at hi and -1 at lo."""
+        by_q = {}
+        for lo, hi, coeff, q in case.dest_pieces:
+            for y, orient in ((hi, 1.0), (lo, -1.0)):
+                by_q.setdefault(q, []).append(
+                    (y, math.log(y / case.dest_hi), orient * np.sign(coeff),
+                     math.log(abs(coeff) / case.nu) + q * math.log(case.dest_hi)))
+        return [(q, *(np.array(col) for col in zip(*rows))) for q, rows in by_q.items()]
+
+    @staticmethod
+    def _a2a_case():
+        cfg = _cfg()
+        return build_case(cfg, "a2a", IM_IC, cfg.gamma_a)
+
+    def test_standard_cone_has_four_ends_per_group(self):
+        work = cf._Work(self._a2a_case(), 8)
+        assert sorted(q for q, *_ in work.dest_groups) == [1, 2]
+        assert [len(ys) for _, ys, *_ in work.dest_groups] == [4, 4]
+        # one row per (piece, end) would be 6 and 4
+        assert [len(ys) for _, ys, *_ in self._per_piece_end_rows(work.case)] == [6, 4]
+
+    def test_matches_the_per_piece_end_sum(self):
+        case = self._a2a_case()
+        work, ref = cf._Work(case, 100), cf._Work(case, 100)
+        ref.dest_groups = self._per_piece_end_rows(case)
+        for r in range(6):
+            sign, log = work.pieces_moment(r)
+            ref_sign, ref_log = ref.pieces_moment(r)
+            assert sign == ref_sign and abs(math.expm1(log - ref_log)) <= 1e-13, r
+        # the first bracket of the linear route: n = k1 = 0, s3 = 1/2, s2 = 1/2
+        cst = work.beta_bar * case.dest_c / case.a_lin
+        sign, log = work.g2113_nodes(0.5, 0.5, cst)
+        ref_sign, ref_log = ref.g2113_nodes(0.5, 0.5, cst)
+        assert np.array_equal(sign, ref_sign)
+        assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
+
+    def test_cancelling_coefficients_drop_the_end_and_the_group(self):
+        # q = 1 pieces meet at y = 2 with equal coefficients, so that end nets to
+        # 0; the two q = 2 pieces cancel at both ends, emptying their group
+        a, b = 0.3, 0.05
+        pieces = ((1.0, 2.0, a, 1), (2.0, 3.0, a, 1), (1.0, 2.0, b, 2), (1.0, 2.0, -b, 2))
+        case = dataclasses.replace(self._a2a_case(), dest_pieces=pieces,
+                                   dest_lo=1.0, dest_hi=3.0)
+        work = cf._Work(case, 8)
+        assert [(q, list(ys), list(sign)) for q, ys, _, sign, _ in work.dest_groups] == [
+            (1, [1.0, 3.0], [-1.0, 1.0])]
+        nu = case.nu
+        for r in range(4):
+            p = nu * r + 2.0
+            sign, log = work.pieces_moment(r)
+            assert sign * math.exp(log) == pytest.approx(a * (3.0 ** p - 1.0) / p, rel=1e-13)
 
 
 # A random config whose preferred (Taylor) route loses too much precision for

@@ -477,6 +477,24 @@ class TestCliEntry:
         assert cli.main(["oracle-check"]) == 0
         assert "201/201" in capsys.readouterr().out
 
+    def test_missing_oracle_table_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        assert cli.main(["oracle-check", "--table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read oracle table {path}")
+
+    @pytest.mark.parametrize("where", ["missing/o.csv", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_fails_before_the_sweep(self, where, tmp_path, monkeypatch,
+                                                   capsys):
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / where
+        assert cli.main(["run", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot write output file {out}")
+
     def test_run_writes_csv(self, tmp_path):
         out = tmp_path / "o.csv"
         cfg = tmp_path / "c.cfg"

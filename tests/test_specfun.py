@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -158,6 +161,73 @@ class TestMbPowerSum:
         # relative to sum |c_k|, the largest value the sum can take
         err = np.max(np.abs(got - self._direct(c, lnx, t0, h)))
         assert err <= 1e-12 * np.sum(np.abs(c))
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """An empty power-table cache for the test alone."""
+        monkeypatch.setattr(sf, "_MB_TABLES", OrderedDict())
+        return sf._MB_TABLES
+
+    def test_cold_and_warm_calls_agree_bit_for_bit(self, tables):
+        rng = np.random.default_rng(7)
+        lnx = rng.uniform(-60.0, 60.0, 300)
+        c = rng.uniform(0.0, 1.0, 256) * np.exp(1j * rng.uniform(-np.pi, np.pi, 256))
+        cold = sf._mb_power_sum(c, lnx, 0.0, 2.5)
+        assert len(tables) == 1
+        table = next(iter(tables.values()))
+        warm = sf._mb_power_sum(c, lnx, 0.0, 2.5)
+        assert np.array_equal(cold, warm)
+        assert sf._mb_powers(lnx.copy(), 2.5) is table and len(tables) == 1
+
+    def test_cached_table_is_read_only(self, tables):
+        table = sf._mb_powers(np.linspace(-5.0, 5.0, 11), 0.5)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1, 0] = 0.0
+
+    def test_cache_stays_within_its_bounds(self, tables):
+        bound = sf._MB_TABLE_BYTES
+        per_point = sf._MB_FIRST_INTERVALS * 16
+        for i in range(sf._MB_TABLE_ENTRIES + 4):     # small tables: the entry bound
+            sf._mb_powers(np.linspace(-5.0, 5.0, 10), 0.1 * (i + 1))
+        assert len(tables) == sf._MB_TABLE_ENTRIES
+        assert (np.linspace(-5.0, 5.0, 10).tobytes(), 0.1) not in tables
+        # tables of 40% of the byte bound each: two fit, a third evicts the oldest
+        mid = bound * 2 // 5 // per_point
+        for h in (1.0, 2.0, 3.0):
+            sf._mb_powers(np.linspace(-1.0, 1.0, mid), h)
+        assert sum(t.nbytes for t in tables.values()) <= bound
+        assert [key[1] for key in tables] == [2.0, 3.0]
+        # one call over a grid whose table alone passes the bound keeps nothing new
+        big = np.linspace(-1.0, 1.0, bound // per_point + 1)
+        assert sf._mb_powers(big, 0.5).nbytes > bound
+        assert [key[1] for key in tables] == [2.0, 3.0]
+
+    def test_threads_sharing_the_cache_get_the_right_tables(self, tables):
+        # more keys than entries, so threads evict each other's tables
+        lnx = np.linspace(-5.0, 5.0, 10)
+        steps = [0.05 * (i + 1) for i in range(2 * sf._MB_TABLE_ENTRIES)]
+        want = {h: sf._mb_powers(lnx, h).copy() for h in steps}
+        wrong = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for h in rng.choice(steps, 300):
+                if not np.array_equal(sf._mb_powers(lnx, float(h)), want[h]):
+                    wrong.append(h)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+        assert len(tables) == sf._MB_TABLE_ENTRIES
 
 
 class TestMeijerG:

@@ -11,16 +11,20 @@ U(0.01, 0.5), ``fading.m_rd`` from {1, 2, 3}, ``fading.K_rt`` U(0, 5) and
 its default.  Each config gives three cells, s2g, a2a im-IC and a2a p-IC, each
 evaluated by the public ``op_*_closed`` and ``op_*_integral`` functions.
 
-One JSON line is printed per cell: the index, the case, and for each method its
-value (exact, as JSON writes a float) or its NumericError text.  A last line
-summarises: the blank ``closed`` cells by message, how many ``closed`` values
-lie more than 2e-4 from ``integral``, and the largest |closed - integral|.
-Comparing the output of two trees cell by cell shows every value that moved.
+One JSON line is printed per cell: the index, the case, for each method its
+value (exact, as JSON writes a float) or its NumericError text, and
+``closed_cpu_s``, the thread CPU time (``time.thread_time``) of the ``closed``
+call.  A last line summarises: the blank ``closed`` cells by message, how many
+``closed`` values lie more than 2e-4 from ``integral``, the largest
+|closed - integral|, and ``closed_cpu_s``, the total over every cell and route.
+Comparing the output of two trees cell by cell shows every value that moved;
+the time fields vary from run to run and are not part of that comparison.
 """
 
 import json
 import random
 import sys
+import time
 from collections import Counter
 
 from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
@@ -57,16 +61,20 @@ def _evaluate(fn, gamma, cfg, kwargs):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     n = int(argv[0]) if argv else 300
-    blank, off, worst = Counter(), 0, 0.0
+    blank, off, worst, cpu = Counter(), 0, 0.0, 0.0
     for i in range(n):
         cfg = config_from_mapping(scan_config(i))
         for case, closed_fn, integral_fn, kwargs in CASES:
             gamma = cfg.gamma_s if case == "s2g" else cfg.gamma_a
+            start = time.thread_time()
             closed, closed_err = _evaluate(closed_fn, gamma, cfg, kwargs)
+            closed_cpu = time.thread_time() - start
+            cpu += closed_cpu
             integral, integral_err = _evaluate(integral_fn, gamma, cfg, kwargs)
             print(json.dumps({"index": i, "case": case,
                               "closed": closed, "closed_error": closed_err,
-                              "integral": integral, "integral_error": integral_err}),
+                              "integral": integral, "integral_error": integral_err,
+                              "closed_cpu_s": closed_cpu}),
                   flush=True)
             if closed is None:
                 blank[closed_err] += 1
@@ -75,7 +83,7 @@ def main(argv=None):
                 worst = max(worst, abs(closed - integral))
     print(json.dumps({"cells": 3 * n, "blank_closed": dict(blank),
                       "closed_off_integral": off, "off_tol": OFF_TOL,
-                      "max_abs_closed_minus_integral": worst}))
+                      "max_abs_closed_minus_integral": worst, "closed_cpu_s": cpu}))
     return 0
 
 
