@@ -113,10 +113,8 @@ class _Work:
     @_memo
     def gamma_nodes(self, s):
         """(sign, log) of Gamma(s, bb w^2 p_sat/a) on the CGQ nodes."""
-        case = self.case
-        xs = self.beta_bar * self.w_nodes ** 2 * case.p_sat / case.a_lin
-        logs = np.array([log_gamma_upper(s, x) for x in xs])
-        return np.ones_like(logs), logs
+        xs = self.beta_bar * self.w_nodes ** 2 * self.case.p_sat / self.case.a_lin
+        return np.ones(xs.shape), log_gamma_upper(s, xs)
 
     def end_sum(self, m, f):
         """(sign, log) arrays of the signed sum over the distinct piece ends y of
@@ -154,8 +152,8 @@ class _Work:
 
         def upper(e, ys):
             xs = omega * ys ** self.case.nu
-            logs = [log_gamma_upper(-s1, x) for x in xs]
-            return 1.0, (s1 * np.log(xs) + logs - math.log(n + e + s1))[:, None]
+            return 1.0, (s1 * np.log(xs) + log_gamma_upper(-s1, xs)
+                         - math.log(n + e + s1))[:, None]
 
         up_s, up_l = self.end_sum(n, upper)
         es, signs, logs = self._piece_dgammas(n, omega)

@@ -321,21 +321,21 @@ def load_config(path):
     """Parse a dotted-key file; unknown keys and bad values raise ConfigError."""
     mapping = {}
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = text.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            mapping[key] = val.strip()
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = text.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        mapping[key] = val.strip()
     return config_from_mapping(mapping)
 
 

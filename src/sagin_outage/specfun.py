@@ -1,18 +1,18 @@
 """Special functions backing the closed-form and integration paths.
 
-Everything the outage series need lives here: the log upper incomplete
-gamma (one expansion per region: ascending series, Lentz continued fraction,
-downward recurrence) and its cancellation-safe differences, ln I0 through
-scipy's scaled ``i0e``, Meijer-G in the one family b3 = a1 - 1 the series use
-(G2113 by a nested trapezoid rule on the Mellin-Barnes contour, each level a
-power sum in x^(-i h) for the step h, stopped within 1e-6 of the previous
-level, its power tables kept in a small cache bounded in entries and bytes,
-one per argument grid and step; G2123, which the closed path takes apart
-itself, as two incomplete gammas for the oracle table and tests; G0110 and
-G2002 by identities the oracle table checks), and the Gauss-Legendre and
-Chebyshev-Gauss rules.  The heavy machinery is evaluated in the log domain
-with explicit signs because the series couple enormous and tiny factors whose
-product is O(1).
+Everything the outage series need lives here: the log upper incomplete gamma,
+elementwise over an array of x at one order (the ascending series and the Lentz
+continued fraction per element, the downward recurrence once over every x < 1),
+its cancellation-safe differences, ln I0 through scipy's scaled ``i0e``,
+Meijer-G in the one family b3 = a1 - 1 the series use (G2113 by a nested
+trapezoid rule on the Mellin-Barnes contour, each level a power sum in x^(-i h)
+for the step h, stopped within 1e-6 of the previous level, its power tables kept
+in a small cache bounded in entries and bytes, one per argument grid and step;
+G2123, which the closed path takes apart itself, as two incomplete gammas for
+the oracle table and tests; G0110 and G2002 by identities the oracle table
+checks), and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery
+is evaluated in the log domain with explicit signs because the series couple
+enormous and tiny factors whose product is O(1).
 """
 
 import threading
@@ -93,25 +93,21 @@ def _log_upper_cf(a, x):
 
 
 def _log_upper_recurrence(a, x):
-    """log Gamma(a, x) for a <= 0, 0 < x < 1 by downward recurrence.
+    """log Gamma(a, x) for a <= 0 over an array of 0 < x < 1 by downward recurrence.
 
     Gamma(s, x) = (x^s e^-x - Gamma(s+1, x)) / (-s); the boundary term
-    dominates for x < 1 so each subtraction is benign.
+    dominates for x < 1 so each subtraction is benign; each step runs once over every x.
     """
-    s0 = a - np.floor(a)
-    if s0 == 0.0:
-        s0 = 1.0
-    if s0 == 1.0:
-        lg = -x  # Gamma(1, x) = e^-x
-    else:
-        lg = log_gamma_upper(s0, x)
+    s0 = a - np.floor(a) or 1.0
+    lg = -x if s0 == 1.0 else log_gamma_upper(s0, x)    # Gamma(1, x) = e^-x
+    lnx = np.log(x)
     s = s0 - 1.0
     while s >= a - 0.5:
         if s == 0.0:
-            lg = float(np.log(exp1(x)))
+            lg = np.log(exp1(x))
         else:
-            lt = s * np.log(x) - x
-            lg = lt + np.log1p(-np.exp(min(lg - lt, -1e-300))) - np.log(-s)
+            lt = s * lnx - x
+            lg = lt + np.log1p(-np.exp(np.minimum(lg - lt, -1e-300))) - np.log(-s)
         s -= 1.0
     return lg
 
@@ -141,23 +137,28 @@ def _log_gamma_pair(a, x):
 
 
 def log_gamma_upper(a, x):
-    """log Gamma(a, x) for real a (any sign) and x > 0; Gamma(a, x) is positive.
+    """log Gamma(a, x) for real a (any sign), elementwise over x >= 0 (x > 0 if
+    a <= 0): a float for a scalar x, else an array of x's shape.
 
     Three branches: a > 0 is ``_log_gamma_pair``; a <= 0 is the Lentz
     continued fraction at x >= 1, where it converges for any |a| (DLMF 8.9),
-    and the downward recurrence from Gamma(a - floor(a), x) at x < 1.
+    and the downward recurrence from Gamma(a - floor(a), x) at x < 1, one run
+    over all those x.  The other two stop at a different step for each x, so
+    they run per element, on Python floats, which step faster than numpy scalars.
     """
-    if x < 0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0):
         raise DomainError("upper incomplete gamma needs x >= 0")
-    if x == 0:
-        if a <= 0:
-            raise DomainError("Gamma(a, 0) diverges for a <= 0")
-        return float(gammaln(a))
-    if a > 0:
-        return _log_gamma_pair(a, x)[1]
-    if x >= 1.0:
-        return float(_log_upper_cf(a, x))
-    return float(_log_upper_recurrence(a, x))
+    if a <= 0 and np.any(xs == 0):
+        raise DomainError("Gamma(a, 0) diverges for a <= 0")
+    flat = xs.ravel()
+    rec = (flat < 1.0) & (a <= 0)
+    lg = np.empty(flat.shape)
+    lg[~rec] = [gammaln(a) if v == 0 else _log_gamma_pair(a, v)[1] if a > 0
+                else _log_upper_cf(a, v) for v in flat[~rec].tolist()]
+    if rec.any():
+        lg[rec] = _log_upper_recurrence(a, flat[rec])
+    return float(lg[0]) if xs.ndim == 0 else lg.reshape(xs.shape)
 
 
 def log_delta_gamma(a, b, c):
@@ -391,7 +392,7 @@ def _g2123_log(s1, c, xs):
     + Gamma(s) / (c - s)) / (c + s1), the Mellin transforms of x^s1 Gamma(-s1, x)
     and x^-c gamma(c, x) (DLMF 8.14.4-5), both positive."""
     lnx = np.log(xs)
-    upper = s1 * lnx + np.array([log_gamma_upper(-s1, x) for x in xs])
+    upper = s1 * lnx + log_gamma_upper(-s1, xs)
     lower = np.array([_log_gamma_pair(c, x)[0] for x in xs]) - c * lnx
     return np.ones(lnx.shape), np.logaddexp(upper, lower) - np.log(c + s1)
 
@@ -466,34 +467,35 @@ def run_oracle_suite(path):
 
     Row format: kind<space>comma-separated-params<space>x<space>oracle-value.
     Returns (n_pass, failures, max_rel) where failures is a list of lines; a
-    table that cannot be opened raises ConfigError.
+    table that cannot be read as UTF-8 text, or a row that is not four fields of
+    numbers, raises ConfigError.
     """
-    n_pass = 0
-    failures = []
-    max_rel = 0.0
+    n_pass, failures, max_rel = 0, [], 0.0
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read oracle table {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             kind, p_str, x_str, val_str = line.split()
             params = tuple(float(v) for v in p_str.split(",")) if p_str != "-" else ()
-            x = float(x_str)
-            oracle = float(val_str)
-            tol = 1e-8 if kind.startswith("G21") else 1e-10
-            try:
-                got = _fixture_eval(kind, params, x)
-                rel = abs(got - oracle) / max(abs(oracle), 1e-300)
-            except Exception as exc:  # pragma: no cover - surfaced in report
-                failures.append(f"{line}  -> raised {exc!r}")
-                continue
-            max_rel = max(max_rel, rel)
-            if rel <= tol:
-                n_pass += 1
-            else:
-                failures.append(f"{line}  -> got {got!r} rel {rel:.3e} (tol {tol:g})")
+            x, oracle = float(x_str), float(val_str)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: expected 'kind params x value': {exc}") from exc
+        tol = 1e-8 if kind.startswith("G21") else 1e-10
+        try:
+            got = _fixture_eval(kind, params, x)
+            rel = abs(got - oracle) / max(abs(oracle), 1e-300)
+        except Exception as exc:  # pragma: no cover - surfaced in report
+            failures.append(f"{line}  -> raised {exc!r}")
+            continue
+        max_rel = max(max_rel, rel)
+        if rel <= tol:
+            n_pass += 1
+        else:
+            failures.append(f"{line}  -> got {got!r} rel {rel:.3e} (tol {tol:g})")
     return n_pass, failures, max_rel

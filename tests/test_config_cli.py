@@ -483,6 +483,24 @@ class TestCliEntry:
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot read oracle table {path}")
 
+    @pytest.mark.parametrize("row", ["delta_gamma 1,2", "G2113 a,b 1 2",
+                                     "G2113 -0.5,0.25,-0.25,-1.5 x 0.3"],
+                             ids=["short-row", "bad-param", "bad-x"])
+    def test_malformed_oracle_row_is_a_config_error(self, row, tmp_path, capsys):
+        path = tmp_path / "table.txt"
+        path.write_text(f"# header\nbessel_i0 - 1.0 1.2660658777520082\n{row}\n")
+        assert cli.main(["oracle-check", "--table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}:3:")
+
+    @pytest.mark.parametrize("command,option,what", [
+        ("validate", "--config", "config file"), ("oracle-check", "--table", "oracle table")])
+    def test_non_utf8_file_is_a_config_error(self, command, option, what, tmp_path, capsys):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "swipt.rho = 0.5\n".encode("utf-16-le"))
+        assert cli.main([command, option, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read {what} {path}")
+
     @pytest.mark.parametrize("where", ["missing/o.csv", "."], ids=["no-dir", "a-dir"])
     def test_unwritable_out_fails_before_the_sweep(self, where, tmp_path, monkeypatch,
                                                    capsys):

@@ -78,6 +78,34 @@ class TestLogGammaUpper:
                 g_s1 = math.exp(sf.log_gamma_upper(s + 1.0, x))
                 assert g_s1 == pytest.approx(s * g_s + x ** s * math.exp(-x), rel=1e-9)
 
+    @pytest.mark.parametrize("a,x,expected", CASES)
+    def test_values_as_one_element_array(self, a, x, expected):
+        got = sf.log_gamma_upper(a, np.array([x]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [-40.0, -7.5, -0.5, 0.0, 2.5, 30.0])
+    def test_array_matches_scalar_calls_bit_for_bit(self, a):
+        # the grid crosses the recurrence (x < 1), the fraction and the pair
+        xs = [0.05, 0.9, 1.0, 3.0, 40.0, 3e4] + ([0.0] if a > 0 else [])
+        got = sf.log_gamma_upper(a, np.array(xs))
+        assert got.tolist() == [sf.log_gamma_upper(a, x) for x in xs]
+        assert all(type(sf.log_gamma_upper(a, x)) is float for x in xs)
+
+    def test_array_keeps_its_shape(self):
+        xs = np.array([[0.05, 0.9, 3.0], [40.0, 1.0, 0.3]])
+        got = sf.log_gamma_upper(-7.5, xs)
+        assert got.shape == xs.shape
+        assert got.ravel().tolist() == sf.log_gamma_upper(-7.5, xs.ravel()).tolist()
+        assert sf.log_gamma_upper(-7.5, np.empty((0,))).shape == (0,)
+        assert sf.log_gamma_upper(2.5, np.empty((2, 0))).shape == (2, 0)
+
+    @pytest.mark.parametrize("a,xs", [(2.5, [3.0, -1e-9, 0.5]), (-7.5, [0.5, -2.0]),
+                                      (-7.5, [0.5, 0.0, 3.0]), (0.0, [0.0])])
+    def test_array_domain(self, a, xs):
+        with pytest.raises(DomainError):
+            sf.log_gamma_upper(a, np.array(xs))
+
 
 class TestGaussLegendre:
     def test_exact_for_degree_up_to_2n_minus_1(self):
