@@ -45,7 +45,7 @@ from ..errors import ConfigError, NumericError
 from ..specfun import (cgq_points, log_delta_gamma, log_gamma_upper, logsumexp_signed,
                        meijer_g_log)
 from ..swipt import IM_IC
-from .coefficients import REL_TOL, SAT_NEGLIGIBLE, build_case, checked_outage, settled_outage
+from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
 
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 # below the knee there is one route, with a contour call per term; past this it
@@ -394,9 +394,10 @@ def _sat_below_knee(work):
 
 def _blocks(case):
     """Routes in preference order, each a list of (route, sign, block) whose signed
-    sum is the success probability.  Both unsaturated routes are listed, the
-    Taylor one first unless its parameter is past both _ROUTE_SWITCH and the
-    tail route's; below the knee, NumericError is raised past _SERIES_BLOWUP_EXP."""
+    sum is the success probability: both unsaturated routes, the Taylor one first
+    unless its parameter is past both _ROUTE_SWITCH and the tail route's, each with
+    the saturated block when case.branches lists it; below the knee, the saturated
+    block alone, or NumericError past _SERIES_BLOWUP_EXP."""
     if case.p_sat <= 0.0:
         param = case.dest_c * case.sat_scale * case.dest_hi ** case.nu
         if param > _SERIES_BLOWUP_EXP:
@@ -413,7 +414,7 @@ def _blocks(case):
                   [("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)]]
         if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
             routes.reverse()        # the tail route is preferred
-    if case.sat_mass > SAT_NEGLIGIBLE:
+    if "saturated" in case.branches:
         routes = [r + [("sat-above-knee", 1.0, _sat_above_knee)] for r in routes]
     return routes
 

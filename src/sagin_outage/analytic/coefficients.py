@@ -35,10 +35,11 @@ _DEST_CAP = 80          # last index of the collapsed destination tail series
 class OutageCase:
     """Every constant either evaluation path reads for one (network, mode, gamma).
 
-    The saturated branch scales the destination threshold by sat_scale and has
-    no mass below the satellite-fading value (max(p_sat, 0) + b) w_min^2 / a, so
-    at most sat_mass.  Linear EH and an infeasible case have no such branch:
-    sat_scale and sat_mass are 0.
+    branches lists the outage branches that carry success mass, and both paths
+    take it from here: "unsaturated" when the case is feasible and p_sat > 0, and
+    "saturated" when its mass bound Pr[satellite fading > (max(p_sat, 0) + b)
+    w_min^2 / a] exceeds SAT_NEGLIGIBLE.  The saturated branch scales the
+    destination threshold by sat_scale, 0 for linear EH and an infeasible case.
     """
 
     network: str
@@ -46,9 +47,8 @@ class OutageCase:
     a_lin: float
     b_lin: float
     p_sat: float               # p_th a / eta - b, the saturation point (inf: linear EH)
-    feasible: bool             # a_lin above roundoff: threshold below the SNR ceiling
+    branches: tuple            # names of the branches with mass, "unsaturated" first
     sat_scale: float           # eta / (p_th a)
-    sat_mass: float            # Pr[satellite fading > (max(p_sat, 0) + b) w_min^2 / a]
     # satellite fading and distance (metres)
     sr: ShadowedRicianParams
     w_min_m: float
@@ -96,6 +96,9 @@ def build_case(cfg, network, ic_mode, gamma):
     if feasible and not linear_eh:      # a may be 0 or negative when infeasible
         sat_scale = eta / (sp.p_th * a)
         sat_x_min = (max(p_sat, 0.0) + b) * w_min_m ** 2 / a
+    branches = ("unsaturated",) if feasible and p_sat > 0 else ()
+    if shadowed_rician_power_tail(sat_x_min, cfg.sr) > SAT_NEGLIGIBLE:
+        branches += ("saturated",)
 
     if network == "s2g":
         sigma2 = cfg.noise.sigma_d2
@@ -115,9 +118,8 @@ def build_case(cfg, network, ic_mode, gamma):
         logw = _dest_series_rician(cfg.ric.K_rt)
 
     return OutageCase(
-        network=network, gamma=gamma, a_lin=a, b_lin=b, p_sat=p_sat, feasible=feasible,
-        sat_scale=sat_scale, sat_mass=shadowed_rician_power_tail(sat_x_min, cfg.sr),
-        sr=cfg.sr, w_min_m=w_min_m, w_max_m=orbit.w_max * 1e3,
+        network=network, gamma=gamma, a_lin=a, b_lin=b, p_sat=p_sat, branches=branches,
+        sat_scale=sat_scale, sr=cfg.sr, w_min_m=w_min_m, w_max_m=orbit.w_max * 1e3,
         w_norm_m2=(orbit.w_er * 1e3) * w_min_m,
         sigma2=sigma2, nu=nu, dest_pieces=pieces, dest_lo=pieces[0][0],
         dest_hi=pieces[-1][1], dest_tail=tail, dest_c=c, dest_logw=logw,
@@ -125,8 +127,10 @@ def build_case(cfg, network, ic_mode, gamma):
 
 
 def settled_outage(case):
-    """0 at a threshold gamma <= 0, 1 for an infeasible case, else None (integrate)."""
-    return 0.0 if case.gamma <= 0.0 else None if case.feasible else 1.0
+    """0 at a threshold gamma <= 0; 1 when no branch carries mass (case.branches is
+    empty: an infeasible case, or one below the knee whose saturated branch is
+    negligible); else None, and the path evaluates the listed branches."""
+    return 0.0 if case.gamma <= 0.0 else None if case.branches else 1.0
 
 
 def checked_outage(val, path, details):

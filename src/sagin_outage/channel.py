@@ -38,11 +38,11 @@ class ShadowedRicianParams:
 
     def __post_init__(self):
         if not (isinstance(self.m_sr, (int, np.integer)) and self.m_sr >= 1):
-            raise ConfigError("m_sr must be a positive integer (series form of the pdf)")
+            raise ConfigError("fading.m_sr must be a positive integer (series form of the pdf)")
         if self.b_sr <= 0:
-            raise ConfigError("b_sr must be positive")
+            raise ConfigError("fading.b_sr must be positive")
         if self.omega_sr < 0:
-            raise ConfigError("omega_sr must be nonnegative")
+            raise ConfigError("fading.omega_sr must be nonnegative")
 
     @property
     def alpha(self):
@@ -133,9 +133,9 @@ class NakagamiParams:
 
     def __post_init__(self):
         if self.m_rd < 0.5:
-            raise ConfigError("m_rd must be >= 0.5")
+            raise ConfigError("fading.m_rd must be >= 0.5")
         if self.nu_rd <= 0:
-            raise ConfigError("nu_rd must be positive")
+            raise ConfigError("fading.nu_rd must be positive")
 
 
 def nakagami_power_pdf(x, p):
@@ -172,9 +172,9 @@ class RicianParams:
 
     def __post_init__(self):
         if self.K_rt < 0:
-            raise ConfigError("K_rt must be nonnegative")
+            raise ConfigError("fading.K_rt must be nonnegative")
         if self.nu_rt <= 0:
-            raise ConfigError("nu_rt must be positive")
+            raise ConfigError("fading.nu_rt must be positive")
 
 
 def rician_power_pdf(x, p):
@@ -247,9 +247,9 @@ class SatelliteLink:
 
     def __post_init__(self):
         if self.T_noise <= 0 or self.bandwidth <= 0:
-            raise ConfigError("noise temperature and bandwidth must be positive")
+            raise ConfigError("link.T_noise_k and link.bandwidth_hz must be positive")
         if self.P_s <= 0 or self.wavelength <= 0:
-            raise ConfigError("transmit power and wavelength must be positive")
+            raise ConfigError("link.P_s_w and link.lambda_m must be positive")
 
     @property
     def free_space_scale(self):
@@ -262,8 +262,16 @@ def effective_gain(link):
     """eta_s = P_s * C * gain_s * beam_gain(theta_sr)."""
     g_s = db_to_linear(link.gain_s_db)
     g_r = db_to_linear(link.gain_r_db)
-    bg = beam_gain(link.theta_sr, link.theta_3db, g_r)
+    try:
+        bg = beam_gain(link.theta_sr, link.theta_3db, g_r)
+    except DomainError as exc:
+        raise ConfigError(f"link.theta_sr_deg, link.theta_3db_deg: {exc}") from exc
+    if not bg > 0:
+        raise ConfigError(f"link.theta_sr_deg, link.theta_3db_deg and link.gain_sr_db give "
+                          f"the beam gain {bg:.3g} toward the relay; it must be positive")
     eta = link.P_s * link.free_space_scale * g_s * bg
     if not (np.isfinite(eta) and eta > 0):
-        raise ConfigError("effective gain must come out positive; check link constants")
+        raise ConfigError(f"link.P_s_w, link.xi_db, link.lambda_m, link.T_noise_k, "
+                          f"link.bandwidth_hz, link.gain_s_db and link.gain_sr_db give the "
+                          f"effective gain {eta:.3g}; it must be positive and finite")
     return float(eta)

@@ -92,8 +92,8 @@ SWEEPABLE = {
 
 def _parse_scalar(key, text):
     text = text.strip()
-    # "none" or nothing unsets a key, except a text key that has a default
-    if text.lower() in ("none", "") and (key not in _STR_KEYS or DEFAULTS[key] is None):
+    # "none" or nothing unsets a key without a default; a number key with one needs a number
+    if text.lower() in ("none", "") and DEFAULTS[key] is None:
         return None
     if key in _STR_KEYS:
         return text
@@ -220,10 +220,7 @@ class ScenarioConfig:
             _set("cone", ConeGeometry(h_0=g("geometry.h0_m"), l=g("geometry.l_m"),
                                       h_1=g("geometry.h1_m"), h_2=g("geometry.h2_m"),
                                       phi=g("geometry.phi_rad")))
-            m_sr = g("fading.m_sr")
-            if not float(m_sr).is_integer() or m_sr < 1:
-                raise ConfigError("fading.m_sr: the series form needs a positive integer")
-            _set("sr", ShadowedRicianParams(m_sr=int(m_sr), b_sr=g("fading.b_sr"),
+            _set("sr", ShadowedRicianParams(m_sr=g("fading.m_sr"), b_sr=g("fading.b_sr"),
                                             omega_sr=g("fading.omega_sr")))
             _set("nak", NakagamiParams(m_rd=g("fading.m_rd"), nu_rd=g("fading.nu_rd")))
             _set("ric", RicianParams(K_rt=g("fading.K_rt"), nu_rt=g("fading.nu_rt")))
@@ -330,7 +327,7 @@ def load_config(path):
         if not text:
             continue
         if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
         key, _, val = text.partition("=")
         key = key.strip()
         if key not in DEFAULTS:

@@ -22,7 +22,7 @@ class OrbitGeometry:
 
     def __post_init__(self):
         if not (self.w_e > 0 and self.w_min > 0 and self.h_0 >= 0):
-            raise ConfigError("OrbitGeometry needs w_e > 0, w_min > 0, h_0 >= 0")
+            raise ConfigError("geometry.w_e_km, geometry.w_min_km must be > 0, geometry.h0_m >= 0")
 
     @property
     def w_er(self):
@@ -50,11 +50,11 @@ class ConeGeometry:
 
     def __post_init__(self):
         if not (0 < self.h_1 < self.h_2):
-            raise ConfigError("ConeGeometry needs 0 < h_1 < h_2")
+            raise ConfigError("geometry.h1_m and geometry.h2_m need 0 < h1_m < h2_m")
         if not (0 < self.phi < np.pi / 2):
-            raise ConfigError("ConeGeometry needs 0 < phi < pi/2")
+            raise ConfigError("geometry.phi_rad must lie in (0, pi/2)")
         if not (self.h_0 > 0 and self.l > 0):
-            raise ConfigError("ConeGeometry needs h_0 > 0 and l > 0")
+            raise ConfigError("geometry.h0_m and geometry.l_m must be positive")
 
     @property
     def gu_max(self):

@@ -39,7 +39,7 @@ class SwiptParams:
         if not 0 < self.mu <= 1:
             raise ConfigError("swipt.mu must lie in (0, 1]")
         if not self.p_th > 0:
-            raise ConfigError("swipt.p_th must be positive (inf selects linear EH)")
+            raise ConfigError("swipt.p_th_dbm must give a positive power (inf: linear EH)")
         if not self.block_s > 0:
             raise ConfigError("swipt.block_s must be positive")
 
@@ -64,9 +64,9 @@ class NoiseParams:
     sigma_t2: float
 
     def __post_init__(self):
-        for name in ("sigma_r2", "sigma_rb2", "sigma_d2", "sigma_t2"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"noise.{name} must be positive")
+        for name in ("sigma_r", "sigma_rb", "sigma_d", "sigma_t"):
+            if getattr(self, name + "2") <= 0:
+                raise ConfigError(f"noise.{name}_dbm must give a positive power")
 
     def mu_eps(self, sp):
         """Relay-noise weight mu (sigma_r^2 + sigma_rb^2/(1-epsilon))."""

@@ -64,7 +64,7 @@ class TestDegenerateBranches:
     def test_integral_outside_the_unit_interval(self, monkeypatch, excess):
         # the closed path's rule: beyond 1e-6 raises, within it is clamped
         cfg = _cfg(**{"swipt.p_th_dbm": "inf"})     # linear EH: no saturated branch
-        monkeypatch.setattr(di, "_branch1", lambda case, *level: -excess)
+        monkeypatch.setattr(di, "_branch_mass", lambda case, *args: -excess)
         if excess > 1e-6:
             with pytest.raises(NumericError, match="integral outage outside"):
                 op_s2g_integral(cfg.gamma_s, cfg)
@@ -517,6 +517,37 @@ OUTSIDE_UNIT = {
     "fading.m_rd": 3, "fading.K_rt": 2.620, "swipt.chi": 0.8716,
 }
 
+# Knee-scan configs: tools/closed_scan.scan_config(i) plus noise.sigma_r_dbm =
+# random.Random(f"knee-{i}").uniform(-10, 20), which puts the saturation point
+# p_sat below 0.  For knee 1 and 14, a2a p-IC, the saturated branch carries at
+# most 2.4e-232 and 1.9e-155, so no branch carries mass and the outage is 1.
+KNEE_1 = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 3.033662061610741,
+    "link.eta_s_db": 94.48517465650218, "swipt.mu": 0.9208709609930927,
+    "swipt.rho": 0.25736305951444227, "swipt.epsilon": 0.6708676766221705,
+    "rates.r_s": 0.46366239754728483, "rates.r_a": 0.47609316490814485,
+    "fading.m_rd": 1, "fading.K_rt": 0.8568083852899622, "swipt.chi": 0.7273433624949066,
+    "noise.sigma_r_dbm": 18.513951597691857,
+}
+KNEE_14 = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": -4.692432428071455,
+    "link.eta_s_db": 98.4838790306558, "swipt.mu": 0.7905850380155628,
+    "swipt.rho": 0.7832323778579162, "swipt.epsilon": 0.6056303265432814,
+    "rates.r_s": 0.4708559574144394, "rates.r_a": 0.3677510674883405,
+    "fading.m_rd": 2, "fading.K_rt": 2.2214466629035226, "swipt.chi": 0.786449547738511,
+    "noise.sigma_r_dbm": 17.429812509079124,
+}
+# Knee 21 s2g: p_sat = -1.0e-3 with a saturated mass bound of 0.98, so the branch
+# stays, but its series parameter (136.4) is past _SERIES_BLOWUP_EXP.
+KNEE_21 = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": -4.699913136724895,
+    "link.eta_s_db": 115.62387967651772, "swipt.mu": 0.8045135363886946,
+    "swipt.rho": 0.1150800852206255, "swipt.epsilon": 0.13361277026074553,
+    "rates.r_s": 0.4907233414106134, "rates.r_a": 0.19112883078501322,
+    "fading.m_rd": 1, "fading.K_rt": 4.2370144827274085, "swipt.chi": 0.7723764673340392,
+    "noise.sigma_r_dbm": 5.717837451680566,
+}
+
 RANDOM_CONFIG = st.fixed_dictionaries({
     "rates.threshold_mode": st.just("from_rate"),
     "swipt.p_th_dbm": st.one_of(st.floats(-10.0, 40.0), st.just("inf")),
@@ -624,6 +655,46 @@ class TestRandomConfigs:
         assert "outside [0, 1] by" in row["diagnostics"]
         assert float(row["op_s2g_integral"]) > 0.0
 
+    @pytest.mark.parametrize("mapping", [KNEE_1, KNEE_14], ids=["knee-1", "knee-14"])
+    def test_negligible_saturated_branch_below_the_knee_is_settled(self, mapping,
+                                                                   monkeypatch):
+        cfg = config_from_mapping(mapping)
+        case = build_case(cfg, "a2a", P_IC, cfg.gamma_a)
+        assert case.p_sat < 0.0 and case.branches == ()
+
+        def no_series(*args):
+            raise AssertionError("a settled case ran a series")
+        monkeypatch.setattr(cf, "_series", no_series)
+        assert op_a2a_closed(cfg.gamma_a, cfg, ic_mode=P_IC) == 1.0
+        assert op_a2a_integral(cfg.gamma_a, cfg, ic_mode=P_IC) == 1.0
+
+    def test_below_knee_series_guard_leaves_the_cell_to_integral(self, tmp_path):
+        cfg = config_from_mapping(KNEE_21)
+        case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
+        assert case.p_sat < 0.0 and case.branches == ("saturated",)
+        with pytest.raises(NumericError, match="saturated-branch series parameter too large"):
+            op_s2g_closed(cfg.gamma_s, cfg)
+        code, row = self._cli_row(tmp_path, {**KNEE_21, "run.networks": "s2g",
+                                             "run.methods": "closed,integral"})
+        assert code == 0 and row["op_s2g_closed"] == ""
+        assert "op_s2g_closed:saturated-branch series parameter too large" in row["diagnostics"]
+        assert float(row["op_s2g_integral"]) == 1.0
+
+    def test_unconverged_quadrature_is_reported(self, monkeypatch, tmp_path):
+        # a mass of n_z * 1e-5, n_z the level's last size, moves by over 1e-3
+        # between levels, far past the 5e-7 they must agree to
+        monkeypatch.setattr(di, "_branch_mass", lambda case, *args: args[-1] * 1e-5)
+        cfg = _cfg()
+        with pytest.raises(NumericError, match="did not reach the requested tolerance"):
+            op_s2g_integral(cfg.gamma_s, cfg)
+        code, row = self._cli_row(tmp_path, {"rates.threshold_mode": "from_rate",
+                                             "swipt.p_th_dbm": 35.0, "link.eta_s_db": 118.0,
+                                             "run.networks": "s2g", "run.trials": 2000})
+        assert code == 0 and row["op_s2g_integral"] == ""
+        assert ("op_s2g_integral:outage quadrature did not reach the requested tolerance"
+                in row["diagnostics"])
+        assert float(row["op_s2g_mc"]) >= 0.0 and float(row["op_s2g_closed"]) >= 0.0
+
     def test_no_route_left_raises(self):
         cfg = config_from_mapping(NO_ROUTE_A2A)
         with pytest.raises(NumericError):
@@ -646,7 +717,8 @@ class TestRandomConfigs:
         # branch to within its own noise estimate
         cfg = config_from_mapping(mapping)
         case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)
-        *_, coarse, fine = (di._branch1(case, *level) for level in di._LEVELS)
+        *_, coarse, fine = (di._branch_mass(case, *di._branches(case)["unsaturated"], *level)
+                            for level in di._LEVELS)
         assert abs(fine - coarse) <= 1e-10
         acc = cf._unsat_taylor(cf._Work(case, cfg.cgq_n))
         assert abs(acc.value() - fine) <= max(10.0 * acc.noise_estimate(), 1e-9)

@@ -273,6 +273,26 @@ class TestValidation:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "rates.r_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "fading.m_sr = 0", "fading.b_sr = 0", "fading.omega_sr = -1", "fading.m_rd = 0.2",
+        "fading.nu_rd = 0", "fading.K_rt = -1", "fading.nu_rt = 0",
+        "geometry.h1_m = 600", "geometry.h2_m = 300", "geometry.phi_rad = 2",
+        "geometry.l_m = 0", "geometry.h0_m = 0", "geometry.w_min_km = 0",
+        "geometry.w_e_km = 0", "link.T_noise_k = 0", "link.bandwidth_hz = 0",
+        "link.P_s_w = 0", "link.lambda_m = 0", "link.theta_sr_deg = 1.0",
+        "link.theta_3db_deg = 0", "link.xi_db = -4000", "noise.sigma_r_dbm = -4000",
+        "swipt.p_th_dbm = -4000", "run.ic_mode = both-ways",
+        "rates.threshold_mode = adaptive", "rates.r_s = -0.1", "rates.r_s = none",
+        "run.networks = s2g,g2g", "run.methods = mc,exact", "run.trials = 0",
+        "run.cgq_n = 3", "swipt.mu = abc", "swipt.mu 0.5",
+    ])
+    def test_one_bad_value_exits_2_naming_its_key(self, line, tmp_path, capsys):
+        path = tmp_path / "one.cfg"
+        path.write_text(line + "\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "configuration valid" not in out.out and line.split()[0] in out.err
+
     def test_sweep_variable_whitelist(self):
         with pytest.raises(ConfigError, match="sweepable"):
             config_from_mapping({"sweep.variable": "noise.sigma_r_dbm"})

@@ -5,6 +5,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.special import gamma, gammainc, gammaincc
 
 from sagin_outage import specfun as sf
 from sagin_outage.analytic import closed_form as cf
@@ -42,6 +43,17 @@ class TestDeltaGamma:
     def test_nearly_coincident_limits(self, a, b, c, expected):
         assert sf.log_delta_gamma(a, b, c) == (1.0, pytest.approx(expected, rel=1e-14))
         assert sf.log_delta_gamma(a, c, b) == (-1.0, pytest.approx(expected, rel=1e-14))
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 7.0, 40.0])
+    @pytest.mark.parametrize("a", [0.5, 3.0, 12.5])
+    def test_one_sided_limits_match_scipy(self, a, x):
+        # c = inf leaves the upper gamma Gamma(a, x), b = 0 the lower gamma(a, x)
+        upper = gammaincc(a, x) * gamma(a)
+        lower = gammainc(a, x) * gamma(a)
+        assert sf.delta_gamma(a, x, np.inf) == pytest.approx(upper, rel=1e-12)
+        assert sf.delta_gamma(a, np.inf, x) == pytest.approx(-upper, rel=1e-12)
+        assert sf.delta_gamma(a, 0.0, x) == pytest.approx(lower, rel=1e-12)
+        assert sf.delta_gamma(a, x, 0.0) == pytest.approx(-lower, rel=1e-12)
 
     def test_log_form_handles_extreme_shapes(self):
         # shapes around 200 with tiny limits: linear scale would underflow
