@@ -2,25 +2,26 @@
 
 Both networks share one algebraic skeleton; the destination link enters only
 through the collapsed tail series (weights w_n, scale c) and the monomial
-pieces of its distance measure.  Five series blocks cover every regime:
+pieces of its distance measure.  Five series blocks cover every regime, each
+a row of the route table `_blocks`:
 
-  unsat_taylor     unsaturated branch, Taylor series in the satellite
+  direct           unsaturated branch, Taylor series in the satellite
                    exponential (usable while beta_bar w_max^2 p_sat / a stays
                    moderate);
-  unsat_linear minus unsat_overshoot
+  linear minus tail
                    the same probability written as the no-saturation value
                    minus the overshoot beyond the saturation point (usable
                    everywhere the Taylor parameter is large);
-  sat_above_knee   saturated branch above a positive saturation point;
-  sat_below_knee   saturated branch when the saturation point is negative.
+  sat-above-knee   saturated branch above a positive saturation point;
+  sat-below-knee   saturated branch when the saturation point is negative.
 
 Both unsaturated routes are listed whenever the saturation point is finite
-and positive; when the preferred one raises NumericError, the other one is
-evaluated on the same memo.  Every constant comes from the `OutageCase` of
-`build_case`.
+and positive; `_closed_outage` runs the routes in order and, when one raises
+NumericError, evaluates the next on the same memo.  Every constant comes from
+the `OutageCase` of `build_case`.
 
 Every block is one call of the loop nest `_series`, which adds the factors
-the blocks share, with a term function of its own: unsat_taylor's takes an
+the blocks share, with a term function of its own: `_taylor_terms` takes an
 incomplete-gamma difference times a G2123 destination bracket, `_g2113_terms`
 integrate a G2113 bracket by CGQ and `_gamma_terms` Gamma(s, .) at the
 saturation point times a destination factor.  `_Work.end_sum` is the one
@@ -76,9 +77,16 @@ class _Work:
         self.c_eff = case.dest_c * case.sat_scale
         # (k, log zeta_k) over the positive coefficients of the satellite-fading series
         self.sr_terms = [(k, math.log(z)) for k, z in enumerate(case.sr.zeta()) if z > 0]
-        self.w_nodes, self.w_wts = cgq_points(case.w_min_m, case.w_max_m, cgq_n)
+        # the CGQ rule is the midpoint rule in theta, w = cos(theta) mapped to
+        # [w_min, w_max]; its leading Euler-Maclaurin error, -(w_max - w_min)
+        # pi^2 / (48 n^2) (h(w_max) + h(w_min)), enters as two endpoint nodes
+        nodes, wts = cgq_points(case.w_min_m, case.w_max_m, cgq_n)
+        end_wt = -(case.w_max_m - case.w_min_m) * math.pi ** 2 / (48.0 * cgq_n ** 2)
+        self.w_nodes = np.append(nodes, [case.w_max_m, case.w_min_m])
+        wts = np.append(wts, [end_wt, end_wt])
+        self.wt_sign = np.sign(wts)
         self.log_w = np.log(self.w_nodes)
-        self.log_wts = np.log(self.w_wts)
+        self.log_wts = np.log(np.abs(wts))
         # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
         self.sat_decay = self.beta_bar * case.b_lin * self.w_nodes ** 2 / case.a_lin
         # destination pieces grouped by q, one row per distinct end y: pieces of
@@ -108,7 +116,7 @@ class _Work:
         (sign, log) on the CGQ nodes."""
         sign_f, log_f = f
         expo = self.log_wts + w_pow * self.log_w - self.sat_decay + log_f
-        return logsumexp_signed(expo, sign_f)
+        return logsumexp_signed(expo, sign_f * self.wt_sign)
 
     @_memo
     def gamma_nodes(self, s):
@@ -346,11 +354,10 @@ def _gamma_terms(work, dest, scale):
     return term
 
 
-def _unsat_taylor(work):
-    """Unsaturated branch as a Taylor series in the satellite exponential: the
-    satellite distance integral is DeltaGamma(k + k2 + 2) in closed form, times
-    the G2123 destination bracket at s1 = 1 + k1 + k2 - n; a zero bracket is
-    skipped."""
+def _taylor_terms(work):
+    """Terms of the Taylor route: the satellite distance integral is
+    DeltaGamma(k + k2 + 2) in closed form, times the G2123 destination bracket
+    at s1 = 1 + k1 + k2 - n; a zero bracket is skipped."""
     case = work.case
     log_half_a, log_b, log_bb, log_c, log_p = (
         math.log(v) for v in (case.a_lin / 2.0, case.b_lin, work.beta_bar, case.dest_c,
@@ -365,75 +372,54 @@ def _unsat_taylor(work):
         return dg_s * g_s, (log_half_a - (k1 + k2 + 2.0) * log_b - (k + 2.0) * log_bb
                             + dg_l + n * log_c + s1 * log_p + g_l)
 
-    return _series(work, 0, term)
-
-
-def _unsat_linear(work):
-    """No-saturation probability (finite Bessel-K route, no Taylor index)."""
-    return _series(work, 0, _g2113_terms(work, work.case.dest_c))
-
-
-def _unsat_overshoot(work):
-    """Unsaturated-branch integrand carried past the saturation point."""
-    return _series(work, 0, _gamma_terms(work, work.pieces_moment, work.case.dest_c))
-
-
-def _sat_above_knee(work):
-    """Saturated branch above a positive saturation point."""
-    return _series(work, 1, _gamma_terms(work, work.pieces_dgamma, work.case.b_lin))
-
-
-def _sat_below_knee(work):
-    """Saturated branch when the saturation point is at or below zero."""
-    return _series(work, 1, _g2113_terms(work, work.c_eff * work.case.b_lin, work.c_eff))
+    return term
 
 
 # ---------------------------------------------------------------------------
-# branch assembly
+# routes
 # ---------------------------------------------------------------------------
 
 def _blocks(case):
-    """Routes in preference order, each a list of (route, sign, block) whose signed
-    sum is the success probability: both unsaturated routes, the Taylor one first
-    unless its parameter is past both _ROUTE_SWITCH and the tail route's, each with
-    the saturated block when case.branches lists it; below the knee, the saturated
-    block alone, or NumericError past _SERIES_BLOWUP_EXP."""
+    """Routes in preference order, each a list of block rows (name, sign, top_n,
+    terms): the route's success probability is the signed sum over its rows of
+    _series(work, top_n, terms(work)).  Both unsaturated routes are listed, the
+    Taylor one first unless its parameter is past both _ROUTE_SWITCH and the tail
+    route's, each with the saturated block when case.branches lists it; below the
+    knee, the saturated block alone, or NumericError past _SERIES_BLOWUP_EXP."""
     if case.p_sat <= 0.0:
         param = case.dest_c * case.sat_scale * case.dest_hi ** case.nu
         if param > _SERIES_BLOWUP_EXP:
             raise NumericError("saturated-branch series parameter too large "
                                "(use the integral path for this configuration)",
                                {"param": param})
-        return [[("sat-below-knee", 1.0, _sat_below_knee)]]
+        return [[("sat-below-knee", 1.0, 1,
+                  lambda work: _g2113_terms(work, work.c_eff * work.case.b_lin, work.c_eff))]]
+    # the no-saturation probability, a finite Bessel-K route with no Taylor index
+    linear = ("linear", 1.0, 0, lambda work: _g2113_terms(work, work.case.dest_c))
     if math.isinf(case.p_sat):
-        routes = [[("linear", 1.0, _unsat_linear)]]
+        routes = [[linear]]
     else:
         param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
         param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
-        routes = [[("direct", 1.0, _unsat_taylor)],
-                  [("linear", 1.0, _unsat_linear), ("tail", -1.0, _unsat_overshoot)]]
+        # the unsaturated integrand carried past the saturation point
+        tail = ("tail", -1.0, 0,
+                lambda work: _gamma_terms(work, work.pieces_moment, work.case.dest_c))
+        routes = [[("direct", 1.0, 0, _taylor_terms)], [linear, tail]]
         if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
             routes.reverse()        # the tail route is preferred
     if "saturated" in case.branches:
-        routes = [r + [("sat-above-knee", 1.0, _sat_above_knee)] for r in routes]
+        sat = ("sat-above-knee", 1.0, 1,
+               lambda work: _gamma_terms(work, work.pieces_dgamma, work.case.b_lin))
+        routes = [r + [sat] for r in routes]
     return routes
 
 
-def _route_outage(work, blocks):
-    val, noise = 1.0, 0.0
-    for _, sign, block in blocks:
-        acc = block(work)
-        val -= sign * acc.value()
-        noise += acc.noise_estimate()
-    routes = [route for route, _, _ in blocks]
-    if noise > 1e-5:
-        raise NumericError("closed-form series lost too much precision",
-                           {"noise": noise, "outage": val, "routes": routes})
-    return checked_outage(val, "closed-form", {"routes": routes})
-
-
 def _closed_outage(case, cgq_n):
-    """Outage by the first route that succeeds; else the first route's NumericError."""
+    """Outage by the first route that succeeds, 1 minus the signed sum of its
+    blocks, each one _series on the shared memo.  A route fails when a block
+    raises NumericError, when its summed noise estimate passes 1e-5, or when
+    checked_outage rejects its value; with no route left, the first route's
+    NumericError is raised."""
     if case.dest_logw is None:
         raise ConfigError("fading.m_rd: the closed-form series requires an integer order")
     settled = settled_outage(case)
@@ -443,8 +429,17 @@ def _closed_outage(case, cgq_n):
     work = _Work(case, cgq_n)
     first = None
     for blocks in routes:
+        names = [name for name, *_ in blocks]
+        val, noise = 1.0, 0.0
         try:
-            return _route_outage(work, blocks)
+            for _, sign, top_n, terms in blocks:
+                acc = _series(work, top_n, terms(work))
+                val -= sign * acc.value()
+                noise += acc.noise_estimate()
+            if noise > 1e-5:
+                raise NumericError("closed-form series lost too much precision",
+                                   {"noise": noise, "outage": val, "routes": names})
+            return checked_outage(val, "closed-form", {"routes": names})
         except NumericError as exc:
             first = first or exc
     raise first

@@ -38,8 +38,10 @@ class OutageCase:
     branches lists the outage branches that carry success mass, and both paths
     take it from here: "unsaturated" when the case is feasible and p_sat > 0, and
     "saturated" when its mass bound Pr[satellite fading > (max(p_sat, 0) + b)
-    w_min^2 / a] exceeds SAT_NEGLIGIBLE.  The saturated branch scales the
-    destination threshold by sat_scale, 0 for linear EH and an infeasible case.
+    w_min^2 / a] exceeds SAT_NEGLIGIBLE; below the knee (p_sat <= 0) the bound is
+    multiplied by Pr[destination fade > sigma2 gamma sat_scale dest_lo^nu].  The
+    saturated branch scales the destination threshold by sat_scale, 0 for linear
+    EH and an infeasible case.
     """
 
     network: str
@@ -96,9 +98,6 @@ def build_case(cfg, network, ic_mode, gamma):
     if feasible and not linear_eh:      # a may be 0 or negative when infeasible
         sat_scale = eta / (sp.p_th * a)
         sat_x_min = (max(p_sat, 0.0) + b) * w_min_m ** 2 / a
-    branches = ("unsaturated",) if feasible and p_sat > 0 else ()
-    if shadowed_rician_power_tail(sat_x_min, cfg.sr) > SAT_NEGLIGIBLE:
-        branches += ("saturated",)
 
     if network == "s2g":
         sigma2 = cfg.noise.sigma_d2
@@ -116,6 +115,15 @@ def build_case(cfg, network, ic_mode, gamma):
         tail = lambda t: rician_power_tail(t, cfg.ric)
         c = (1.0 + cfg.ric.K_rt) * sigma2 * gamma
         logw = _dest_series_rician(cfg.ric.K_rt)
+
+    branches = ("unsaturated",) if feasible and p_sat > 0 else ()
+    sat_mass = shadowed_rician_power_tail(sat_x_min, cfg.sr)
+    if p_sat <= 0.0:
+        # below the knee success also needs a destination fade above
+        # sigma2 gamma sat_scale u^nu (z + b)/z >= sigma2 gamma sat_scale dest_lo^nu
+        sat_mass *= tail(sigma2 * gamma * sat_scale * pieces[0][0] ** nu)
+    if sat_mass > SAT_NEGLIGIBLE:
+        branches += ("saturated",)
 
     return OutageCase(
         network=network, gamma=gamma, a_lin=a, b_lin=b, p_sat=p_sat, branches=branches,

@@ -191,7 +191,8 @@ def rician_power_pdf(x, p):
 def rician_power_tail(x, p):
     """Pr[|g|^2 > x] through the noncentral-chi-square survival function."""
     # imported here, not at the top: scipy.stats more than doubles the import time
-    # of the package, and only the a2a integral path reads this tail
+    # of the package, and only the a2a integral path and the below-knee mass
+    # bound of build_case read this tail
     from scipy.stats import ncx2
     x = np.asarray(x, dtype=float)
     K = p.K_rt

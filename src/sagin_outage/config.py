@@ -240,14 +240,15 @@ class ScenarioConfig:
                 if ignored:
                     warnings.warn(f"link.eta_s_db overrides the physical link constants "
                                   f"{ignored}", stacklevel=4)
-            else:
-                _set("eta_s", effective_gain(SatelliteLink(
-                    P_s=g("link.P_s_w"), xi_db=g("link.xi_db"),
-                    wavelength=g("link.lambda_m"), T_noise=g("link.T_noise_k"),
-                    bandwidth=g("link.bandwidth_hz"), gain_s_db=g("link.gain_s_db"),
-                    gain_r_db=g("link.gain_sr_db"),
-                    theta_sr=math.radians(g("link.theta_sr_deg")),
-                    theta_3db=math.radians(g("link.theta_3db_deg")))))
+            else:       # a gain past the float range is effective_gain's ConfigError
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    _set("eta_s", effective_gain(SatelliteLink(
+                        P_s=g("link.P_s_w"), xi_db=g("link.xi_db"),
+                        wavelength=g("link.lambda_m"), T_noise=g("link.T_noise_k"),
+                        bandwidth=g("link.bandwidth_hz"), gain_s_db=g("link.gain_s_db"),
+                        gain_r_db=g("link.gain_sr_db"),
+                        theta_sr=math.radians(g("link.theta_sr_deg")),
+                        theta_3db=math.radians(g("link.theta_3db_deg")))))
             threshold_mode = g("rates.threshold_mode")
             if threshold_mode not in ("fixed", "from_rate"):
                 raise ConfigError("rates.threshold_mode must be 'fixed' or 'from_rate'")

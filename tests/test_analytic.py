@@ -10,7 +10,7 @@ from scipy.special import gammaln
 from sagin_outage import cli
 from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
                                    op_s2g_integral)
-from sagin_outage.analytic import closed_form as cf, direct_integral as di
+from sagin_outage.analytic import closed_form as cf, coefficients, direct_integral as di
 from sagin_outage.analytic.coefficients import build_case
 from sagin_outage.config import METHODS, config_from_mapping
 from sagin_outage.errors import ConfigError, NumericError
@@ -87,6 +87,28 @@ class TestCrossPathAgreement:
         cfg = _cfg(**{"link.eta_s_db": eta_db})
         assert abs(op_a2a_closed(cfg.gamma_a, cfg, ic_mode=mode)
                    - op_a2a_integral(cfg.gamma_a, cfg, ic_mode=mode)) <= self.TOL
+
+    def test_deep_outage_is_relatively_accurate(self):
+        # acceptance-grid points with OP < 1e-2, where the absolute TOL would pass a
+        # value off by 100%: closed must match integral to 1e-4 of the outage itself
+        deep = 0
+        for eta_db in np.linspace(88.0, 148.0, 15):
+            cfg = _cfg(**{"link.eta_s_db": float(eta_db)})
+            for network, mode in (("s2g", IM_IC), ("a2a", IM_IC), ("a2a", P_IC)):
+                case = build_case(cfg, network, mode,
+                                  cfg.gamma_s if network == "s2g" else cfg.gamma_a)
+                integral = di._outage(case)
+                if integral >= 1e-2:
+                    continue
+                deep += 1
+                # the arbiter's last two levels must agree well inside the bound
+                coarse, fine = (1.0 - sum(di._branch_mass(case, *limits, *level)
+                                          for limits in di._branches(case).values())
+                                for level in di._LEVELS[-2:])
+                assert abs(fine - coarse) <= 1e-5 * integral, (eta_db, network, mode)
+                closed = cf._closed_outage(case, cfg.cgq_n)
+                assert abs(closed - integral) <= 1e-4 * integral, (eta_db, network, mode)
+        assert deep >= 10
 
     def test_moderate_saturation_threshold(self):
         cfg = _cfg(**{"swipt.p_th_dbm": 5.0, "link.eta_s_db": 112.0})
@@ -302,7 +324,7 @@ class TestTaylorBracket:
         case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)
         assert cf._blocks(case)[0][0][0] == "direct"
         work = cf._Work(case, cfg.cgq_n)
-        cf._unsat_taylor(work)
+        cf._series(work, 0, cf._taylor_terms(work))
         visited = [key[1:] for key in work.memo if key[0].__name__ == "g2123_pieces"]
         assert len(visited) >= 20
         omega = case.dest_c / case.p_sat
@@ -507,16 +529,6 @@ TAYLOR_WRONG = {
     "rates.r_s": 0.4734375120068069, "rates.r_a": 0.2104985708009306,
     "fading.m_rd": 2, "fading.K_rt": 1.0532781519081558, "swipt.chi": 0.7114335911776285,
 }
-# A random config where both s2g routes land below 0 (direct at -2.04e-5, linear -
-# tail at -2.24e-5) while integral reads 1.876e-5: the deep-outage CGQ error,
-# beyond the 1e-6 that is clamped as noise.
-OUTSIDE_UNIT = {
-    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 30.995,
-    "link.eta_s_db": 149.608, "swipt.mu": 0.7047, "swipt.rho": 0.7374,
-    "swipt.epsilon": 0.8444, "rates.r_s": 0.04656, "rates.r_a": 0.05425,
-    "fading.m_rd": 3, "fading.K_rt": 2.620, "swipt.chi": 0.8716,
-}
-
 # Knee-scan configs: tools/closed_scan.scan_config(i) plus noise.sigma_r_dbm =
 # random.Random(f"knee-{i}").uniform(-10, 20), which puts the saturation point
 # p_sat below 0.  For knee 1 and 14, a2a p-IC, the saturated branch carries at
@@ -537,8 +549,8 @@ KNEE_14 = {
     "fading.m_rd": 2, "fading.K_rt": 2.2214466629035226, "swipt.chi": 0.786449547738511,
     "noise.sigma_r_dbm": 17.429812509079124,
 }
-# Knee 21 s2g: p_sat = -1.0e-3 with a saturated mass bound of 0.98, so the branch
-# stays, but its series parameter (136.4) is past _SERIES_BLOWUP_EXP.
+# Knee 21 s2g: p_sat = -1.0e-3; the satellite-fading bound of the saturated
+# branch is 0.98, but the destination fade it also needs has probability 1.1e-54.
 KNEE_21 = {
     "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": -4.699913136724895,
     "link.eta_s_db": 115.62387967651772, "swipt.mu": 0.8045135363886946,
@@ -546,6 +558,16 @@ KNEE_21 = {
     "rates.r_s": 0.4907233414106134, "rates.r_a": 0.19112883078501322,
     "fading.m_rd": 1, "fading.K_rt": 4.2370144827274085, "swipt.chi": 0.7723764673340392,
     "noise.sigma_r_dbm": 5.717837451680566,
+}
+# Knee 24 s2g: p_sat = -1.4e-2 with a saturated mass bound of 8.7e-15, so the
+# branch stays, but its series parameter (39.5) is past _SERIES_BLOWUP_EXP.
+KNEE_24 = {
+    "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 4.650610441717577,
+    "link.eta_s_db": 141.00678901472162, "swipt.mu": 0.582518429143994,
+    "swipt.rho": 0.5324852706440537, "swipt.epsilon": 0.11537178593900306,
+    "rates.r_s": 0.25475740531660407, "rates.r_a": 0.036212441467810164,
+    "fading.m_rd": 2, "fading.K_rt": 3.3624395998454224, "swipt.chi": 0.5159627017036927,
+    "noise.sigma_r_dbm": 12.475402348844895,
 }
 
 RANDOM_CONFIG = st.fixed_dictionaries({
@@ -647,38 +669,60 @@ class TestRandomConfigs:
             closed, integral = row[f"{column}_closed"], row[f"{column}_integral"]
             assert closed != "" and abs(float(closed) - float(integral)) <= 2e-4
 
-    def test_outage_outside_the_unit_interval_is_reported(self, tmp_path):
-        code, row = self._cli_row(tmp_path, {**OUTSIDE_UNIT, "run.networks": "s2g",
+    def test_outage_outside_the_unit_interval_is_reported(self, monkeypatch, tmp_path):
+        # every block reads 2.0: linear - tail + saturated gives 1 - 2 + 2 - 2 = -1
+        # and direct + saturated 1 - 2 - 2 = -3, both beyond the 1e-6 clamped as noise
+        keys = {"rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 35.0,
+                "link.eta_s_db": 118.0}
+        cfg = config_from_mapping(keys)
+        case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
+        assert case.branches == ("unsaturated", "saturated")
+        block = cf._SignedSum()
+        block.add(1.0, math.log(2.0))
+        monkeypatch.setattr(cf, "_series", lambda work, top_n, term: block)
+        checked = []
+
+        def checked_outage(val, path, details):
+            checked.append(details["routes"])
+            return coefficients.checked_outage(val, path, details)
+        monkeypatch.setattr(cf, "checked_outage", checked_outage)
+        with pytest.raises(NumericError, match="outside"):
+            op_s2g_closed(cfg.gamma_s, cfg)
+        assert checked == [["linear", "tail", "sat-above-knee"], ["direct", "sat-above-knee"]]
+        code, row = self._cli_row(tmp_path, {**keys, "run.networks": "s2g",
                                              "run.methods": "closed,integral"})
         assert code == 0 and row["op_s2g_closed"] == ""
         assert "op_s2g_closed:" in row["diagnostics"]
         assert "outside [0, 1] by" in row["diagnostics"]
         assert float(row["op_s2g_integral"]) > 0.0
 
-    @pytest.mark.parametrize("mapping", [KNEE_1, KNEE_14], ids=["knee-1", "knee-14"])
-    def test_negligible_saturated_branch_below_the_knee_is_settled(self, mapping,
-                                                                   monkeypatch):
+    @pytest.mark.parametrize("mapping, network, mode", [
+        (KNEE_1, "a2a", P_IC), (KNEE_14, "a2a", P_IC), (KNEE_21, "s2g", IM_IC),
+    ], ids=["knee-1", "knee-14", "knee-21"])
+    def test_negligible_saturated_branch_below_the_knee_is_settled(self, mapping, network,
+                                                                   mode, monkeypatch):
         cfg = config_from_mapping(mapping)
-        case = build_case(cfg, "a2a", P_IC, cfg.gamma_a)
+        case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)
         assert case.p_sat < 0.0 and case.branches == ()
 
         def no_series(*args):
             raise AssertionError("a settled case ran a series")
         monkeypatch.setattr(cf, "_series", no_series)
-        assert op_a2a_closed(cfg.gamma_a, cfg, ic_mode=P_IC) == 1.0
-        assert op_a2a_integral(cfg.gamma_a, cfg, ic_mode=P_IC) == 1.0
+        assert cf._closed_outage(case, cfg.cgq_n) == 1.0
+        assert di._outage(case) == 1.0
 
     def test_below_knee_series_guard_leaves_the_cell_to_integral(self, tmp_path):
-        cfg = config_from_mapping(KNEE_21)
+        cfg = config_from_mapping(KNEE_24)
         case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
         assert case.p_sat < 0.0 and case.branches == ("saturated",)
         with pytest.raises(NumericError, match="saturated-branch series parameter too large"):
             op_s2g_closed(cfg.gamma_s, cfg)
-        code, row = self._cli_row(tmp_path, {**KNEE_21, "run.networks": "s2g",
+        code, row = self._cli_row(tmp_path, {**KNEE_24, "run.networks": "s2g",
                                              "run.methods": "closed,integral"})
         assert code == 0 and row["op_s2g_closed"] == ""
         assert "op_s2g_closed:saturated-branch series parameter too large" in row["diagnostics"]
-        assert float(row["op_s2g_integral"]) == 1.0
+        # the branch's mass bound, 8.7e-15, caps how far below 1 the outage can be
+        assert float(row["op_s2g_integral"]) >= 1.0 - 1e-14
 
     def test_unconverged_quadrature_is_reported(self, monkeypatch, tmp_path):
         # a mass of n_z * 1e-5, n_z the level's last size, moves by over 1e-3
@@ -704,8 +748,9 @@ class TestRandomConfigs:
         cfg = config_from_mapping(NO_ROUTE_S2G)
         case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
         assert len(cf._blocks(case)) == 2
+        work = cf._Work(case, 100)
         with pytest.raises(NumericError, match="k2 cap"):
-            cf._unsat_taylor(cf._Work(case, 100))
+            cf._series(work, 0, cf._taylor_terms(work))
         assert abs(op_s2g_closed(cfg.gamma_s, cfg) - op_s2g_integral(cfg.gamma_s, cfg)) <= 1e-6
 
     @pytest.mark.parametrize("mapping, network, mode", [
@@ -720,7 +765,8 @@ class TestRandomConfigs:
         *_, coarse, fine = (di._branch_mass(case, *di._branches(case)["unsaturated"], *level)
                             for level in di._LEVELS)
         assert abs(fine - coarse) <= 1e-10
-        acc = cf._unsat_taylor(cf._Work(case, cfg.cgq_n))
+        work = cf._Work(case, cfg.cgq_n)
+        acc = cf._series(work, 0, cf._taylor_terms(work))
         assert abs(acc.value() - fine) <= max(10.0 * acc.noise_estimate(), 1e-9)
 
     @pytest.mark.parametrize("mapping", [TAYLOR_CANCELS, TAYLOR_WRONG],

@@ -285,11 +285,14 @@ class TestValidation:
         "rates.threshold_mode = adaptive", "rates.r_s = -0.1", "rates.r_s = none",
         "run.networks = s2g,g2g", "run.methods = mc,exact", "run.trials = 0",
         "run.cgq_n = 3", "swipt.mu = abc", "swipt.mu 0.5",
+        "link.gain_s_db = 4000", "link.bandwidth_hz = 1e-320",
     ])
     def test_one_bad_value_exits_2_naming_its_key(self, line, tmp_path, capsys):
         path = tmp_path / "one.cfg"
         path.write_text(line + "\n")
-        assert cli.main(["validate", "--config", str(path)]) == 2
+        with warnings.catch_warnings():     # the error comes without a numpy warning
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["validate", "--config", str(path)]) == 2
         out = capsys.readouterr()
         assert "configuration valid" not in out.out and line.split()[0] in out.err
 
