@@ -68,7 +68,7 @@ def _memo(build):
 
 
 class _Work:
-    """Per-evaluation memo and CGQ nodes."""
+    """Per-evaluation memo, contour power tables and CGQ nodes."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -110,6 +110,9 @@ class _Work:
             if rows:
                 self.dest_groups.append((q, *(np.array(col) for col in zip(*rows))))
         self.memo = {}
+        # contour power tables of meijer_g_log: the G2113 calls of a case share
+        # argument grids, and no grid recurs in another case (cst moves with it)
+        self.mb_tables = {}
 
     def cgq(self, w_pow, f):
         """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
@@ -174,7 +177,8 @@ class _Work:
         argument cst y^nu w^2: end_sum of G2113((1 - s2 - e, s3, -s3, -s2 - e) | .)."""
         def meijer(e, ys):
             xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
-            gs, gl = meijer_g_log("G2113", (1.0 - s2 - e, s3, -s3, -s2 - e), xs.ravel())
+            gs, gl = meijer_g_log("G2113", (1.0 - s2 - e, s3, -s3, -s2 - e), xs.ravel(),
+                                  tables=self.mb_tables)
             return gs.reshape(xs.shape), gl.reshape(xs.shape)
 
         return self.end_sum(s2, meijer)

@@ -6,17 +6,15 @@ continued fraction per element, the downward recurrence once over every x < 1),
 its cancellation-safe differences, ln I0 through scipy's scaled ``i0e``,
 Meijer-G in the one family b3 = a1 - 1 the series use (G2113 by a nested
 trapezoid rule on the Mellin-Barnes contour, each level a power sum in x^(-i h)
-for the step h, stopped within 1e-6 of the previous level, its power tables kept
-in a small cache bounded in entries and bytes, one per argument grid and step;
-G2123, which the closed path takes apart itself, as two incomplete gammas for
-the oracle table and tests; G0110 and G2002 by identities the oracle table
-checks), and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery
+for the step h, stopped within 1e-6 of the previous level, its power tables,
+one per argument grid and step, kept only in a dict the caller passes; G2123,
+which the closed path takes apart itself, as two incomplete gammas for the
+oracle table and tests; G0110 and G2002 by identities the oracle table checks),
+and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery
 is evaluated in the log domain with explicit signs because the series couple
 enormous and tiny factors whose product is O(1).
 """
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -264,28 +262,16 @@ _MB_MAX_INTERVALS = 2 ** 16
 _MB_AGREE = 1e-6
 
 
-# power tables of _mb_power_sum by (lnx bytes, h), least recently used first.
-# Within one closed case the G2113 calls of a block and destination group share
-# their argument grid, and h = t_hi / n takes few values, so a case holds about a
-# dozen keys.  8 entries serve 90% of the lookups of an a2a case; 16 serve 94%,
-# which saves under 1% more time and doubles the added peak memory.  A table
-# larger than the byte bound (a long argument array) is built but not kept
-_MB_TABLES = OrderedDict()
-_MB_TABLE_ENTRIES = 8
-_MB_TABLE_BYTES = 2 ** 22
-_MB_TABLE_LOCK = threading.Lock()
-
-
-def _mb_powers(lnx, h):
+def _mb_powers(lnx, h, tables):
     """Read-only table z^0..z^(B-1) of z_j = x_j^(-i h), B = _MB_FIRST_INTERVALS:
     products of at most log2(B) squarings of z, so the rounding of a power grows
-    with B.  A pure function of (lnx, h), kept in _MB_TABLES."""
-    key = (lnx.tobytes(), h)
-    with _MB_TABLE_LOCK:
-        powers = _MB_TABLES.get(key)
-        if powers is not None:
-            _MB_TABLES.move_to_end(key)
-            return powers
+    with B.  A pure function of (lnx, h), kept in tables by (lnx bytes, h) when
+    a dict is given, and built afresh otherwise."""
+    if tables is not None:
+        key = (lnx.tobytes(), h)
+        if key not in tables:
+            tables[key] = _mb_powers(lnx, h, None)
+        return tables[key]
     b = _MB_FIRST_INTERVALS
     powers = np.empty((b, lnx.size), dtype=complex)
     powers[0] = 1.0
@@ -295,27 +281,21 @@ def _mb_powers(lnx, h):
         np.multiply(powers[:r], powers[r // 2] ** 2, out=powers[r:2 * r])
         r *= 2
     powers.flags.writeable = False
-    if powers.nbytes <= _MB_TABLE_BYTES:
-        with _MB_TABLE_LOCK:
-            _MB_TABLES[key] = powers
-            held = sum(t.nbytes for t in _MB_TABLES.values())
-            while len(_MB_TABLES) > _MB_TABLE_ENTRIES or held > _MB_TABLE_BYTES:
-                held -= _MB_TABLES.popitem(last=False)[1].nbytes
     return powers
 
 
-def _mb_power_sum(c, lnx, t0, h):
+def _mb_power_sum(c, lnx, t0, h, tables):
     """Re[sum_k c_k x_j^(-i (t0 + k h))] for each x_j, as a power sum in z_j = x_j^(-i h).
 
     The nodes run in blocks of B = _MB_FIRST_INTERVALS (len(c) is a multiple of
     B).  z^0..z^(B-1) come from _mb_powers, which builds the table once per
-    (lnx, h) and shares it between calls, and each block start x_j^(-i t) is its
-    own exp, so the rounding of a power grows with B, not with k.  The
+    (lnx, h) in the dict tables (every call for None), and each block start
+    x_j^(-i t) is its own exp, so the rounding of a power grows with B, not k.  The
     contraction is one real einsum over the float view of the powers, not BLAS,
     so no BLAS thread count enters the result.
     """
     b = _MB_FIRST_INTERVALS
-    powers = _mb_powers(lnx, h)
+    powers = _mb_powers(lnx, h, tables)
     blocks = c.reshape(-1, b)
     nb = len(blocks)
     # rows: sum_r Re(c_r) z^r per block, then sum_r Im(c_r) z^r
@@ -325,7 +305,7 @@ def _mb_power_sum(c, lnx, t0, h):
     return np.einsum("bj,bj->j", starts, parts[:nb] + 1j * parts[nb:]).real
 
 
-def _mb_contour_log(s3, hi, lnx):
+def _mb_contour_log(s3, hi, lnx, tables):
     """G2113 of the family: the Mellin-Barnes integral of Gamma(s + s3)
     Gamma(s - s3) / (hi - s) x^-s on a vertical line in |s3| < Re s < hi,
     vectorised over lnx = log x; returns (sign, log|G|) arrays.
@@ -336,7 +316,8 @@ def _mb_contour_log(s3, hi, lnx):
     converges geometrically for an integrand analytic in a strip about the
     line: each halving of the step adds only the new midpoints to a
     log-rescaled running sum.  The first level that agrees with the previous
-    one to _MB_AGREE (1e-6 of max(1, |log G|), plus 1e-12) is returned.
+    one to _MB_AGREE (1e-6 of max(1, |log G|), plus 1e-12) is returned.  Each
+    level's power table comes from, and goes into, tables (see _mb_powers).
     """
     def log_rho(s):
         return loggamma(s + s3) + loggamma(s - s3) - np.log(hi - s)
@@ -367,7 +348,7 @@ def _mb_contour_log(s3, hi, lnx):
         c = np.exp(lr - m_new)
         if prev is None:
             c[0] *= 0.5
-        total = total * np.exp(big_m - m_new) + _mb_power_sum(c, lnx, t0, dt)
+        total = total * np.exp(big_m - m_new) + _mb_power_sum(c, lnx, t0, dt, tables)
         big_m = m_new
         m = big_m - sigma * lnx
         vals = total * (t_hi / n)
@@ -397,7 +378,7 @@ def _g2123_log(s1, c, xs):
     return np.ones(lnx.shape), np.logaddexp(upper, lower) - np.log(c + s1)
 
 
-def meijer_g_log(instance, params, xs):
+def meijer_g_log(instance, params, xs, tables=None):
     """(sign, log|G|) arrays of G2123 or G2113 where b3 = a1 - 1 =: -c, the one
     family the outage series use: Gamma(1 - a1 - s) / Gamma(1 - b3 - s) in the
     Mellin-Barnes integrand is 1 / (c - s), with c read as 1 - a1.
@@ -405,7 +386,10 @@ def meijer_g_log(instance, params, xs):
     G2123 (a1, a2, b1, b2, b3) = (1 - c, s1 + 1, s1, 0, -c) is two incomplete
     gammas (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c) runs the
     contour (_mb_contour_log).  Other parameters raise DomainError, and an empty
-    strip max(-b1, -b2) < Re s < c raises NumericError.
+    strip max(-b1, -b2) < Re s < c raises NumericError.  G2113 calls that pass
+    one dict as tables share the contour's power tables, keyed by argument grid
+    and step; with None, nothing is kept.  A table is a pure function of its key,
+    so the values do not depend on the dict.
     """
     p = tuple(float(v) for v in params)
     xs = np.asarray(xs, dtype=float)
@@ -424,7 +408,7 @@ def meijer_g_log(instance, params, xs):
                            {"instance": instance, "params": p})
     if instance == "G2123":
         return _g2123_log(p[2], hi, xs)
-    return _mb_contour_log(p[1], hi, np.log(xs))
+    return _mb_contour_log(p[1], hi, np.log(xs), tables)
 
 
 def meijer_g(instance, params, x):

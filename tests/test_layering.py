@@ -4,7 +4,8 @@
 ``sweep``, and no ``analytic`` module imports ``mc`` or ``sweep``, so the
 package has no import cycle to dodge.  No module imports another's private
 (underscore) name.  Imports sit at module level; the one
-exception is ``scipy.stats``, which only the a2a integral path reads and which
+exception is ``scipy.stats``, which only ``channel.rician_power_tail`` reads (for
+the a2a integral path and the below-knee mass bound of ``build_case``) and which
 would more than double the package's import time.
 """
 

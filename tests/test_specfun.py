@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -197,77 +194,31 @@ class TestMbPowerSum:
         c = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         h = t_hi / n
         t0 = 0.5 * h if midpoints else 0.0
-        got = sf._mb_power_sum(c, lnx, t0, h)
+        got = sf._mb_power_sum(c, lnx, t0, h, None)
         # relative to sum |c_k|, the largest value the sum can take
         err = np.max(np.abs(got - self._direct(c, lnx, t0, h)))
         assert err <= 1e-12 * np.sum(np.abs(c))
 
-    @pytest.fixture
-    def tables(self, monkeypatch):
-        """An empty power-table cache for the test alone."""
-        monkeypatch.setattr(sf, "_MB_TABLES", OrderedDict())
-        return sf._MB_TABLES
-
-    def test_cold_and_warm_calls_agree_bit_for_bit(self, tables):
+    def test_cold_and_warm_calls_agree_bit_for_bit(self):
         rng = np.random.default_rng(7)
         lnx = rng.uniform(-60.0, 60.0, 300)
         c = rng.uniform(0.0, 1.0, 256) * np.exp(1j * rng.uniform(-np.pi, np.pi, 256))
-        cold = sf._mb_power_sum(c, lnx, 0.0, 2.5)
+        tables = {}
+        cold = sf._mb_power_sum(c, lnx, 0.0, 2.5, tables)
         assert len(tables) == 1
         table = next(iter(tables.values()))
-        warm = sf._mb_power_sum(c, lnx, 0.0, 2.5)
+        warm = sf._mb_power_sum(c, lnx, 0.0, 2.5, tables)
         assert np.array_equal(cold, warm)
-        assert sf._mb_powers(lnx.copy(), 2.5) is table and len(tables) == 1
+        assert np.array_equal(cold, sf._mb_power_sum(c, lnx, 0.0, 2.5, None))
+        assert sf._mb_powers(lnx.copy(), 2.5, tables) is table and len(tables) == 1
 
-    def test_cached_table_is_read_only(self, tables):
-        table = sf._mb_powers(np.linspace(-5.0, 5.0, 11), 0.5)
+    def test_kept_table_is_read_only(self):
+        tables = {}
+        table = sf._mb_powers(np.linspace(-5.0, 5.0, 11), 0.5, tables)
+        assert table is next(iter(tables.values()))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1, 0] = 0.0
-
-    def test_cache_stays_within_its_bounds(self, tables):
-        bound = sf._MB_TABLE_BYTES
-        per_point = sf._MB_FIRST_INTERVALS * 16
-        for i in range(sf._MB_TABLE_ENTRIES + 4):     # small tables: the entry bound
-            sf._mb_powers(np.linspace(-5.0, 5.0, 10), 0.1 * (i + 1))
-        assert len(tables) == sf._MB_TABLE_ENTRIES
-        assert (np.linspace(-5.0, 5.0, 10).tobytes(), 0.1) not in tables
-        # tables of 40% of the byte bound each: two fit, a third evicts the oldest
-        mid = bound * 2 // 5 // per_point
-        for h in (1.0, 2.0, 3.0):
-            sf._mb_powers(np.linspace(-1.0, 1.0, mid), h)
-        assert sum(t.nbytes for t in tables.values()) <= bound
-        assert [key[1] for key in tables] == [2.0, 3.0]
-        # one call over a grid whose table alone passes the bound keeps nothing new
-        big = np.linspace(-1.0, 1.0, bound // per_point + 1)
-        assert sf._mb_powers(big, 0.5).nbytes > bound
-        assert [key[1] for key in tables] == [2.0, 3.0]
-
-    def test_threads_sharing_the_cache_get_the_right_tables(self, tables):
-        # more keys than entries, so threads evict each other's tables
-        lnx = np.linspace(-5.0, 5.0, 10)
-        steps = [0.05 * (i + 1) for i in range(2 * sf._MB_TABLE_ENTRIES)]
-        want = {h: sf._mb_powers(lnx, h).copy() for h in steps}
-        wrong = []
-
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            for h in rng.choice(steps, 300):
-                if not np.array_equal(sf._mb_powers(lnx, float(h)), want[h]):
-                    wrong.append(h)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not wrong
-        assert len(tables) == sf._MB_TABLE_ENTRIES
 
 
 class TestMeijerG:
@@ -344,6 +295,44 @@ class TestMeijerG:
         with pytest.raises(DomainError):
             sf.meijer_g_log(instance, params, [1.5])
 
+    def test_g2113_value_does_not_depend_on_the_tables_dict(self):
+        # no dict, a fresh one, and one that another parameter set filled on the
+        # same grid with every table this call needs
+        xs = np.array([0.02, 1.7, 260.0])
+        params = (-1.5, 0.5, -0.5, -2.5)
+        filled = {}
+        sf.meijer_g_log("G2113", (-0.5, 0.5, -0.5, -1.5), xs, filled)
+        kept = dict(filled)
+        fresh = {}
+        want = sf.meijer_g_log("G2113", params, xs)
+        for tables in (fresh, filled):
+            sign, log = sf.meijer_g_log("G2113", params, xs, tables)
+            assert np.array_equal(sign, want[0]) and np.array_equal(log, want[1])
+        assert fresh and fresh.keys() <= kept.keys()
+        assert all(filled[key] is table for key, table in kept.items())
+        assert len(filled) == len(kept)
+
+    def test_a_closed_case_builds_each_table_once(self, monkeypatch):
+        # the 88 dB a2a im-IC case of the acceptance grid: every (grid, step)
+        # table its G2113 calls use is built once, into the case's one dict
+        cfg = config_from_mapping({"rates.threshold_mode": "from_rate",
+                                   "swipt.p_th_dbm": 35.0, "link.eta_s_db": 88.0})
+        built, dicts = [], {}
+        real = sf._mb_powers
+
+        def counting(lnx, h, tables):
+            if tables is None:
+                built.append((lnx.tobytes(), h))
+            else:
+                dicts[id(tables)] = tables
+            return real(lnx, h, tables)
+
+        monkeypatch.setattr(sf, "_mb_powers", counting)
+        cf.op_a2a_closed(cfg.gamma_a, cfg)
+        (tables,) = dicts.values()
+        assert built and len(built) == len(set(built)) == len(tables)
+        assert set(built) == tables.keys()
+
     @pytest.mark.parametrize("network,eta_db", [("a2a", 88.0), ("s2g", 103.0)])
     def test_stop_rule_matches_a_later_stop(self, network, eta_db, monkeypatch):
         # every G2113 call of one closed case on the acceptance-grid thresholds,
@@ -352,8 +341,8 @@ class TestMeijerG:
                                    "swipt.p_th_dbm": 35.0, "link.eta_s_db": eta_db})
         calls = []
 
-        def recording(instance, params, xs):
-            got = sf.meijer_g_log(instance, params, xs)
+        def recording(instance, params, xs, tables=None):
+            got = sf.meijer_g_log(instance, params, xs, tables)
             if instance == "G2113":
                 calls.append((params, np.array(xs), got))
             return got
