@@ -32,9 +32,9 @@ to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
-a Taylor index k2 that reaches `_K2_CAP` raises NumericError.  All sums run
-in signed log space; cancellation is monitored against the largest term so a
-noisy series is reported instead of silently returned.
+all sums run in signed log space.  `_series` raises NumericError, and so ends
+its route at once, when a Taylor index k2 reaches `_K2_CAP` or the route's
+noise estimate passes 1e-5; no series parameter is bounded.
 """
 
 import math
@@ -49,9 +49,6 @@ from ..swipt import IM_IC
 from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
 
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
-# below the knee there is one route, with a contour call per term; past this it
-# failed on 10 of 12 random configs after 0.1-4.7 s each (2 read 1.0, as integral)
-_SERIES_BLOWUP_EXP = 28.0
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
 
@@ -274,7 +271,7 @@ def _converge(acc, indices, term):
 # the series blocks
 # ---------------------------------------------------------------------------
 
-def _series(work, top_n, term):
+def _series(work, top_n, term, noise=0.0):
     """The n -> k1 -> k2 nest, for every k, of every block.
 
     n runs through _converge over the destination weights, k1 over all of
@@ -283,6 +280,9 @@ def _series(work, top_n, term):
     block shares, log(alpha / w_norm) + log zeta_k + log C(k + top_n n, k1)
     + log w_n - log k2!, and the sign (-1)^k2; term(k, n, k1, k2) returns the
     rest as (sign, log), None to skip the index, or _STOP to end the k2 sum.
+    NumericError is raised at the first term that takes noise, the estimate of
+    the route's earlier blocks, plus the nest's own past 1e-5; an estimate never
+    falls as terms are added, so a route that ends under 1e-5 never trips it.
     """
     logw_n = work.case.dest_logw
     acc = _SignedSum()
@@ -302,6 +302,10 @@ def _series(work, top_n, term):
                         return got
                     lt = pref + got[1] - float(gammaln(k2 + 1.0))
                     acc.add((-1.0) ** k2 * got[0], lt)
+                    total = noise + acc.noise_estimate()
+                    if total > 1e-5:
+                        raise NumericError("closed-form series lost too much precision",
+                                           {"noise": total, "k": k, "n": n, "k1": k1})
                     return lt
 
                 peak, exhausted = _converge(acc, range(_K2_CAP + 1), k2_term)
@@ -389,13 +393,8 @@ def _blocks(case):
     _series(work, top_n, terms(work)).  Both unsaturated routes are listed, the
     Taylor one first unless its parameter is past both _ROUTE_SWITCH and the tail
     route's, each with the saturated block when case.branches lists it; below the
-    knee, the saturated block alone, or NumericError past _SERIES_BLOWUP_EXP."""
+    knee, the saturated block alone."""
     if case.p_sat <= 0.0:
-        param = case.dest_c * case.sat_scale * case.dest_hi ** case.nu
-        if param > _SERIES_BLOWUP_EXP:
-            raise NumericError("saturated-branch series parameter too large "
-                               "(use the integral path for this configuration)",
-                               {"param": param})
         return [[("sat-below-knee", 1.0, 1,
                   lambda work: _g2113_terms(work, work.c_eff * work.case.b_lin, work.c_eff))]]
     # the no-saturation probability, a finite Bessel-K route with no Taylor index
@@ -420,8 +419,9 @@ def _blocks(case):
 
 def _closed_outage(case, cgq_n):
     """Outage by the first route that succeeds, 1 minus the signed sum of its
-    blocks, each one _series on the shared memo.  A route fails when a block
-    raises NumericError, when its summed noise estimate passes 1e-5, or when
+    blocks, each one _series on the shared memo, given the noise estimate of
+    the blocks before it.  A route fails when a block raises NumericError, as
+    _series does at its k2 cap or when the route's noise passes 1e-5, or when
     checked_outage rejects its value; with no route left, the first route's
     NumericError is raised."""
     if case.dest_logw is None:
@@ -437,12 +437,9 @@ def _closed_outage(case, cgq_n):
         val, noise = 1.0, 0.0
         try:
             for _, sign, top_n, terms in blocks:
-                acc = _series(work, top_n, terms(work))
+                acc = _series(work, top_n, terms(work), noise)
                 val -= sign * acc.value()
                 noise += acc.noise_estimate()
-            if noise > 1e-5:
-                raise NumericError("closed-form series lost too much precision",
-                                   {"noise": noise, "outage": val, "routes": names})
             return checked_outage(val, "closed-form", {"routes": names})
         except NumericError as exc:
             first = first or exc

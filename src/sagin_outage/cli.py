@@ -30,9 +30,9 @@ def _load(args):
 
 def _check_out(path):
     """ConfigError unless a file can be written at path, checked before the sweep runs."""
-    folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write output file {path}: it is a directory")
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise ConfigError(f"cannot write output file {path}: it names no file")
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigError(f"cannot write output file {path}: {folder} is not a writable "
                           "directory")

@@ -313,6 +313,37 @@ class TestSeriesSkeleton:
         _, seen, _ = self._visits(0, lambda k2: cf._STOP)
         assert seen and max(k2 for *_, k2 in seen) == 0
 
+    def _first_log(self):
+        """The work of _visits and the log the nest gives its first term at log 0."""
+        work, _, acc = self._visits(0, lambda k2: cf._STOP if k2 else (1.0, 0.0))
+        return work, acc.logs[0]
+
+    @pytest.mark.parametrize("noise, trips_at", [(0.0, 3), (0.75e-5 / 3.5, 2)])
+    def test_noise_gate_raises_at_the_first_term_past_it(self, noise, trips_at):
+        # every term of the first k2 sum adds 1e-5/3.5 to the noise estimate, and
+        # neither falls small nor reaches the cap: the gate ends the sum
+        work, log0 = self._first_log()
+        x = math.log(1e-5 / 3.5 / 1e-15) - log0
+        seen = []
+
+        def term(k, n, k1, k2):
+            seen.append(k2)
+            return 1.0, x + float(gammaln(k2 + 1.0))
+
+        with pytest.raises(NumericError, match="lost too much precision") as exc:
+            cf._series(work, 0, term, noise)
+        assert seen == list(range(trips_at + 1))
+        assert exc.value.diagnostics["noise"] > 1e-5
+
+    def test_overflowing_block_is_a_numeric_error(self, monkeypatch):
+        # a first term at log 710 would overflow the block's value to OverflowError
+        work, log0 = self._first_log()
+        huge = ("huge", 1.0, 0, lambda w: lambda k, n, k1, k2: (
+            cf._STOP if k2 else (1.0, 710.0 - log0)))
+        monkeypatch.setattr(cf, "_blocks", lambda case: [[huge]])
+        with pytest.raises(NumericError, match="lost too much precision"):
+            cf._closed_outage(work.case, 8)
+
 
 class TestTaylorBracket:
     """_Work.g2123_pieces against its reference form, the end_sum of G2123 values."""
@@ -560,7 +591,8 @@ KNEE_21 = {
     "noise.sigma_r_dbm": 5.717837451680566,
 }
 # Knee 24 s2g: p_sat = -1.4e-2 with a saturated mass bound of 8.7e-15, so the
-# branch stays, but its series parameter (39.5) is past _SERIES_BLOWUP_EXP.
+# branch stays, but its series (parameter 39.5) passes the 1e-5 noise gate in
+# its first k2 sum.
 KNEE_24 = {
     "rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 4.650610441717577,
     "link.eta_s_db": 141.00678901472162, "swipt.mu": 0.582518429143994,
@@ -679,7 +711,7 @@ class TestRandomConfigs:
         assert case.branches == ("unsaturated", "saturated")
         block = cf._SignedSum()
         block.add(1.0, math.log(2.0))
-        monkeypatch.setattr(cf, "_series", lambda work, top_n, term: block)
+        monkeypatch.setattr(cf, "_series", lambda work, top_n, term, noise: block)
         checked = []
 
         def checked_outage(val, path, details):
@@ -711,16 +743,27 @@ class TestRandomConfigs:
         assert cf._closed_outage(case, cfg.cgq_n) == 1.0
         assert di._outage(case) == 1.0
 
-    def test_below_knee_series_guard_leaves_the_cell_to_integral(self, tmp_path):
+    def test_below_knee_series_guard_leaves_the_cell_to_integral(self, tmp_path,
+                                                                  monkeypatch):
+        # the noise gate ends the one below-knee route inside its first k2 sum,
+        # after the dozen contour calls that sum makes
         cfg = config_from_mapping(KNEE_24)
         case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
         assert case.p_sat < 0.0 and case.branches == ("saturated",)
-        with pytest.raises(NumericError, match="saturated-branch series parameter too large"):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return meijer_g_log(*args, **kwargs)
+        monkeypatch.setattr(cf, "meijer_g_log", counted)
+        with pytest.raises(NumericError, match="lost too much precision") as exc:
             op_s2g_closed(cfg.gamma_s, cfg)
+        assert 0 < len(calls) <= 12
+        assert (exc.value.diagnostics["k"], exc.value.diagnostics["n"]) == (0, 0)
         code, row = self._cli_row(tmp_path, {**KNEE_24, "run.networks": "s2g",
                                              "run.methods": "closed,integral"})
         assert code == 0 and row["op_s2g_closed"] == ""
-        assert "op_s2g_closed:saturated-branch series parameter too large" in row["diagnostics"]
+        assert "op_s2g_closed:closed-form series lost too much precision" in row["diagnostics"]
         # the branch's mass bound, 8.7e-15, caps how far below 1 the outage can be
         assert float(row["op_s2g_integral"]) >= 1.0 - 1e-14
 
@@ -749,7 +792,7 @@ class TestRandomConfigs:
         case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
         assert len(cf._blocks(case)) == 2
         work = cf._Work(case, 100)
-        with pytest.raises(NumericError, match="k2 cap"):
+        with pytest.raises(NumericError, match="lost too much precision"):
             cf._series(work, 0, cf._taylor_terms(work))
         assert abs(op_s2g_closed(cfg.gamma_s, cfg) - op_s2g_integral(cfg.gamma_s, cfg)) <= 1e-6
 

@@ -524,15 +524,16 @@ class TestCliEntry:
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot read {what} {path}")
 
-    @pytest.mark.parametrize("where", ["missing/o.csv", "."], ids=["no-dir", "a-dir"])
-    def test_unwritable_out_fails_before_the_sweep(self, where, tmp_path, monkeypatch,
+    @pytest.mark.parametrize("out", ["missing/o.csv", "missing/../o.csv", ".", "", "sub/"],
+                             ids=["no-dir", "through-no-dir", "a-dir", "empty", "no-file-name"])
+    def test_unwritable_out_fails_before_the_sweep(self, out, tmp_path, monkeypatch,
                                                    capsys):
         def no_sweep(cfg):
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        out = tmp_path / where
-        assert cli.main(["run", "--out", str(out)]) == 2
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--out", out]) == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot write output file {out}")
 

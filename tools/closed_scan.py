@@ -1,6 +1,6 @@
 """Scan random configs with the closed and integral paths, cell by cell.
 
-    PYTHONPATH=src python3 tools/closed_scan.py [--knee] [N]
+    PYTHONPATH=src python3 tools/closed_scan.py [--knee] [--compare OLD.jsonl] [N]
 
 Config i (0 <= i < N, default N = 300) draws from ``random.Random(f"scan-{i}")``,
 in this order: ``swipt.p_th_dbm`` (inf with probability 0.1, else U(-10, 40)),
@@ -18,14 +18,20 @@ One JSON line is printed per cell: the index, the case, ``below_knee`` (a
 feasible non-linear case with saturation point p_sat <= 0), for each method its
 value (exact, as JSON writes a float) or its NumericError text, and
 ``closed_cpu_s``, the thread CPU time (``time.thread_time``) of the ``closed``
-call.  A last line summarises: the blank ``closed`` cells by message and how
+call.  A summary line follows: the blank ``closed`` cells by message and how
 many of them are below the knee, how many ``closed`` values lie more than 2e-4
-from ``integral``, the largest |closed - integral|, and ``closed_cpu_s``, the
-total over every cell and route.
-Comparing the output of two trees cell by cell shows every value that moved;
-the time fields vary from run to run and are not part of that comparison.
+from ``integral``, the largest |closed - integral|, ``closed_cpu_s``, the
+total over every cell and route, and ``slowest_blank_closed_cpu_s``, the most
+any blank ``closed`` cell took.
+
+``--compare OLD.jsonl`` reads the output of an earlier scan (of another tree,
+with the same N and ``--knee``) and then prints one line per cell whose
+``closed`` cell changed: its value moved, it went between blank and filled, or
+its message changed.  A last line counts each kind over the cells both scans
+have.  The time fields vary from run to run and are not compared.
 """
 
+import argparse
 import json
 import random
 import sys
@@ -67,15 +73,49 @@ def _evaluate(fn, gamma, cfg, kwargs):
         return None, str(exc)
 
 
+def read_scan(path):
+    """The cell lines of a scan's output, {(index, case): line}."""
+    with open(path) as fh:
+        return {(line["index"], line["case"]): line
+                for line in map(json.loads, fh) if "index" in line}
+
+
+def compare(old, cells):
+    """One line per cell of cells whose closed cell differs from old's, both as
+    read_scan returns them, then the counts by kind of change."""
+    kinds = dict.fromkeys(("compared", "value_moved", "blank_to_filled", "filled_to_blank",
+                           "message_changed"), 0)
+    for key, new in cells.items():
+        was = old.get(key)
+        if was is None:
+            continue
+        kinds["compared"] += 1
+        if (was["closed"] is None) != (new["closed"] is None):
+            kind = "filled_to_blank" if new["closed"] is None else "blank_to_filled"
+        elif was["closed"] != new["closed"]:
+            kind = "value_moved"
+        elif was["closed_error"] != new["closed_error"]:
+            kind = "message_changed"
+        else:
+            continue
+        kinds[kind] += 1
+        print(json.dumps({"index": key[0], "case": key[1], "change": kind,
+                          "old_closed": was["closed"], "old_closed_error": was["closed_error"],
+                          "closed": new["closed"], "closed_error": new["closed_error"]}))
+    print(json.dumps({"cells": len(cells), **kinds}))
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    knee = "--knee" in argv
-    if knee:
-        argv.remove("--knee")
-    n = int(argv[0]) if argv else 300
-    blank, knee_blank, off, worst, cpu = Counter(), 0, 0, 0.0, 0.0
-    for i in range(n):
-        cfg = config_from_mapping(scan_config(i, knee))
+    parser = argparse.ArgumentParser(description="Scan random configs with closed and integral.")
+    parser.add_argument("n", nargs="?", type=int, default=300, help="configs to scan")
+    parser.add_argument("--knee", action="store_true", help="add the knee draw")
+    parser.add_argument("--compare", metavar="OLD.jsonl", help="an earlier scan's output")
+    args = parser.parse_args(argv)
+    old = read_scan(args.compare) if args.compare else None
+    blank, knee_blank, off, worst, cpu, slowest_blank = Counter(), 0, 0, 0.0, 0.0, 0.0
+    cells = {}
+    for i in range(args.n):
+        cfg = config_from_mapping(scan_config(i, args.knee))
         for case, closed_fn, integral_fn, kwargs in CASES:
             gamma = cfg.gamma_s if case == "s2g" else cfg.gamma_a
             oc = build_case(cfg, case[:3], kwargs.get("ic_mode", IM_IC), gamma)
@@ -85,21 +125,25 @@ def main(argv=None):
             closed_cpu = time.thread_time() - start
             cpu += closed_cpu
             integral, integral_err = _evaluate(integral_fn, gamma, cfg, kwargs)
-            print(json.dumps({"index": i, "case": case, "below_knee": below_knee,
-                              "closed": closed, "closed_error": closed_err,
-                              "integral": integral, "integral_error": integral_err,
-                              "closed_cpu_s": closed_cpu}),
-                  flush=True)
+            line = cells[i, case] = {"index": i, "case": case, "below_knee": below_knee,
+                                     "closed": closed, "closed_error": closed_err,
+                                     "integral": integral, "integral_error": integral_err,
+                                     "closed_cpu_s": closed_cpu}
+            print(json.dumps(line), flush=True)
             if closed is None:
                 blank[closed_err] += 1
                 knee_blank += below_knee
+                slowest_blank = max(slowest_blank, closed_cpu)
             elif integral is not None:
                 off += abs(closed - integral) > OFF_TOL
                 worst = max(worst, abs(closed - integral))
-    print(json.dumps({"cells": 3 * n, "blank_closed": dict(blank),
+    print(json.dumps({"cells": 3 * args.n, "blank_closed": dict(blank),
                       "below_knee_blank_closed": knee_blank,
                       "closed_off_integral": off, "off_tol": OFF_TOL,
-                      "max_abs_closed_minus_integral": worst, "closed_cpu_s": cpu}))
+                      "max_abs_closed_minus_integral": worst, "closed_cpu_s": cpu,
+                      "slowest_blank_closed_cpu_s": slowest_blank}))
+    if old is not None:
+        compare(old, cells)
     return 0
 
 
