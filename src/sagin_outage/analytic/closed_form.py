@@ -65,7 +65,7 @@ def _memo(build):
 
 
 class _Work:
-    """Per-evaluation memo, contour power tables and CGQ nodes."""
+    """Per-evaluation memo, Bessel-K seeds of the G2113 ladder and CGQ nodes."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -107,9 +107,10 @@ class _Work:
             if rows:
                 self.dest_groups.append((q, *(np.array(col) for col in zip(*rows))))
         self.memo = {}
-        # contour power tables of meijer_g_log: the G2113 calls of a case share
-        # argument grids, and no grid recurs in another case (cst moves with it)
-        self.mb_tables = {}
+        # Bessel-K seeds and ratios of meijer_g_log's G2113 ladder, one entry per
+        # argument grid: the G2113 calls of a case share grids, and no grid
+        # recurs in another case (cst moves with it)
+        self.k_seeds = {}
 
     def cgq(self, w_pow, f):
         """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
@@ -175,7 +176,7 @@ class _Work:
         def meijer(e, ys):
             xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
             gs, gl = meijer_g_log("G2113", (1.0 - s2 - e, s3, -s3, -s2 - e), xs.ravel(),
-                                  tables=self.mb_tables)
+                                  tables=self.k_seeds)
             return gs.reshape(xs.shape), gl.reshape(xs.shape)
 
         return self.end_sum(s2, meijer)

@@ -4,21 +4,22 @@ Everything the outage series need lives here: the log upper incomplete gamma,
 elementwise over an array of x at one order (the ascending series and the Lentz
 continued fraction per element, the downward recurrence once over every x < 1),
 its cancellation-safe differences, ln I0 through scipy's scaled ``i0e``,
-Meijer-G in the one family b3 = a1 - 1 the series use (G2113 by a nested
-trapezoid rule on the Mellin-Barnes contour, each level a power sum in x^(-i h)
-for the step h, stopped within 1e-6 of the previous level, its power tables,
-one per argument grid and step, kept only in a dict the caller passes; G2123,
-which the closed path takes apart itself, as two incomplete gammas for the
-oracle table and tests; G0110 and G2002 by identities the oracle table checks),
+Meijer-G in the one family b3 = a1 - 1 the series use (G2113 by a downward
+recurrence in c over Bessel K, every term positive, its K orders from two kve
+seeds per argument grid by the upward ratio recurrence, kept only in a dict
+the caller passes; G2123, which the closed path takes apart itself, as two
+incomplete gammas for the oracle table and tests; G0110 and G2002 by
+identities the oracle table checks),
 and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery
 is evaluated in the log domain with explicit signs because the series couple
 enormous and tiny factors whose product is O(1).
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1, gammaln, i0e, jv, kv, kve, loggamma
+from scipy.special import exp1, gammaln, i0e, jv, kv, kve
 
 from .errors import ConfigError, DomainError, NumericError
 
@@ -251,121 +252,101 @@ def log_bessel_i0(x):
 # Meijer G
 # ---------------------------------------------------------------------------
 
-# the trapezoid starts with this many intervals on [0, t_hi] and halves its
-# step until two levels agree; a contour still moving at the cap raises
-_MB_FIRST_INTERVALS = 64
-_MB_MAX_INTERVALS = 2 ** 16
-# two levels agree when their log|G| differ by less than _MB_AGREE max(1, |log G|)
-# + 1e-12.  The rule converges geometrically, each halving roughly squaring the
-# error, so once a level is within 1e-6 of the coarser one it is itself good to
-# about 1e-12, and a further halving would only confirm it
-_MB_AGREE = 1e-6
+# the ladder starts this many nats of damping above sqrt(x_max): a start of
+# G = 0 there is off by less than e^-39 of G at the bottom rung
+_LADDER_DAMPING = 39.0
+# a rung rescales its points once the bound on their largest value passes this
+_LADDER_RESCALE = 1e280
+# the ladder's e^-X scaling stops here, short of underflow
+_LADDER_CLAMP = 600.0
+# rungs whose inhomogeneous terms are built as one array
+_LADDER_CHUNK = 64
 
 
-def _mb_powers(lnx, h, tables):
-    """Read-only table z^0..z^(B-1) of z_j = x_j^(-i h), B = _MB_FIRST_INTERVALS:
-    products of at most log2(B) squarings of z, so the rounding of a power grows
-    with B.  A pure function of (lnx, h), kept in tables by (lnx bytes, h) when
-    a dict is given, and built afresh otherwise."""
-    if tables is not None:
-        key = (lnx.tobytes(), h)
-        if key not in tables:
-            tables[key] = _mb_powers(lnx, h, None)
-        return tables[key]
-    b = _MB_FIRST_INTERVALS
-    powers = np.empty((b, lnx.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1] = np.exp(-1j * h * lnx)
-    r = 2
-    while r < b:    # z^r = (z^(r/2))^2 times each power below r
-        np.multiply(powers[:r], powers[r // 2] ** 2, out=powers[r:2 * r])
-        r *= 2
-    powers.flags.writeable = False
-    return powers
+def _k_ratios(xs, nu, seeds):
+    """(X, log kve_nu(X), (K_(nu-1) + K_(nu+1)) / K_nu) arrays at X = 2 sqrt(xs), nu >= 0.
 
-
-def _mb_power_sum(c, lnx, t0, h, tables):
-    """Re[sum_k c_k x_j^(-i (t0 + k h))] for each x_j, as a power sum in z_j = x_j^(-i h).
-
-    The nodes run in blocks of B = _MB_FIRST_INTERVALS (len(c) is a multiple of
-    B).  z^0..z^(B-1) come from _mb_powers, which builds the table once per
-    (lnx, h) in the dict tables (every call for None), and each block start
-    x_j^(-i t) is its own exp, so the rounding of a power grows with B, not k.  The
-    contraction is one real einsum over the float view of the powers, not BLAS,
-    so no BLAS thread count enters the result.
+    The orders are nu0 + j, nu0 = nu - floor(nu), with K_(nu0-1) = K_(1-nu0):
+    kve seeds K_(nu0-1) and K_nu0, and the ratios r_j = K_(nu0+j+1) / K_(nu0+j)
+    come upward from r_j = 1 / r_(j-1) + 2 (nu0 + j) / X, where every term is
+    positive; no order is formed, only its log, so none overflows.  The seeds
+    and the ratios found so far are kept in seeds, a dict keyed by (xs bytes,
+    nu0), when one is given; they are a pure function of that key.
     """
-    b = _MB_FIRST_INTERVALS
-    powers = _mb_powers(lnx, h, tables)
-    blocks = c.reshape(-1, b)
-    nb = len(blocks)
-    # rows: sum_r Re(c_r) z^r per block, then sum_r Im(c_r) z^r
-    parts = np.einsum("br,rj->bj", np.concatenate((blocks.real, blocks.imag)),
-                      powers.view(float)).view(complex)
-    starts = np.exp(-1j * np.outer(t0 + b * h * np.arange(nb), lnx))
-    return np.einsum("bj,bj->j", starts, parts[:nb] + 1j * parts[nb:]).real
+    m = math.floor(nu)
+    nu0 = nu - m
+    key = (xs.tobytes(), nu0)
+    ladder = None if seeds is None else seeds.get(key)
+    if ladder is None:
+        big_x = 2.0 * np.sqrt(xs)
+        k0 = kve(nu0, big_x)
+        # X, log kve_(nu0+j) for j = 0..J, and r_(j-1) for j = 0..J
+        ladder = (big_x, [np.log(k0)], [k0 / kve(1.0 - nu0, big_x)])
+        if seeds is not None:
+            seeds[key] = ladder
+    big_x, logk, ratios = ladder
+    while len(ratios) < m + 2:
+        j = len(ratios) - 1
+        ratios.append(1.0 / ratios[-1] + 2.0 * (nu0 + j) / big_x)
+        logk.append(logk[-1] + np.log(ratios[-1]))
+    return big_x, logk[m], 1.0 / ratios[m] + ratios[m + 1]
 
 
-def _mb_contour_log(s3, hi, lnx, tables):
-    """G2113 of the family: the Mellin-Barnes integral of Gamma(s + s3)
-    Gamma(s - s3) / (hi - s) x^-s on a vertical line in |s3| < Re s < hi,
-    vectorised over lnx = log x; returns (sign, log|G|) arrays.
+def _ladder_rungs(c, s3, x_max):
+    """Rungs n above c where the ladder starts: the product of x_max / (c'^2 - s3^2)
+    over the rungs c' = c + j >= sqrt(x_max), j < n, is below e^-_LADDER_DAMPING."""
+    j = max(0, math.ceil(math.sqrt(x_max) - c))
+    log_x, damped = math.log(x_max), 0.0
+    while damped > -_LADDER_DAMPING:
+        damped += log_x - math.log((c + j - s3) * (c + j + s3))
+        j += 1
+    return j
 
-    The abscissa minimises the real-axis integrand magnitude (keeps the
-    oscillatory cancellation small), the truncation height walks the envelope
-    down 50 nats from its peak.  [0, t_hi] is a nested trapezoid rule, which
-    converges geometrically for an integrand analytic in a strip about the
-    line: each halving of the step adds only the new midpoints to a
-    log-rescaled running sum.  The first level that agrees with the previous
-    one to _MB_AGREE (1e-6 of max(1, |log G|), plus 1e-12) is returned.  Each
-    level's power table comes from, and goes into, tables (see _mb_powers).
-    """
-    def log_rho(s):
-        return loggamma(s + s3) + loggamma(s - s3) - np.log(hi - s)
 
-    lo = abs(s3)
-    pad = min(0.05 * (hi - lo), 0.02)
-    grid = np.linspace(lo + pad, hi - pad, 41)
-    f_real = log_rho(grid.astype(complex)).real - grid * float(np.mean(lnx))
-    sigma = float(grid[np.argmin(f_real)])
+def _g2113_ladder_log(s3, c, xs, seeds):
+    """G2113 of the family, G_c(x) = 4 X^-2c int_0^X t^(2c-1) K_nu(t) dt with
+    X = 2 sqrt(x), nu = 2 s3, by the downward recurrence in c
 
-    peak = float(log_rho(sigma + 0j).real)
-    t_hi = 8.0
-    while t_hi < 400.0 and float(log_rho(sigma + 1j * t_hi).real) >= peak - 50.0:
-        t_hi *= 1.6
+        G_c = [X^2 G_(c+1) + 2X (K_(nu-1) + K_(nu+1)) + 8c K_nu] / (4 (c^2 - s3^2))
 
-    # result_j = (h/pi) * sum_k w_k Re[exp(lr_k - s_k lnx_j)] with s_k = sigma + i k h;
-    # w_0 = 1/2, and the node at t_hi, 50 nats below the peak, is left out.  With
-    # M = max_k Re lr_k each level adds exp(M - sigma lnx_j) Re[_mb_power_sum(...)],
-    # so the running sum is rescaled by one scalar M shared by every point
-    n = _MB_FIRST_INTERVALS
-    t0, dt, count = 0.0, t_hi / n, n    # the level's new nodes: t0 + k dt, k < count
-    big_m = -np.inf
-    total = np.zeros(lnx.shape)
-    prev = None
-    while True:
-        lr = log_rho(sigma + 1j * (t0 + dt * np.arange(count)))
-        m_new = max(big_m, float(np.max(lr.real)))
-        c = np.exp(lr - m_new)
-        if prev is None:
-            c[0] *= 0.5
-        total = total * np.exp(big_m - m_new) + _mb_power_sum(c, lnx, t0, dt, tables)
-        big_m = m_new
-        m = big_m - sigma * lnx
-        vals = total * (t_hi / n)
-        cur_sign = np.sign(vals)
-        cur_log = m + np.log(np.maximum(np.abs(vals), 1e-300)) - np.log(np.pi)
-        if prev is not None:
-            ps, pl = prev
-            same = (ps == cur_sign) & (
-                np.abs(pl - cur_log) < _MB_AGREE * np.maximum(1.0, np.abs(cur_log)) + 1e-12)
-            if np.all(same | (cur_log < m - 600)):
-                return cur_sign, cur_log
-        if n >= _MB_MAX_INTERVALS:
-            raise NumericError("Mellin-Barnes contour quadrature did not converge",
-                               {"sigma": sigma, "t_hi": t_hi, "n": n})
-        prev = (cur_sign, cur_log)
-        t0, dt, count = 0.5 * t_hi / n, t_hi / n, n
-        n *= 2
+    from G = 0 at the rung _ladder_rungs above c.  Every term is positive, so
+    nothing cancels, and the start's error damps by the product that picks the
+    rung.  The ladder carries H = G / kve_nu(X) per point, so its inhomogeneous
+    term is e^-X (2X rho + 8c) with rho = (K_(nu-1) + K_(nu+1)) / K_nu (e^-X
+    stops at e^-_LADDER_CLAMP and the rest goes to the log); a point is rescaled
+    to 1, with its inhomogeneous term, only at a rung where the bound on the
+    largest H, grown at X_max^2 / (4 (c'^2 - s3^2)) per rung, says it could
+    overflow.  The terms of _LADDER_CHUNK rungs are built at once.  Returns
+    (sign, log|G|) arrays."""
+    big_x, logk, rho = _k_ratios(xs, abs(2.0 * s3), seeds)
+    x4 = big_x * big_x
+    scale = np.exp(-np.minimum(big_x, _LADDER_CLAMP))
+    inhom = 2.0 * big_x * rho * scale
+    eight = 8.0 * scale
+    x4_max, inhom_max, eight_max = float(x4.max()), float(inhom.max()), float(eight.max())
+    h = np.zeros(xs.shape)
+    shift = logk - np.maximum(big_x - _LADDER_CLAMP, 0.0)
+    bound = 0.0
+    top = _ladder_rungs(c, s3, 0.25 * x4_max)
+    while top > 0:
+        cs = c + np.arange(top - 1, max(top - _LADDER_CHUNK, 0) - 1, -1.0)
+        rows = inhom + np.multiply.outer(cs, eight)
+        invs = 0.25 / ((cs - s3) * (cs + s3))
+        for i, (cj, inv) in enumerate(zip(cs.tolist(), invs.tolist())):
+            bound = (x4_max * bound + inhom_max + eight_max * cj) * inv
+            if bound > _LADDER_RESCALE:
+                big = np.maximum(h, 1.0)
+                h /= big
+                inhom /= big
+                eight /= big
+                rows[i:] /= big
+                shift += np.log(big)
+                bound = (x4_max + inhom_max + eight_max * cj) * inv
+            h *= x4
+            h += rows[i]
+            h *= inv
+        top -= len(cs)
+    return np.ones(xs.shape), np.log(h) + shift
 
 
 def _g2123_log(s1, c, xs):
@@ -385,11 +366,12 @@ def meijer_g_log(instance, params, xs, tables=None):
 
     G2123 (a1, a2, b1, b2, b3) = (1 - c, s1 + 1, s1, 0, -c) is two incomplete
     gammas (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c) runs the
-    contour (_mb_contour_log).  Other parameters raise DomainError, and an empty
-    strip max(-b1, -b2) < Re s < c raises NumericError.  G2113 calls that pass
-    one dict as tables share the contour's power tables, keyed by argument grid
-    and step; with None, nothing is kept.  A table is a pure function of its key,
-    so the values do not depend on the dict.
+    Bessel-K ladder in c (_g2113_ladder_log).  Other parameters raise
+    DomainError, and an empty strip max(-b1, -b2) < Re s < c raises
+    NumericError.  G2113 calls that pass one dict as tables share the ladder's
+    Bessel-K seeds and ratios, one entry per argument grid (see _k_ratios); with
+    None, nothing is kept.  An entry is a pure function of its key, so the values
+    do not depend on the dict.
     """
     p = tuple(float(v) for v in params)
     xs = np.asarray(xs, dtype=float)
@@ -408,7 +390,7 @@ def meijer_g_log(instance, params, xs, tables=None):
                            {"instance": instance, "params": p})
     if instance == "G2123":
         return _g2123_log(p[2], hi, xs)
-    return _mb_contour_log(p[1], hi, np.log(xs), tables)
+    return _g2113_ladder_log(p[1], hi, xs, tables)
 
 
 def meijer_g(instance, params, x):

@@ -68,10 +68,11 @@ def _cases(cfg):
     return cases
 
 
-# closed cells run one at a time.  The Mellin-Barnes contour is a run of short
-# numpy calls on a few hundred points, each of which releases and retakes the
-# interpreter lock, so two closed cells side by side take more CPU time than one
-# after the other and finish no sooner; integral cells scale and keep the pool
+# closed cells run one at a time.  A closed cell is a run of short numpy calls
+# (the G2113 ladder steps a few hundred points per rung), each of which releases
+# and retakes the interpreter lock, so two closed cells side by side take more
+# CPU time than one after the other and finish no sooner; integral cells scale
+# and keep the pool
 _CLOSED_LOCK = threading.Lock()
 
 

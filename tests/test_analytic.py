@@ -746,7 +746,7 @@ class TestRandomConfigs:
     def test_below_knee_series_guard_leaves_the_cell_to_integral(self, tmp_path,
                                                                   monkeypatch):
         # the noise gate ends the one below-knee route inside its first k2 sum,
-        # after the dozen contour calls that sum makes
+        # after the dozen G2113 ladder calls that sum makes
         cfg = config_from_mapping(KNEE_24)
         case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
         assert case.p_sat < 0.0 and case.branches == ("saturated",)

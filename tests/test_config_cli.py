@@ -389,8 +389,8 @@ class TestSweepCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_closed_csv_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
-        # the a2a closed path runs the Mellin-Barnes contour, the part of a point
-        # most sensitive to summation order
+        # the a2a closed path runs the most G2113 ladders and signed sums, the
+        # part of a point most sensitive to summation order
         cfg = config_from_mapping({
             "sweep.variable": "link.eta_s_db", "sweep.values": "88,103",
             "run.networks": "a2a", "run.ic_mode": "both", "run.methods": "closed",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma, gammainc, gammaincc
+from scipy.special import gamma, gammainc, gammaincc, kve
 
 from sagin_outage import specfun as sf
 from sagin_outage.analytic import closed_form as cf
@@ -173,52 +173,24 @@ class TestBessel:
         assert sf.log_bessel_i0(0.0) == 0.0
 
 
-class TestMbPowerSum:
-    """The contour's power sum against the direct complex-exp matrix sum it replaced."""
+class TestKRatios:
+    """The ladder's Bessel-K orders, from two kve seeds and the upward ratio
+    recurrence, against kve at every order."""
 
-    @staticmethod
-    def _direct(c, lnx, t0, h):
-        t = t0 + h * np.arange(len(c))
-        return np.sum(c[:, None] * np.exp(-1j * np.outer(t, lnx)), axis=0).real
-
-    @pytest.mark.parametrize("n,points,t_hi,midpoints", [
-        (64, 1, 640.0, False),      # one point, as meijer_g evaluates; one block
-        (64, 300, 640.0, True),     # a level of exactly 64 nodes
-        (128, 300, 200.0, True),
-        (1024, 300, 640.0, False),
-        (4096, 40, 640.0, True),
-    ])
-    def test_matches_direct_exp_sum(self, n, points, t_hi, midpoints):
-        rng = np.random.default_rng(n + points)
-        lnx = rng.uniform(-60.0, 60.0, points)
-        c = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-        h = t_hi / n
-        t0 = 0.5 * h if midpoints else 0.0
-        got = sf._mb_power_sum(c, lnx, t0, h, None)
-        # relative to sum |c_k|, the largest value the sum can take
-        err = np.max(np.abs(got - self._direct(c, lnx, t0, h)))
-        assert err <= 1e-12 * np.sum(np.abs(c))
-
-    def test_cold_and_warm_calls_agree_bit_for_bit(self):
-        rng = np.random.default_rng(7)
-        lnx = rng.uniform(-60.0, 60.0, 300)
-        c = rng.uniform(0.0, 1.0, 256) * np.exp(1j * rng.uniform(-np.pi, np.pi, 256))
-        tables = {}
-        cold = sf._mb_power_sum(c, lnx, 0.0, 2.5, tables)
-        assert len(tables) == 1
-        table = next(iter(tables.values()))
-        warm = sf._mb_power_sum(c, lnx, 0.0, 2.5, tables)
-        assert np.array_equal(cold, warm)
-        assert np.array_equal(cold, sf._mb_power_sum(c, lnx, 0.0, 2.5, None))
-        assert sf._mb_powers(lnx.copy(), 2.5, tables) is table and len(tables) == 1
-
-    def test_kept_table_is_read_only(self):
-        tables = {}
-        table = sf._mb_powers(np.linspace(-5.0, 5.0, 11), 0.5, tables)
-        assert table is next(iter(tables.values()))
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[1, 0] = 0.0
+    # fractions nu0 + order keeps exactly, so every order finds the one entry
+    @pytest.mark.parametrize("nu0", [0.0, 0.125, 0.25, 0.5, 0.875])
+    def test_orders_match_kve_up_to_20(self, nu0):
+        xs = np.geomspace(1e-3, 1e5, 41)
+        big_x = 2.0 * np.sqrt(xs)
+        seeds = {}
+        for order in range(21):
+            nu = nu0 + order
+            got_x, logk, rho = sf._k_ratios(xs, nu, seeds)
+            assert got_x is next(iter(seeds.values()))[0]
+            want = (kve(nu - 1.0, big_x) + kve(nu + 1.0, big_x)) / kve(nu, big_x)
+            assert np.max(np.abs(np.expm1(logk - np.log(kve(nu, big_x))))) <= 1e-13
+            assert np.max(np.abs(rho / want - 1.0)) <= 1e-13
+        assert len(seeds) == 1
 
 
 class TestMeijerG:
@@ -295,48 +267,74 @@ class TestMeijerG:
         with pytest.raises(DomainError):
             sf.meijer_g_log(instance, params, [1.5])
 
+    # G2113 where the oracle table has no rows (its |nu| = 2 |s3| <= 5, all
+    # integers): |nu| = 16 at small and large x, c - |s3| = 0.01, and non-integer
+    # nu, below 1 and above.  References are mpmath.meijerg([[1 - c], []],
+    # [[s3, -s3], [-c]], x) at 50 digits.
+    @pytest.mark.parametrize("s3,c,x,expected", [
+        (8.0, 9.5, 1e-3, 8.717480415730765143264574e+35),
+        (-8.0, 9.5, 1e4, 7.589202014034828568304483e-25),
+        (8.0, 8.01, 2.5, 85564412053.00484374376671),
+        (-1.5, 1.51, 1e-3, 6324524.018509442714607197),
+        (1.5, 1.51, 300.0, 0.03648562565210697712889784),
+        (0.35, 1.2, 3.0, 0.2333260490126619629596982),
+        (-3.3, 5.0, 400.0, 8.2357741619967942416054e-10),
+    ])
+    def test_g2113_beyond_the_oracle_rows(self, s3, c, x, expected):
+        params = (1.0 - c, s3, -s3, -c)
+        assert sf.meijer_g("G2113", params, x) == pytest.approx(expected, rel=1e-13)
+
+    def test_g2113_rescaled_points_keep_their_values(self, monkeypatch):
+        # a grid from 1e-3 to 1.5e5 grows the ladder's bound past _LADDER_RESCALE:
+        # each point reads as it does alone, and as it does when the ladder
+        # rescales at 1e100, where each rescale adds the rounding of one log
+        xs = np.geomspace(1e-3, 1.5e5, 9)
+        params = (0.0, 0.5, -0.5, -1.0)
+        sign, log = sf.meijer_g_log("G2113", params, xs)
+        alone = [sf.meijer_g_log("G2113", params, xs[i:i + 1])[1][0] for i in range(len(xs))]
+        assert np.all(sign == 1.0)
+        assert np.max(np.abs(np.expm1(log - alone))) <= 1e-15
+        monkeypatch.setattr(sf, "_LADDER_RESCALE", 1e100)
+        assert np.max(np.abs(np.expm1(log - sf.meijer_g_log("G2113", params, xs)[1]))) <= 5e-14
+
     def test_g2113_value_does_not_depend_on_the_tables_dict(self):
-        # no dict, a fresh one, and one that another parameter set filled on the
-        # same grid with every table this call needs
+        # no dict, a fresh one, and one that a call of lower order filled on
+        # the same grid: the second call extends its ratios in place
         xs = np.array([0.02, 1.7, 260.0])
-        params = (-1.5, 0.5, -0.5, -2.5)
+        params = (-8.5, 4.0, -4.0, -9.5)
         filled = {}
-        sf.meijer_g_log("G2113", (-0.5, 0.5, -0.5, -1.5), xs, filled)
-        kept = dict(filled)
+        sf.meijer_g_log("G2113", (-1.5, 0.5, -0.5, -2.5), xs, filled)
         fresh = {}
         want = sf.meijer_g_log("G2113", params, xs)
         for tables in (fresh, filled):
             sign, log = sf.meijer_g_log("G2113", params, xs, tables)
             assert np.array_equal(sign, want[0]) and np.array_equal(log, want[1])
-        assert fresh and fresh.keys() <= kept.keys()
-        assert all(filled[key] is table for key, table in kept.items())
-        assert len(filled) == len(kept)
+        assert fresh.keys() == filled.keys() and len(fresh) == 1
 
-    def test_a_closed_case_builds_each_table_once(self, monkeypatch):
-        # the 88 dB a2a im-IC case of the acceptance grid: every (grid, step)
-        # table its G2113 calls use is built once, into the case's one dict
+    def test_a_closed_case_seeds_each_grid_once(self, monkeypatch):
+        # the 88 dB a2a im-IC case of the acceptance grid: every argument grid
+        # its G2113 calls use gets its two kve seeds once, into the case's one dict
         cfg = config_from_mapping({"rates.threshold_mode": "from_rate",
                                    "swipt.p_th_dbm": 35.0, "link.eta_s_db": 88.0})
-        built, dicts = [], {}
-        real = sf._mb_powers
+        seeded, dicts = [], {}
+        real = sf._k_ratios
 
-        def counting(lnx, h, tables):
-            if tables is None:
-                built.append((lnx.tobytes(), h))
-            else:
-                dicts[id(tables)] = tables
-            return real(lnx, h, tables)
+        def counting(xs, nu, seeds):
+            dicts[id(seeds)] = seeds
+            if (xs.tobytes(), nu - math.floor(nu)) not in seeds:
+                seeded.append(xs.tobytes())
+            return real(xs, nu, seeds)
 
-        monkeypatch.setattr(sf, "_mb_powers", counting)
+        monkeypatch.setattr(sf, "_k_ratios", counting)
         cf.op_a2a_closed(cfg.gamma_a, cfg)
-        (tables,) = dicts.values()
-        assert built and len(built) == len(set(built)) == len(tables)
-        assert set(built) == tables.keys()
+        (seeds,) = dicts.values()
+        assert seeded and len(seeded) == len(set(seeded)) == len(seeds)
+        assert {grid for grid, _ in seeds} == set(seeded)
 
     @pytest.mark.parametrize("network,eta_db", [("a2a", 88.0), ("s2g", 103.0)])
-    def test_stop_rule_matches_a_later_stop(self, network, eta_db, monkeypatch):
+    def test_a_higher_ladder_top_moves_nothing(self, network, eta_db, monkeypatch):
         # every G2113 call of one closed case on the acceptance-grid thresholds,
-        # against the same calls run on to two levels agreeing to 1e-9
+        # against the same calls started 10 rungs higher
         cfg = config_from_mapping({"rates.threshold_mode": "from_rate",
                                    "swipt.p_th_dbm": 35.0, "link.eta_s_db": eta_db})
         calls = []
@@ -353,16 +351,9 @@ class TestMeijerG:
         else:
             cf.op_a2a_closed(cfg.gamma_a, cfg)
         assert calls
-        monkeypatch.setattr(sf, "_MB_AGREE", 1e-9)
+        real = sf._ladder_rungs
+        monkeypatch.setattr(sf, "_ladder_rungs", lambda *args: real(*args) + 10)
         for params, xs, (sign, log) in calls:
             ref_sign, ref_log = sf.meijer_g_log("G2113", params, xs)
             assert np.array_equal(sign, ref_sign)
-            assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-10
-
-    def test_contour_unconverged_at_the_last_level_raises(self, monkeypatch):
-        # this point needs 256 intervals; stop the halving one level short
-        params = (-22.0, 0.5, -0.5, -23.0)
-        monkeypatch.setattr(sf, "_MB_MAX_INTERVALS", 128)
-        with pytest.raises(NumericError, match="did not converge") as err:
-            sf.meijer_g_log("G2113", params, [0.38343216138618902])
-        assert err.value.diagnostics["n"] == 128
+            assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-15

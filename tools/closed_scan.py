@@ -28,7 +28,10 @@ any blank ``closed`` cell took.
 with the same N and ``--knee``) and then prints one line per cell whose
 ``closed`` cell changed: its value moved, it went between blank and filled, or
 its message changed.  A last line counts each kind over the cells both scans
-have.  The time fields vary from run to run and are not compared.
+have, and gives ``max_abs_moved``: the largest |new - old| over the
+``value_moved`` cells, ``all`` of them and those ``not_below_knee``, each as
+``{"value", "index", "case"}`` of the cell that reached it (null when no such
+cell moved).  The time fields vary from run to run and are not compared.
 """
 
 import argparse
@@ -85,6 +88,7 @@ def compare(old, cells):
     read_scan returns them, then the counts by kind of change."""
     kinds = dict.fromkeys(("compared", "value_moved", "blank_to_filled", "filled_to_blank",
                            "message_changed"), 0)
+    moved = {"all": None, "not_below_knee": None}
     for key, new in cells.items():
         was = old.get(key)
         if was is None:
@@ -94,6 +98,11 @@ def compare(old, cells):
             kind = "filled_to_blank" if new["closed"] is None else "blank_to_filled"
         elif was["closed"] != new["closed"]:
             kind = "value_moved"
+            by = abs(new["closed"] - was["closed"])
+            scopes = ("all",) if new["below_knee"] else ("all", "not_below_knee")
+            for scope in scopes:
+                if moved[scope] is None or by > moved[scope]["value"]:
+                    moved[scope] = {"value": by, "index": key[0], "case": key[1]}
         elif was["closed_error"] != new["closed_error"]:
             kind = "message_changed"
         else:
@@ -102,7 +111,7 @@ def compare(old, cells):
         print(json.dumps({"index": key[0], "case": key[1], "change": kind,
                           "old_closed": was["closed"], "old_closed_error": was["closed_error"],
                           "closed": new["closed"], "closed_error": new["closed_error"]}))
-    print(json.dumps({"cells": len(cells), **kinds}))
+    print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved}))
 
 
 def main(argv=None):
