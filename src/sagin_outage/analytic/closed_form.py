@@ -21,14 +21,15 @@ NumericError, evaluates the next on the same memo.  Every constant comes from
 the `OutageCase` of `build_case`.
 
 Every block is one call of the loop nest `_series`, which adds the factors
-the blocks share, with a term function of its own: `_taylor_terms` takes an
-incomplete-gamma difference times a G2123 destination bracket, `_g2113_terms`
-integrate a G2113 bracket by CGQ and `_gamma_terms` Gamma(s, .) at the
-saturation point times a destination factor.  `_Work.end_sum` is the one
-signed sum over the ends of the destination pieces, each distinct end once
-and in log space so no power of an end overflows; `_piece_dgammas` takes both
-limits of a piece at once, so its incomplete-gamma differences do not cancel
-to rounding noise.
+the blocks share, over its row's k2 extent (0 for `linear`, which has no Taylor
+index, else `_K2_CAP`) and with a term function of its own that returns (sign,
+log), a zero as (0, -inf): `_taylor_terms` takes an incomplete-gamma difference
+times a G2123 destination bracket, `_g2113_terms` integrate a G2113 bracket by
+CGQ and `_gamma_terms` Gamma(s, .) at the saturation point times a destination
+factor.  `_Work.end_sum` is the one signed sum over the ends of the destination
+pieces, each distinct end once and in log space so no power of an end
+overflows; `_piece_dgammas` takes both limits of a piece at once, so its
+incomplete-gamma differences do not cancel to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -237,16 +238,12 @@ class _SignedSum:
         return len(self.logs) * 1e-15 * math.exp(min(self.peak, 700.0))
 
 
-_STOP = object()    # returned by a term to end its sum at once
-
-
 def _converge(acc, indices, term):
     """The truncating sum every series index runs through.
 
-    term(i) adds to acc and returns the log size of what it added, None to
-    skip i without counting it, or _STOP to end the sum.  A term is small
-    when its log lies below acc.peak + log(REL_TOL), read after the add; the
-    sum stops after _CONSECUTIVE small terms in a row.  Returns (peak,
+    term(i) adds to acc and returns the log size of what it added.  A term is
+    small when its log lies below acc.peak + log(REL_TOL), read after the add;
+    the sum stops after _CONSECUTIVE small terms in a row.  Returns (peak,
     exhausted): the largest log any term returned (-inf for none) and whether
     the indices ran out first.
     """
@@ -254,10 +251,6 @@ def _converge(acc, indices, term):
     small = 0
     for i in indices:
         lt = term(i)
-        if lt is None:
-            continue
-        if lt is _STOP:
-            return peak, False
         peak = max(peak, lt)
         if lt < acc.peak + math.log(REL_TOL):
             small += 1
@@ -272,18 +265,19 @@ def _converge(acc, indices, term):
 # the series blocks
 # ---------------------------------------------------------------------------
 
-def _series(work, top_n, term, noise=0.0):
+def _series(work, top_n, k2_top, term, noise=0.0):
     """The n -> k1 -> k2 nest, for every k, of every block.
 
     n runs through _converge over the destination weights, k1 over all of
-    0..k + top_n n, and k2 through _converge up to _K2_CAP; a k2 sum that
-    reaches it raises NumericError.  The nest adds the factors every
-    block shares, log(alpha / w_norm) + log zeta_k + log C(k + top_n n, k1)
+    0..k + top_n n, and k2 through _converge over 0..k2_top; with k2_top > 0,
+    a k2 sum that reaches it raises NumericError.  The nest adds the factors
+    every block shares, log(alpha / w_norm) + log zeta_k + log C(k + top_n n, k1)
     + log w_n - log k2!, and the sign (-1)^k2; term(k, n, k1, k2) returns the
-    rest as (sign, log), None to skip the index, or _STOP to end the k2 sum.
-    NumericError is raised at the first term that takes noise, the estimate of
-    the route's earlier blocks, plus the nest's own past 1e-5; an estimate never
-    falls as terms are added, so a route that ends under 1e-5 never trips it.
+    rest as (sign, log), a zero as (0, -inf), which adds nothing and is small
+    once the sum holds a term.  NumericError is raised at the first term that
+    takes noise, the estimate of the route's earlier blocks, plus the nest's own
+    past 1e-5; an estimate never falls as terms are added, so a route that ends
+    under 1e-5 never trips it.
     """
     logw_n = work.case.dest_logw
     acc = _SignedSum()
@@ -298,21 +292,19 @@ def _series(work, top_n, term, noise=0.0):
                 pref = base + log_zeta + log_binom + logw_n[n]
 
                 def k2_term(k2):
-                    got = term(k, n, k1, k2)
-                    if got is None or got is _STOP:
-                        return got
-                    lt = pref + got[1] - float(gammaln(k2 + 1.0))
-                    acc.add((-1.0) ** k2 * got[0], lt)
+                    sign, log = term(k, n, k1, k2)
+                    lt = pref + log - float(gammaln(k2 + 1.0))
+                    acc.add((-1.0) ** k2 * sign, lt)
                     total = noise + acc.noise_estimate()
                     if total > 1e-5:
                         raise NumericError("closed-form series lost too much precision",
                                            {"noise": total, "k": k, "n": n, "k1": k1})
                     return lt
 
-                peak, exhausted = _converge(acc, range(_K2_CAP + 1), k2_term)
-                if exhausted:
+                peak, exhausted = _converge(acc, range(k2_top + 1), k2_term)
+                if exhausted and k2_top:
                     raise NumericError("closed-form series truncated at the k2 cap",
-                                       {"k": k, "n": n, "k1": k1, "cap": _K2_CAP})
+                                       {"k": k, "n": n, "k1": k1, "cap": k2_top})
                 return peak
 
             return max(k1_sum(k1) for k1 in range(kn + 1))
@@ -321,22 +313,18 @@ def _series(work, top_n, term, noise=0.0):
     return acc
 
 
-def _g2113_terms(work, c, taylor=None):
+def _g2113_terms(work, c, taylor):
     """Terms of the G2113 blocks: the CGQ integral of the destination bracket
-    with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3.
-    k2 runs only with a Taylor scale, which enters as taylor^k2."""
+    with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3,
+    times the Taylor scale as taylor^k2."""
     case = work.case
-    log_a, log_b, log_bb, log_c = (math.log(v) for v in (case.a_lin, case.b_lin, work.beta_bar, c))
-    log_t = 0.0 if taylor is None else math.log(taylor)
+    log_a, log_b, log_bb, log_c, log_t = (
+        math.log(v) for v in (case.a_lin, case.b_lin, work.beta_bar, c, taylor))
     cst = work.beta_bar * c / case.a_lin
 
     def term(k, n, k1, k2):
-        if k2 and taylor is None:
-            return _STOP
         s3 = (k1 - n + 1) / 2.0
         i_s, i_l = work.cgq(2 * k + n - k1 + 2, work.g2113_nodes(n + k2 + s3, s3, cst))
-        if i_s == 0.0:
-            return None
         return i_s, ((k - k1) * log_b + (n + s3) * log_c - s3 * log_bb
                      + (s3 - k - 1.0) * log_a + k2 * log_t + i_l)
 
@@ -346,15 +334,13 @@ def _g2113_terms(work, c, taylor=None):
 def _gamma_terms(work, dest, scale):
     """Terms of the saturation-point blocks: the CGQ integral of
     Gamma(s, bb w^2 p_sat / a), s = k1 - n - k2 + 1, times the destination
-    factor dest(n + k2) scale^(n + k2); a zero factor ends the k2 sum."""
+    factor dest(n + k2) scale^(n + k2)."""
     case = work.case
     log_a, log_b, log_scale = math.log(case.a_lin), math.log(case.b_lin), math.log(scale)
     log_a_bb = log_a - math.log(work.beta_bar)
 
     def term(k, n, k1, k2):
         d_s, d_l = dest(n + k2)
-        if d_s == 0.0:
-            return _STOP
         s = k1 - n - k2 + 1
         g_s, g_l = work.cgq(2 * k + 3 - 2 * s, work.gamma_nodes(s))
         return d_s * g_s, ((k - k1) * log_b - (k + 1.0) * log_a + s * log_a_bb
@@ -366,7 +352,7 @@ def _gamma_terms(work, dest, scale):
 def _taylor_terms(work):
     """Terms of the Taylor route: the satellite distance integral is
     DeltaGamma(k + k2 + 2) in closed form, times the G2123 destination bracket
-    at s1 = 1 + k1 + k2 - n; a zero bracket is skipped."""
+    at s1 = 1 + k1 + k2 - n."""
     case = work.case
     log_half_a, log_b, log_bb, log_c, log_p = (
         math.log(v) for v in (case.a_lin / 2.0, case.b_lin, work.beta_bar, case.dest_c,
@@ -375,8 +361,6 @@ def _taylor_terms(work):
     def term(k, n, k1, k2):
         s1 = 1 + k1 + k2 - n
         g_s, g_l = work.g2123_pieces(n, s1)
-        if g_s == 0.0:
-            return None
         dg_s, dg_l = work.taylor_dgamma(k + k2 + 2.0)
         return dg_s * g_s, (log_half_a - (k1 + k2 + 2.0) * log_b - (k + 2.0) * log_bb
                             + dg_l + n * log_c + s1 * log_p + g_l)
@@ -388,32 +372,33 @@ def _taylor_terms(work):
 # routes
 # ---------------------------------------------------------------------------
 
-def _blocks(case):
-    """Routes in preference order, each a list of block rows (name, sign, top_n,
-    terms): the route's success probability is the signed sum over its rows of
-    _series(work, top_n, terms(work)).  Both unsaturated routes are listed, the
+def _blocks(work):
+    """Routes in preference order for a case settled_outage leaves open, each a
+    list of block rows (name, sign, top_n, k2_top, term) with term bound to work:
+    the route's success probability is the signed sum over its rows of
+    _series(work, top_n, k2_top, term).  Both unsaturated routes are listed, the
     Taylor one first unless its parameter is past both _ROUTE_SWITCH and the tail
-    route's, each with the saturated block when case.branches lists it; below the
-    knee, the saturated block alone."""
+    route's, each with the saturated block when case.branches lists it; below
+    the knee, the saturated block alone."""
+    case = work.case
     if case.p_sat <= 0.0:
-        return [[("sat-below-knee", 1.0, 1,
-                  lambda work: _g2113_terms(work, work.c_eff * work.case.b_lin, work.c_eff))]]
+        return [[("sat-below-knee", 1.0, 1, _K2_CAP,
+                  _g2113_terms(work, work.c_eff * case.b_lin, work.c_eff))]]
     # the no-saturation probability, a finite Bessel-K route with no Taylor index
-    linear = ("linear", 1.0, 0, lambda work: _g2113_terms(work, work.case.dest_c))
+    linear = ("linear", 1.0, 0, 0, _g2113_terms(work, case.dest_c, 1.0))
     if math.isinf(case.p_sat):
         routes = [[linear]]
     else:
         param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
         param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
         # the unsaturated integrand carried past the saturation point
-        tail = ("tail", -1.0, 0,
-                lambda work: _gamma_terms(work, work.pieces_moment, work.case.dest_c))
-        routes = [[("direct", 1.0, 0, _taylor_terms)], [linear, tail]]
+        tail = ("tail", -1.0, 0, _K2_CAP, _gamma_terms(work, work.pieces_moment, case.dest_c))
+        routes = [[("direct", 1.0, 0, _K2_CAP, _taylor_terms(work))], [linear, tail]]
         if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
             routes.reverse()        # the tail route is preferred
     if "saturated" in case.branches:
-        sat = ("sat-above-knee", 1.0, 1,
-               lambda work: _gamma_terms(work, work.pieces_dgamma, work.case.b_lin))
+        sat = ("sat-above-knee", 1.0, 1, _K2_CAP,
+               _gamma_terms(work, work.pieces_dgamma, case.b_lin))
         routes = [r + [sat] for r in routes]
     return routes
 
@@ -430,15 +415,14 @@ def _closed_outage(case, cgq_n):
     settled = settled_outage(case)
     if settled is not None:
         return settled
-    routes = _blocks(case)
     work = _Work(case, cgq_n)
     first = None
-    for blocks in routes:
+    for blocks in _blocks(work):
         names = [name for name, *_ in blocks]
         val, noise = 1.0, 0.0
         try:
-            for _, sign, top_n, terms in blocks:
-                acc = _series(work, top_n, terms(work), noise)
+            for _, sign, top_n, k2_top, term in blocks:
+                acc = _series(work, top_n, k2_top, term, noise)
                 val -= sign * acc.value()
                 noise += acc.noise_estimate()
             return checked_outage(val, "closed-form", {"routes": names})

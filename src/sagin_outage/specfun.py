@@ -367,11 +367,11 @@ def meijer_g_log(instance, params, xs, tables=None):
     G2123 (a1, a2, b1, b2, b3) = (1 - c, s1 + 1, s1, 0, -c) is two incomplete
     gammas (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c) runs the
     Bessel-K ladder in c (_g2113_ladder_log).  Other parameters raise
-    DomainError, and an empty strip max(-b1, -b2) < Re s < c raises
-    NumericError.  G2113 calls that pass one dict as tables share the ladder's
-    Bessel-K seeds and ratios, one entry per argument grid (see _k_ratios); with
-    None, nothing is kept.  An entry is a pure function of its key, so the values
-    do not depend on the dict.
+    DomainError, and an empty strip max(-b1, -b2) < Re s < c, c not above |s3|
+    or max(-s1, 0), raises NumericError.  G2113 calls that pass one dict as
+    tables share the ladder's Bessel-K seeds and ratios, one entry per argument
+    grid (see _k_ratios); with None, nothing is kept.  An entry is a pure
+    function of its key, so the values do not depend on the dict.
     """
     p = tuple(float(v) for v in params)
     xs = np.asarray(xs, dtype=float)
@@ -379,14 +379,14 @@ def meijer_g_log(instance, params, xs, tables=None):
         raise DomainError("Meijer-G evaluation needs x > 0")
     family = len(p) > 1 and abs(p[-1] - (p[0] - 1.0)) <= 1e-12 * max(1.0, abs(p[0]))
     if family and instance == "G2123" and len(p) == 5 and p[1] == p[2] + 1 and p[3] == 0:
-        lo = max(-p[2], 0.0)
+        lo, bound = max(-p[2], 0.0), "max(-s1, 0)"
     elif family and instance == "G2113" and len(p) == 4 and p[2] == -p[1]:
-        lo = abs(p[1])
+        lo, bound = abs(p[1]), "|s3|"
     else:
         raise DomainError(f"Meijer-G {instance} {p} is outside the family b3 = a1 - 1")
     hi = 1.0 - p[0]
     if hi - lo < 1e-9:
-        raise NumericError("no valid Mellin-Barnes contour for these parameters",
+        raise NumericError(f"{instance} needs c = 1 - a1 above {bound}",
                            {"instance": instance, "params": p})
     if instance == "G2123":
         return _g2123_log(p[2], hi, xs)

@@ -246,8 +246,7 @@ class TestTruncatingSum:
 
         def term(i):
             seen.append(i)
-            if logs[i] is not None and logs[i] is not cf._STOP:
-                acc.add(1.0, logs[i])
+            acc.add(1.0, logs[i])
             return logs[i]
 
         peak, exhausted = cf._converge(acc, range(len(logs)), term)
@@ -260,15 +259,6 @@ class TestTruncatingSum:
         assert seen == [0, 1, 2, 3, 4, 5, 6]
         assert not exhausted and peak == 0.0 and len(acc.logs) == 6
 
-    def test_skipped_term_keeps_the_count(self):
-        peak, exhausted, seen, _ = self._run([0.0, -40.0, -40.0, None, -40.0, 5.0])
-        assert seen == [0, 1, 2, 3, 4] and not exhausted and peak == 0.0
-
-    def test_stop_sentinel_ends_the_sum(self):
-        peak, exhausted, seen, acc = self._run([-5.0, 2.0, cf._STOP, 3.0])
-        assert seen == [0, 1, 2] and not exhausted
-        assert peak == 2.0 and len(acc.logs) == 2
-
     def test_exhausted_at_the_cap(self):
         peak, exhausted, seen, _ = self._run([0.0, -40.0, -40.0, -1.0, -40.0, 1.0])
         assert seen == [0, 1, 2, 3, 4, 5] and exhausted and peak == 1.0
@@ -278,7 +268,7 @@ class TestTruncatingSum:
 class TestSeriesSkeleton:
     """closed_form._series on a synthetic term that records the (k, n, k1, k2) it visits."""
 
-    def _visits(self, top_n, term):
+    def _visits(self, top_n, k2_top, term):
         cfg = _cfg()
         work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s), 8)
         seen = []
@@ -287,35 +277,46 @@ class TestSeriesSkeleton:
             seen.append((k, n, k1, k2))
             return term(k2)
 
-        acc = cf._series(work, top_n, recording)
+        acc = cf._series(work, top_n, k2_top, recording)
         return work, seen, acc
+
+    @staticmethod
+    def _never_small(k2):
+        """A term that cancels the nest's -log k2!, so it never falls small."""
+        return 1.0, float(gammaln(k2 + 1.0))
 
     @pytest.mark.parametrize("top_n", [0, 1])
     def test_k1_runs_over_k_plus_top_n_times_n(self, top_n):
-        work, seen, _ = self._visits(top_n, lambda k2: cf._STOP if k2 else (1.0, 0.0))
+        work, seen, _ = self._visits(top_n, 0, lambda k2: (1.0, 0.0))
         visited = {}
         for k, n, k1, _ in seen:
             visited.setdefault((k, n), set()).add(k1)
         assert {k for k, _ in visited} == {k for k, _ in work.sr_terms}
         assert all(k1s == set(range(k + top_n * n + 1)) for (k, n), k1s in visited.items())
 
-    def test_stop_at_k2_one_visits_only_k2_zero(self):
-        _, seen, acc = self._visits(1, lambda k2: cf._STOP if k2 == 1 else (1.0, 0.0))
-        added = [v for v in seen if v[3] == 0]
-        assert added and {k2 for *_, k2 in seen} == {0, 1}
-        assert len(acc.logs) == len(added) == len(seen) // 2
+    def test_k2_top_zero_visits_only_k2_zero(self):
+        # a never-small term runs each k2 sum out at k2 = 0, with no cap error
+        _, seen, acc = self._visits(1, 0, self._never_small)
+        assert seen and {k2 for *_, k2 in seen} == {0}
+        assert len(set(seen)) == len(seen) == len(acc.logs)
 
-    def test_k2_cap_raises(self, monkeypatch):
-        # a term that cancels the nest's -log k2! never falls small, so k2 reaches the cap
-        monkeypatch.setattr(cf, "_K2_CAP", 16)
-        with pytest.raises(NumericError, match="k2 cap"):
-            self._visits(0, lambda k2: (1.0, float(gammaln(k2 + 1.0))))
-        _, seen, _ = self._visits(0, lambda k2: cf._STOP)
-        assert seen and max(k2 for *_, k2 in seen) == 0
+    def test_zero_term_adds_nothing_and_counts_as_small(self):
+        # after a term at k2 = 0, each k2 sum ends on _CONSECUTIVE zero terms
+        _, seen, acc = self._visits(1, cf._K2_CAP,
+                                    lambda k2: (0.0, -np.inf) if k2 else (1.0, 0.0))
+        firsts = [v for v in seen if v[3] == 0]
+        assert firsts and len(acc.logs) == len(firsts)
+        assert len(seen) == len(firsts) * (1 + cf._CONSECUTIVE)
+        assert {k2 for *_, k2 in seen} == set(range(cf._CONSECUTIVE + 1))
+
+    def test_k2_cap_raises(self):
+        with pytest.raises(NumericError, match="k2 cap") as exc:
+            self._visits(0, 16, self._never_small)
+        assert exc.value.diagnostics["cap"] == 16
 
     def _first_log(self):
         """The work of _visits and the log the nest gives its first term at log 0."""
-        work, _, acc = self._visits(0, lambda k2: cf._STOP if k2 else (1.0, 0.0))
+        work, _, acc = self._visits(0, 0, lambda k2: (1.0, 0.0))
         return work, acc.logs[0]
 
     @pytest.mark.parametrize("noise, trips_at", [(0.0, 3), (0.75e-5 / 3.5, 2)])
@@ -331,16 +332,15 @@ class TestSeriesSkeleton:
             return 1.0, x + float(gammaln(k2 + 1.0))
 
         with pytest.raises(NumericError, match="lost too much precision") as exc:
-            cf._series(work, 0, term, noise)
+            cf._series(work, 0, cf._K2_CAP, term, noise)
         assert seen == list(range(trips_at + 1))
         assert exc.value.diagnostics["noise"] > 1e-5
 
     def test_overflowing_block_is_a_numeric_error(self, monkeypatch):
         # a first term at log 710 would overflow the block's value to OverflowError
         work, log0 = self._first_log()
-        huge = ("huge", 1.0, 0, lambda w: lambda k, n, k1, k2: (
-            cf._STOP if k2 else (1.0, 710.0 - log0)))
-        monkeypatch.setattr(cf, "_blocks", lambda case: [[huge]])
+        huge = ("huge", 1.0, 0, 0, lambda k, n, k1, k2: (1.0, 710.0 - log0))
+        monkeypatch.setattr(cf, "_blocks", lambda work: [[huge]])
         with pytest.raises(NumericError, match="lost too much precision"):
             cf._closed_outage(work.case, 8)
 
@@ -353,9 +353,10 @@ class TestTaylorBracket:
     def test_equals_the_end_sum_of_g2123(self, eta_db, network, mode):
         cfg = _cfg(**{"link.eta_s_db": eta_db})
         case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)
-        assert cf._blocks(case)[0][0][0] == "direct"
         work = cf._Work(case, cfg.cgq_n)
-        cf._series(work, 0, cf._taylor_terms(work))
+        name, _, top_n, k2_top, term = cf._blocks(work)[0][0]
+        assert name == "direct"
+        cf._series(work, top_n, k2_top, term)
         visited = [key[1:] for key in work.memo if key[0].__name__ == "g2123_pieces"]
         assert len(visited) >= 20
         omega = case.dest_c / case.p_sat
@@ -602,6 +603,31 @@ KNEE_24 = {
     "noise.sigma_r_dbm": 12.475402348844895,
 }
 
+
+class TestRouteTable:
+    """closed_form._blocks on s2g cases: (name, sign, top_n, k2_top) of every row,
+    route by route, in each regime."""
+
+    SAT = ("sat-above-knee", 1.0, 1, cf._K2_CAP)
+    DIRECT = [("direct", 1.0, 0, cf._K2_CAP)]
+    LINEAR_TAIL = [("linear", 1.0, 0, 0), ("tail", -1.0, 0, cf._K2_CAP)]
+
+    # at 131.05 dB the Taylor parameter is 10.3, below _ROUTE_SWITCH; at 118 dB
+    # it is 208.7, past it and the tail's 1.8e-3; at 40 dBm and 100 dB, 4.2e4
+    # with no saturated branch
+    @pytest.mark.parametrize("over, routes", [
+        (KNEE_24, [[("sat-below-knee", 1.0, 1, cf._K2_CAP)]]),
+        ({"swipt.p_th_dbm": "inf"}, [[("linear", 1.0, 0, 0)]]),
+        ({"link.eta_s_db": 131.05}, [DIRECT + [SAT], LINEAR_TAIL + [SAT]]),
+        ({}, [LINEAR_TAIL + [SAT], DIRECT + [SAT]]),
+        ({"swipt.p_th_dbm": 40.0, "link.eta_s_db": 100.0}, [LINEAR_TAIL, DIRECT]),
+    ], ids=["below-knee", "linear-eh", "taylor-first", "tail-first", "no-saturated"])
+    def test_rows_of_each_regime(self, over, routes):
+        cfg = _cfg(**over)
+        work = cf._Work(build_case(cfg, "s2g", IM_IC, cfg.gamma_s), cfg.cgq_n)
+        assert [[row[:4] for row in route] for route in cf._blocks(work)] == routes
+
+
 RANDOM_CONFIG = st.fixed_dictionaries({
     "rates.threshold_mode": st.just("from_rate"),
     "swipt.p_th_dbm": st.one_of(st.floats(-10.0, 40.0), st.just("inf")),
@@ -711,7 +737,7 @@ class TestRandomConfigs:
         assert case.branches == ("unsaturated", "saturated")
         block = cf._SignedSum()
         block.add(1.0, math.log(2.0))
-        monkeypatch.setattr(cf, "_series", lambda work, top_n, term, noise: block)
+        monkeypatch.setattr(cf, "_series", lambda work, top_n, k2_top, term, noise: block)
         checked = []
 
         def checked_outage(val, path, details):
@@ -790,10 +816,10 @@ class TestRandomConfigs:
     def test_truncated_taylor_route_falls_back_to_the_tail_route(self):
         cfg = config_from_mapping(NO_ROUTE_S2G)
         case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
-        assert len(cf._blocks(case)) == 2
         work = cf._Work(case, 100)
+        assert len(cf._blocks(work)) == 2
         with pytest.raises(NumericError, match="lost too much precision"):
-            cf._series(work, 0, cf._taylor_terms(work))
+            cf._series(work, 0, cf._K2_CAP, cf._taylor_terms(work))
         assert abs(op_s2g_closed(cfg.gamma_s, cfg) - op_s2g_integral(cfg.gamma_s, cfg)) <= 1e-6
 
     @pytest.mark.parametrize("mapping, network, mode", [
@@ -809,7 +835,7 @@ class TestRandomConfigs:
                             for level in di._LEVELS)
         assert abs(fine - coarse) <= 1e-10
         work = cf._Work(case, cfg.cgq_n)
-        acc = cf._series(work, 0, cf._taylor_terms(work))
+        acc = cf._series(work, 0, cf._K2_CAP, cf._taylor_terms(work))
         assert abs(acc.value() - fine) <= max(10.0 * acc.noise_estimate(), 1e-9)
 
     @pytest.mark.parametrize("mapping", [TAYLOR_CANCELS, TAYLOR_WRONG],

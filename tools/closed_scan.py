@@ -31,7 +31,8 @@ its message changed.  A last line counts each kind over the cells both scans
 have, and gives ``max_abs_moved``: the largest |new - old| over the
 ``value_moved`` cells, ``all`` of them and those ``not_below_knee``, each as
 ``{"value", "index", "case"}`` of the cell that reached it (null when no such
-cell moved).  The time fields vary from run to run and are not compared.
+cell moved).  The time fields vary from run to run and are not compared.  The
+scan exits 1 when a cell went from filled to blank, and 0 otherwise.
 """
 
 import argparse
@@ -85,7 +86,7 @@ def read_scan(path):
 
 def compare(old, cells):
     """One line per cell of cells whose closed cell differs from old's, both as
-    read_scan returns them, then the counts by kind of change."""
+    read_scan returns them, then the counts by kind of change; returns the counts."""
     kinds = dict.fromkeys(("compared", "value_moved", "blank_to_filled", "filled_to_blank",
                            "message_changed"), 0)
     moved = {"all": None, "not_below_knee": None}
@@ -112,6 +113,7 @@ def compare(old, cells):
                           "old_closed": was["closed"], "old_closed_error": was["closed_error"],
                           "closed": new["closed"], "closed_error": new["closed_error"]}))
     print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved}))
+    return kinds
 
 
 def main(argv=None):
@@ -151,8 +153,8 @@ def main(argv=None):
                       "closed_off_integral": off, "off_tol": OFF_TOL,
                       "max_abs_closed_minus_integral": worst, "closed_cpu_s": cpu,
                       "slowest_blank_closed_cpu_s": slowest_blank}))
-    if old is not None:
-        compare(old, cells)
+    if old is not None and compare(old, cells)["filled_to_blank"]:
+        return 1
     return 0
 
 
