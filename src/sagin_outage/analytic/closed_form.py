@@ -52,6 +52,7 @@ from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
+_GAMMA_RUN = 12             # orders one incomplete-gamma call takes down a k2 sum
 
 
 def _memo(build):
@@ -66,7 +67,8 @@ def _memo(build):
 
 
 class _Work:
-    """Per-evaluation memo, Bessel-K seeds of the G2113 ladder and CGQ nodes."""
+    """Per-evaluation memo, incomplete-gamma rows, Bessel-K seeds of the G2113
+    ladder and CGQ nodes."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -112,6 +114,8 @@ class _Work:
         # argument grid: the G2113 calls of a case share grids, and no grid
         # recurs in another case (cst moves with it)
         self.k_seeds = {}
+        # log Gamma(order, xs) rows, {xs bytes: {order: row}}, kept by log_gammas
+        self.gamma_rows = {}
 
     def cgq(self, w_pow, f):
         """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
@@ -120,11 +124,21 @@ class _Work:
         expo = self.log_wts + w_pow * self.log_w - self.sat_decay + log_f
         return logsumexp_signed(expo, sign_f * self.wt_sign)
 
+    def log_gammas(self, a, xs):
+        """log Gamma(a, xs), kept by (xs, a).  A k2 sum steps its order down by
+        one, so a miss also takes each order below a down to a - _GAMMA_RUN + 1
+        that xs has no row for, in the same log_gamma_upper call."""
+        rows = self.gamma_rows.setdefault(xs.tobytes(), {})
+        if a not in rows:
+            orders = [a - j for j in range(_GAMMA_RUN) if a - j not in rows]
+            rows.update(zip(orders, log_gamma_upper(np.array(orders, dtype=float)[:, None], xs)))
+        return rows[a]
+
     @_memo
     def gamma_nodes(self, s):
         """(sign, log) of Gamma(s, bb w^2 p_sat/a) on the CGQ nodes."""
         xs = self.beta_bar * self.w_nodes ** 2 * self.case.p_sat / self.case.a_lin
-        return np.ones(xs.shape), log_gamma_upper(s, xs)
+        return np.ones(xs.shape), self.log_gammas(s, xs)
 
     def end_sum(self, m, f):
         """(sign, log) arrays of the signed sum over the distinct piece ends y of
@@ -162,7 +176,7 @@ class _Work:
 
         def upper(e, ys):
             xs = omega * ys ** self.case.nu
-            return 1.0, (s1 * np.log(xs) + log_gamma_upper(-s1, xs)
+            return 1.0, (s1 * np.log(xs) + self.log_gammas(-s1, xs)
                          - math.log(n + e + s1))[:, None]
 
         up_s, up_l = self.end_sum(n, upper)

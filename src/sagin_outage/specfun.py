@@ -1,18 +1,20 @@
 """Special functions backing the closed-form and integration paths.
 
 Everything the outage series need lives here: the log upper incomplete gamma,
-elementwise over an array of x at one order (the ascending series and the Lentz
-continued fraction per element, the downward recurrence once over every x < 1),
-its cancellation-safe differences, ln I0 through scipy's scaled ``i0e``,
-Meijer-G in the one family b3 = a1 - 1 the series use (G2113 by a downward
-recurrence in c over Bessel K, every term positive, its K orders from two kve
-seeds per argument grid by the upward ratio recurrence, kept only in a dict
-the caller passes; G2123, which the closed path takes apart itself, as two
-incomplete gammas for the oracle table and tests; G0110 and G2002 by
-identities the oracle table checks),
-and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery
-is evaluated in the log domain with explicit signs because the series couple
-enormous and tiny factors whose product is O(1).
+elementwise over orders and points broadcast together (the Lentz continued
+fraction as one masked array run over every point it takes, so a batch of
+orders costs each step once; the downward recurrence once per fractional part
+of the order over every x < 1; the ascending series per point), its
+cancellation-safe differences, ln I0 through scipy's scaled ``i0e``, Meijer-G
+in the one family b3 = a1 - 1 the series use (G2113 by a downward recurrence
+in c over Bessel K, every term positive, its K orders from two kve seeds per
+argument grid by the upward ratio recurrence, kept only in a dict the caller
+passes, with the row at c + 1 a sweep passes for the call that asks for it;
+G2123, which the closed path takes apart itself, as two incomplete gammas for
+the oracle table and tests; G0110 and G2002 by identities the oracle table
+checks), and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy
+machinery is evaluated in the log domain with explicit signs because the
+series couple enormous and tiny factors whose product is O(1).
 """
 
 import math
@@ -29,15 +31,14 @@ from .errors import ConfigError, DomainError, NumericError
 # ---------------------------------------------------------------------------
 
 def logsumexp_signed(logs, signs):
-    """Sum of signs*exp(logs) returned as (sign, log|sum|)."""
+    """Sum of signs*exp(logs) returned as (sign, log|sum|).  A -inf log adds
+    nothing (all -inf, or none, is (0, -inf)); a NaN or +inf log raises NumericError."""
     logs = np.asarray(logs, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    mask = np.isfinite(logs)
-    if not mask.any():
+    m = logs.max(initial=-np.inf)
+    if m == -np.inf:
         return 0.0, -np.inf
-    logs = logs[mask]
-    signs = signs[mask]
-    m = logs.max()
+    if not m < np.inf:
+        raise NumericError("signed log sum of a NaN or +inf log", {"max_log": float(m)})
     s = float(np.sum(signs * np.exp(logs - m)))
     if s == 0.0:
         return 0.0, -np.inf
@@ -65,7 +66,7 @@ def _log_lower_series(a, x):
 
 
 def _log_upper_cf(a, x):
-    """log Gamma(a, x) by the Lentz continued fraction (a <= 0: x >= 1; a > 0: see _log_gamma_pair)."""
+    """log Gamma(a, x) by the Lentz continued fraction, for _log_gamma_pair's a > 0."""
     tiny = 1e-300
     b0 = x + 1.0 - a
     c = 1.0 / tiny
@@ -91,24 +92,60 @@ def _log_upper_cf(a, x):
     return a * np.log(x) - x + np.log(h)
 
 
+def _log_upper_cf_array(a, x):
+    """_log_upper_cf over arrays of orders a and points x of one shape, one array
+    step per term for all of them: the same arithmetic, and a point's h is frozen
+    once it converges, so each value is bit-identical to _log_upper_cf's."""
+    tiny = 1e-300
+    b0 = x + 1.0 - a
+    c = np.full(x.shape, 1.0 / tiny)
+    h = d = 1.0 / np.maximum(b0, tiny)
+    live = np.ones(x.shape, dtype=bool)
+    for i in range(1, 20000):
+        an = -i * (i - a)
+        b0 += 2.0
+        d = an * d + b0
+        d[np.abs(d) < tiny] = tiny
+        c = b0 + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = np.where(live, h * delta, h)
+        live &= ~(np.abs(delta - 1.0) < 1e-16)
+        if not live.any():
+            return a * np.log(x) - x + np.log(h)
+    raise NumericError("upper incomplete gamma CF did not converge",
+                       {"a": a[live].tolist(), "x": x[live].tolist()})
+
+
 def _log_upper_recurrence(a, x):
-    """log Gamma(a, x) for a <= 0 over an array of 0 < x < 1 by downward recurrence.
+    """log Gamma(a, x) over arrays of orders a <= 0 and points 0 < x < 1 of one
+    shape by downward recurrence from Gamma(a - floor(a), x).
 
     Gamma(s, x) = (x^s e^-x - Gamma(s+1, x)) / (-s); the boundary term
-    dominates for x < 1 so each subtraction is benign; each step runs once over every x.
+    dominates for x < 1 so each subtraction is benign.  Orders with one
+    a - floor(a) share a run down to the lowest of them: each step runs once
+    over all their x and records the points of the order it reaches.
     """
-    s0 = a - np.floor(a) or 1.0
-    lg = -x if s0 == 1.0 else log_gamma_upper(s0, x)    # Gamma(1, x) = e^-x
-    lnx = np.log(x)
-    s = s0 - 1.0
-    while s >= a - 0.5:
-        if s == 0.0:
-            lg = np.log(exp1(x))
-        else:
-            lt = s * lnx - x
-            lg = lt + np.log1p(-np.exp(np.minimum(lg - lt, -1e-300))) - np.log(-s)
-        s -= 1.0
-    return lg
+    out = np.empty(x.shape)
+    frac = a - np.floor(a)
+    for f in np.unique(frac).tolist():
+        idx = np.flatnonzero(frac == f)
+        xs, orders = x[idx], a[idx]
+        s0 = f or 1.0
+        lg = -xs if s0 == 1.0 else log_gamma_upper(s0, xs)    # Gamma(1, x) = e^-x
+        lnx = np.log(xs)
+        s = s0 - 1.0
+        while s >= orders.min() - 0.5:
+            if s == 0.0:
+                lg = np.log(exp1(xs))
+            else:
+                lt = s * lnx - xs
+                lg = lt + np.log1p(-np.exp(np.minimum(lg - lt, -1e-300))) - np.log(-s)
+            at = np.abs(orders - s) < 0.5
+            out[idx[at]] = lg[at]
+            s -= 1.0
+    return out
 
 
 def _log_gamma_pair(a, x):
@@ -136,27 +173,33 @@ def _log_gamma_pair(a, x):
 
 
 def log_gamma_upper(a, x):
-    """log Gamma(a, x) for real a (any sign), elementwise over x >= 0 (x > 0 if
-    a <= 0): a float for a scalar x, else an array of x's shape.
+    """log Gamma(a, x) for real orders a (any sign) and x >= 0 (x > 0 where
+    a <= 0), elementwise over a and x broadcast together: a float when both are
+    scalars, else an array of the broadcast shape.
 
-    Three branches: a > 0 is ``_log_gamma_pair``; a <= 0 is the Lentz
-    continued fraction at x >= 1, where it converges for any |a| (DLMF 8.9),
-    and the downward recurrence from Gamma(a - floor(a), x) at x < 1, one run
-    over all those x.  The other two stop at a different step for each x, so
-    they run per element, on Python floats, which step faster than numpy scalars.
+    Three branches: the Lentz continued fraction, one masked run over all its
+    (a, x) points: a <= 0 at x >= 1, where it converges for any |a| (DLMF 8.9),
+    and a > 0 at x > a + 1, where _log_gamma_pair takes it too; the downward
+    recurrence from Gamma(a - floor(a), x) at a <= 0, x < 1; and
+    _log_gamma_pair for the other a > 0, point by point on Python floats.  A
+    batch of orders costs each array step once, not once per order.
     """
-    xs = np.asarray(x, dtype=float)
+    orders, xs = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     if np.any(xs < 0):
         raise DomainError("upper incomplete gamma needs x >= 0")
-    if a <= 0 and np.any(xs == 0):
+    if np.any((orders <= 0) & (xs == 0)):
         raise DomainError("Gamma(a, 0) diverges for a <= 0")
-    flat = xs.ravel()
-    rec = (flat < 1.0) & (a <= 0)
+    orders, flat = orders.ravel(), xs.ravel()
+    rec = (orders <= 0) & (flat < 1.0)
+    cf = ~rec & ((orders <= 0) | (flat > orders + 1.0))
+    pair = ~(rec | cf)
     lg = np.empty(flat.shape)
-    lg[~rec] = [gammaln(a) if v == 0 else _log_gamma_pair(a, v)[1] if a > 0
-                else _log_upper_cf(a, v) for v in flat[~rec].tolist()]
+    lg[pair] = [gammaln(o) if v == 0 else _log_gamma_pair(o, v)[1]
+                for o, v in zip(orders[pair].tolist(), flat[pair].tolist())]
+    if cf.any():
+        lg[cf] = _log_upper_cf_array(orders[cf], flat[cf])
     if rec.any():
-        lg[rec] = _log_upper_recurrence(a, flat[rec])
+        lg[rec] = _log_upper_recurrence(orders[rec], flat[rec])
     return float(lg[0]) if xs.ndim == 0 else lg.reshape(xs.shape)
 
 
@@ -264,7 +307,8 @@ _LADDER_CHUNK = 64
 
 
 def _k_ratios(xs, nu, seeds):
-    """(X, log kve_nu(X), (K_(nu-1) + K_(nu+1)) / K_nu) arrays at X = 2 sqrt(xs), nu >= 0.
+    """(X, log kve_nu(X), (K_(nu-1) + K_(nu+1)) / K_nu) arrays at X = 2 sqrt(xs), nu >= 0,
+    and the entry's dict of ladder rows kept for a later call (_g2113_ladder_log).
 
     The orders are nu0 + j, nu0 = nu - floor(nu), with K_(nu0-1) = K_(1-nu0):
     kve seeds K_(nu0-1) and K_nu0, and the ratios r_j = K_(nu0+j+1) / K_(nu0+j)
@@ -281,15 +325,15 @@ def _k_ratios(xs, nu, seeds):
         big_x = 2.0 * np.sqrt(xs)
         k0 = kve(nu0, big_x)
         # X, log kve_(nu0+j) for j = 0..J, and r_(j-1) for j = 0..J
-        ladder = (big_x, [np.log(k0)], [k0 / kve(1.0 - nu0, big_x)])
+        ladder = (big_x, [np.log(k0)], [k0 / kve(1.0 - nu0, big_x)], {})
         if seeds is not None:
             seeds[key] = ladder
-    big_x, logk, ratios = ladder
+    big_x, logk, ratios, kept = ladder
     while len(ratios) < m + 2:
         j = len(ratios) - 1
         ratios.append(1.0 / ratios[-1] + 2.0 * (nu0 + j) / big_x)
         logk.append(logk[-1] + np.log(ratios[-1]))
-    return big_x, logk[m], 1.0 / ratios[m] + ratios[m + 1]
+    return big_x, logk[m], 1.0 / ratios[m] + ratios[m + 1], kept
 
 
 def _ladder_rungs(c, s3, x_max):
@@ -317,8 +361,14 @@ def _g2113_ladder_log(s3, c, xs, seeds):
     to 1, with its inhomogeneous term, only at a rung where the bound on the
     largest H, grown at X_max^2 / (4 (c'^2 - s3^2)) per rung, says it could
     overflow.  The terms of _LADDER_CHUNK rungs are built at once.  Returns
-    (sign, log|G|) arrays."""
-    big_x, logk, rho = _k_ratios(xs, abs(2.0 * s3), seeds)
+    (sign, log|G|) arrays.  With seeds, the sweep keeps its row at c + 1 in the
+    grid's entry if a call at c + 1 would start at the same rung and step the
+    same rung values, so would return that row; such a call pops it."""
+    nu = abs(2.0 * s3)
+    big_x, logk, rho, kept = _k_ratios(xs, nu, seeds)
+    row = kept.pop((nu, c), None)
+    if row is not None:
+        return np.ones(xs.shape), row
     x4 = big_x * big_x
     scale = np.exp(-np.minimum(big_x, _LADDER_CLAMP))
     inhom = 2.0 * big_x * rho * scale
@@ -328,6 +378,9 @@ def _g2113_ladder_log(s3, c, xs, seeds):
     shift = logk - np.maximum(big_x - _LADDER_CLAMP, 0.0)
     bound = 0.0
     top = _ladder_rungs(c, s3, 0.25 * x4_max)
+    c1 = c + 1.0
+    keep = (seeds is not None and top > 1 and _ladder_rungs(c1, s3, 0.25 * x4_max) == top - 1
+            and np.array_equal(c + np.arange(1.0, top), c1 + np.arange(top - 1.0)))
     while top > 0:
         cs = c + np.arange(top - 1, max(top - _LADDER_CHUNK, 0) - 1, -1.0)
         rows = inhom + np.multiply.outer(cs, eight)
@@ -345,6 +398,8 @@ def _g2113_ladder_log(s3, c, xs, seeds):
             h *= x4
             h += rows[i]
             h *= inv
+            if keep and cj == c1:
+                kept[nu, c1] = np.log(h) + shift
         top -= len(cs)
     return np.ones(xs.shape), np.log(h) + shift
 

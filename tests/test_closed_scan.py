@@ -60,3 +60,15 @@ def test_scan_exits_1_only_when_a_cell_went_blank(tmp_path, monkeypatch, capsys)
     assert closed_scan.main(["1", "--compare", str(went_blank)]) == 1
     assert closed_scan.main(["1", "--compare", str(stayed_blank)]) == 0
     assert closed_scan.main(["1"]) == 0
+
+
+def test_each_cell_says_whether_it_is_settled(monkeypatch, capsys):
+    # configs 0-4 of the scan: every a2a im-IC cell from config 1 on and the
+    # s2g cell of config 4 are settled at 1 without a series
+    monkeypatch.setattr(closed_scan, "_evaluate", lambda fn, gamma, cfg, kwargs: (0.5, None))
+    assert closed_scan.main(["5"]) == 0
+    *cells, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    settled = {(line["index"], line["case"]) for line in cells if line["settled"]}
+    assert settled == {(1, "a2a-im-ic"), (2, "a2a-im-ic"), (3, "a2a-im-ic"),
+                       (4, "s2g"), (4, "a2a-im-ic")}
+    assert summary["settled"] == 5

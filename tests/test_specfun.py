@@ -116,6 +116,70 @@ class TestLogGammaUpper:
         with pytest.raises(DomainError):
             sf.log_gamma_upper(a, np.array(xs))
 
+    def test_order_array_matches_per_order_calls_bit_for_bit(self):
+        # one call over (order x point) against the one-order calls and the
+        # scalar expansions: _log_gamma_pair for a > 0, _log_upper_cf for a <= 0
+        # at x >= 1 (the x < 1 rows cross the recurrence at several orders)
+        orders = np.array([-279.0, -40.0, -7.5, -7.0, -2.0, -0.5, 0.0, 0.1, 1.0, 2.5, 30.0])
+        xs = np.array([0.004, 0.05, 0.4, 0.9, 1.0, 3.0, 40.0, 3e4])
+        got = sf.log_gamma_upper(orders[:, None], xs)
+        assert got.shape == (len(orders), len(xs))
+        for a, row in zip(orders.tolist(), got):
+            assert row.tolist() == sf.log_gamma_upper(a, xs).tolist()
+            for x, value in zip(xs.tolist(), row.tolist()):
+                if a > 0:
+                    assert value == sf._log_gamma_pair(a, x)[1]
+                elif x >= 1.0:
+                    assert value == float(sf._log_upper_cf(a, x))
+
+    def test_order_array_keeps_its_shapes(self):
+        orders = np.array([[-7.0, 2.5], [0.0, -0.5]])
+        got = sf.log_gamma_upper(orders, 3.0)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[sf.log_gamma_upper(a, 3.0) for a in row] for row in orders.tolist()]
+        assert sf.log_gamma_upper(np.empty((0, 1)), np.array([0.5, 3.0])).shape == (0, 2)
+        assert sf.log_gamma_upper(np.array([[-7.0], [2.5]]), np.empty((0,))).shape == (2, 0)
+        with pytest.raises(DomainError):
+            sf.log_gamma_upper(np.array([2.5, -1.0]), 0.0)
+
+
+def _masked_logsumexp_signed(logs, signs):
+    """Reference: the signed sum over the finite logs alone, the mask dropping the rest."""
+    logs = np.asarray(logs, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    mask = np.isfinite(logs)
+    if not mask.any():
+        return 0.0, -np.inf
+    logs, signs = logs[mask], signs[mask]
+    m = logs.max()
+    s = float(np.sum(signs * np.exp(logs - m)))
+    if s == 0.0:
+        return 0.0, -np.inf
+    return float(np.sign(s)), m + np.log(abs(s))
+
+
+class TestLogsumexpSigned:
+    def test_matches_the_masked_sum_on_finite_logs(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 7, 8, 9, 102, 1000):
+            logs = rng.uniform(-800.0, 700.0, n)
+            signs = rng.choice([-1.0, 1.0], n)
+            assert sf.logsumexp_signed(logs, signs) == _masked_logsumexp_signed(logs, signs)
+
+    def test_minus_inf_logs_add_nothing(self):
+        logs = np.array([-np.inf, 3.0, -np.inf, 1.5, -2.0])
+        signs = np.array([1.0, 1.0, -1.0, -1.0, 0.0])
+        sign, log = sf.logsumexp_signed(logs, signs)
+        assert sign == 1.0 and log == pytest.approx(math.log(math.exp(3.0) - math.exp(1.5)),
+                                                    rel=1e-15)
+        assert sf.logsumexp_signed(np.full(4, -np.inf), np.ones(4)) == (0.0, -np.inf)
+        assert sf.logsumexp_signed(np.empty(0), np.empty(0)) == (0.0, -np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_log_raises(self, bad):
+        with pytest.raises(NumericError, match="NaN or \\+inf"):
+            sf.logsumexp_signed(np.array([0.5, bad, -np.inf]), np.ones(3))
+
 
 class TestGaussLegendre:
     def test_exact_for_degree_up_to_2n_minus_1(self):
@@ -186,7 +250,7 @@ class TestKRatios:
         seeds = {}
         for order in range(21):
             nu = nu0 + order
-            got_x, logk, rho = sf._k_ratios(xs, nu, seeds)
+            got_x, logk, rho, _ = sf._k_ratios(xs, nu, seeds)
             assert got_x is next(iter(seeds.values()))[0]
             want = (kve(nu - 1.0, big_x) + kve(nu + 1.0, big_x)) / kve(nu, big_x)
             assert np.max(np.abs(np.expm1(logk - np.log(kve(nu, big_x))))) <= 1e-13
@@ -313,6 +377,56 @@ class TestMeijerG:
             sign, log = sf.meijer_g_log("G2113", params, xs, tables)
             assert np.array_equal(sign, want[0]) and np.array_equal(log, want[1])
         assert fresh.keys() == filled.keys() and len(fresh) == 1
+
+    # c = 2.5, s3 = 0.5 on a grid whose sqrt(x_max) lies above c + 1: the
+    # ladder at c + 1 starts at the same rung, and c + 1 = 3.5 is exact
+    KEEP_XS = np.array([0.02, 1.7, 260.0])
+
+    @staticmethod
+    def _g2113(c, xs, tables=None):
+        return sf.meijer_g_log("G2113", (1.0 - c, 0.5, -0.5, -c), xs, tables)
+
+    def test_kept_g2113_row_equals_a_fresh_call(self):
+        tables = {}
+        self._g2113(2.5, self.KEEP_XS, tables)
+        (entry,) = tables.values()
+        assert list(entry[3]) == [(1.0, 3.5)]
+        kept = entry[3][1.0, 3.5]
+        sign, log = self._g2113(3.5, self.KEEP_XS, tables)
+        assert log is kept and np.all(sign == 1.0)
+        assert np.array_equal(log, self._g2113(3.5, self.KEEP_XS)[1])
+
+    def test_no_row_is_kept_where_the_tops_differ(self):
+        # sqrt(x_max) below c: the ladders at c and c + 1 start their damping
+        # at their own c, and here both take 7 rungs
+        xs = np.array([0.001, 0.05])
+        x_max = float((2.0 * np.sqrt(xs.max())) ** 2 / 4.0)
+        assert sf._ladder_rungs(3.5, 0.5, x_max) != sf._ladder_rungs(2.5, 0.5, x_max) - 1
+        tables = {}
+        self._g2113(2.5, xs, tables)
+        assert next(iter(tables.values()))[3] == {}
+
+    def test_no_row_is_kept_where_the_rung_values_differ(self):
+        # c = 4/3: the tops agree, but c + j and (c + 1) + (j - 1) round apart
+        # at some rung j, so a call at c + 1 would not step the same values
+        c = 1.0 - (1.0 - 4.0 / 3.0)
+        x_max = float((2.0 * np.sqrt(self.KEEP_XS.max())) ** 2 / 4.0)
+        top = sf._ladder_rungs(c, 0.5, x_max)
+        assert sf._ladder_rungs(c + 1.0, 0.5, x_max) == top - 1
+        assert not np.array_equal(c + np.arange(1.0, top), (c + 1.0) + np.arange(top - 1.0))
+        tables = {}
+        self._g2113(c, self.KEEP_XS, tables)
+        assert next(iter(tables.values()))[3] == {}
+
+    def test_a_kept_row_is_read_once(self):
+        tables = {}
+        self._g2113(2.5, self.KEEP_XS, tables)
+        (entry,) = tables.values()
+        first = self._g2113(3.5, self.KEEP_XS, tables)[1]
+        assert entry[3] == {}           # popped, and the read swept nothing
+        again = self._g2113(3.5, self.KEEP_XS, tables)[1]
+        assert again is not first and np.array_equal(again, first)
+        assert list(entry[3]) == [(1.0, 4.5)]   # the second call swept
 
     def test_a_closed_case_seeds_each_grid_once(self, monkeypatch):
         # the 88 dB a2a im-IC case of the acceptance grid: every argument grid

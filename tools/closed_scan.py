@@ -15,14 +15,15 @@ a2a p-IC, each evaluated by the public ``op_*_closed`` and ``op_*_integral``
 functions.
 
 One JSON line is printed per cell: the index, the case, ``below_knee`` (a
-feasible non-linear case with saturation point p_sat <= 0), for each method its
-value (exact, as JSON writes a float) or its NumericError text, and
-``closed_cpu_s``, the thread CPU time (``time.thread_time``) of the ``closed``
-call.  A summary line follows: the blank ``closed`` cells by message and how
-many of them are below the knee, how many ``closed`` values lie more than 2e-4
-from ``integral``, the largest |closed - integral|, ``closed_cpu_s``, the
-total over every cell and route, and ``slowest_blank_closed_cpu_s``, the most
-any blank ``closed`` cell took.
+feasible non-linear case with saturation point p_sat <= 0), ``settled`` (the
+case is settled at 0 or 1 with no series: ``settled_outage`` gives it a value),
+for each method its value (exact, as JSON writes a float) or its NumericError
+text, and ``closed_cpu_s``, the thread CPU time (``time.thread_time``) of the
+``closed`` call.  A summary line follows: the blank ``closed`` cells by message
+and how many of them are below the knee, how many cells are settled, how many
+``closed`` values lie more than 2e-4 from ``integral``, the largest
+|closed - integral|, ``closed_cpu_s``, the total over every cell and route, and
+``slowest_blank_closed_cpu_s``, the most any blank ``closed`` cell took.
 
 ``--compare OLD.jsonl`` reads the output of an earlier scan (of another tree,
 with the same N and ``--knee``) and then prints one line per cell whose
@@ -31,8 +32,9 @@ its message changed.  A last line counts each kind over the cells both scans
 have, and gives ``max_abs_moved``: the largest |new - old| over the
 ``value_moved`` cells, ``all`` of them and those ``not_below_knee``, each as
 ``{"value", "index", "case"}`` of the cell that reached it (null when no such
-cell moved).  The time fields vary from run to run and are not compared.  The
-scan exits 1 when a cell went from filled to blank, and 0 otherwise.
+cell moved).  The time fields, which vary from run to run, and ``settled`` are
+not compared.  The scan exits 1 when a cell went from filled to blank, and 0
+otherwise.
 """
 
 import argparse
@@ -44,7 +46,7 @@ from collections import Counter
 
 from sagin_outage.analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,
                                    op_s2g_integral)
-from sagin_outage.analytic.coefficients import build_case
+from sagin_outage.analytic.coefficients import build_case, settled_outage
 from sagin_outage.config import config_from_mapping
 from sagin_outage.errors import NumericError
 from sagin_outage.swipt import IM_IC, P_IC
@@ -137,6 +139,7 @@ def main(argv=None):
             cpu += closed_cpu
             integral, integral_err = _evaluate(integral_fn, gamma, cfg, kwargs)
             line = cells[i, case] = {"index": i, "case": case, "below_knee": below_knee,
+                                     "settled": settled_outage(oc) is not None,
                                      "closed": closed, "closed_error": closed_err,
                                      "integral": integral, "integral_error": integral_err,
                                      "closed_cpu_s": closed_cpu}
@@ -150,6 +153,7 @@ def main(argv=None):
                 worst = max(worst, abs(closed - integral))
     print(json.dumps({"cells": 3 * args.n, "blank_closed": dict(blank),
                       "below_knee_blank_closed": knee_blank,
+                      "settled": sum(line["settled"] for line in cells.values()),
                       "closed_off_integral": off, "off_tol": OFF_TOL,
                       "max_abs_closed_minus_integral": worst, "closed_cpu_s": cpu,
                       "slowest_blank_closed_cpu_s": slowest_blank}))
