@@ -26,10 +26,11 @@ index, else `_K2_CAP`) and with a term function of its own that returns (sign,
 log), a zero as (0, -inf): `_taylor_terms` takes an incomplete-gamma difference
 times a G2123 destination bracket, `_g2113_terms` integrate a G2113 bracket by
 CGQ and `_gamma_terms` Gamma(s, .) at the saturation point times a destination
-factor.  `_Work.end_sum` is the one signed sum over the ends of the destination
-pieces, each distinct end once and in log space so no power of an end
-overflows; `_piece_dgammas` takes both limits of a piece at once, so its
-incomplete-gamma differences do not cancel to rounding noise.
+factor.  `_Work.row` keeps the Gamma(s, .) and G2113 rows a k2 sum steps
+through, a run of them per call.  `_Work.end_sum` is the one signed sum over the
+ends of the destination pieces, each distinct end once and in log space so no
+power of an end overflows; `_piece_dgammas` takes both limits of a piece at
+once, so its incomplete-gamma differences do not cancel to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -52,7 +53,7 @@ from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
-_GAMMA_RUN = 12             # orders one incomplete-gamma call takes down a k2 sum
+_RUN = 12                   # rungs one Gamma or G2113 call takes along a k2 sum
 
 
 def _memo(build):
@@ -67,8 +68,7 @@ def _memo(build):
 
 
 class _Work:
-    """Per-evaluation memo, incomplete-gamma rows, Bessel-K seeds of the G2113
-    ladder and CGQ nodes."""
+    """Per-evaluation memo, Gamma and G2113 rows, Bessel-K seeds and CGQ nodes."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -110,12 +110,11 @@ class _Work:
             if rows:
                 self.dest_groups.append((q, *(np.array(col) for col in zip(*rows))))
         self.memo = {}
-        # Bessel-K seeds and ratios of meijer_g_log's G2113 ladder, one entry per
-        # argument grid: the G2113 calls of a case share grids, and no grid
-        # recurs in another case (cst moves with it)
+        # Bessel-K seeds and ratios of the G2113 ladder, one entry per argument
+        # grid: a case's calls share grids, and none recurs in another (cst moves)
         self.k_seeds = {}
-        # log Gamma(order, xs) rows, {xs bytes: {order: row}}, kept by log_gammas
-        self.gamma_rows = {}
+        # the rows of both ladders, {(xs bytes, ladder): {rung: row}}, kept by row
+        self.rows = {}
 
     def cgq(self, w_pow, f):
         """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
@@ -124,37 +123,44 @@ class _Work:
         expo = self.log_wts + w_pow * self.log_w - self.sat_decay + log_f
         return logsumexp_signed(expo, sign_f * self.wt_sign)
 
-    def log_gammas(self, a, xs):
-        """log Gamma(a, xs), kept by (xs, a).  A k2 sum steps its order down by
-        one, so a miss also takes each order below a down to a - _GAMMA_RUN + 1
-        that xs has no row for, in the same log_gamma_upper call."""
-        rows = self.gamma_rows.setdefault(xs.tobytes(), {})
-        if a not in rows:
-            orders = [a - j for j in range(_GAMMA_RUN) if a - j not in rows]
-            rows.update(zip(orders, log_gamma_upper(np.array(orders, dtype=float)[:, None], xs)))
-        return rows[a]
+    def row(self, ladder, at, xs, run):
+        """Row `at` of a ladder on the grid xs, kept by (xs bytes, ladder) and at:
+        log Gamma(at, xs) on "gamma", whose k2 sums step at down by one, and log
+        G2113((1 - at - e, s3, -s3, -at - e) | xs) on (s3, e), stepped up.  A miss
+        fetches up to run rungs from at that way, short of the first held, at once."""
+        rows = self.rows.setdefault((xs.tobytes(), ladder), {})
+        if at not in rows:
+            step = -1 if ladder == "gamma" else 1
+            ats = [at]
+            while len(ats) < run and at + len(ats) * step not in rows:
+                ats.append(at + len(ats) * step)
+            if ladder == "gamma":
+                got = log_gamma_upper(np.array(ats, dtype=float)[:, None], xs)
+            else:
+                s3, e = ladder
+                got = meijer_g_log("G2113", (1.0 - at - e, s3, -s3, -at - e), xs,
+                                   self.k_seeds, len(ats))
+            rows.update(zip(ats, got))
+        return rows[at]
 
     @_memo
     def gamma_nodes(self, s):
         """(sign, log) of Gamma(s, bb w^2 p_sat/a) on the CGQ nodes."""
         xs = self.beta_bar * self.w_nodes ** 2 * self.case.p_sat / self.case.a_lin
-        return np.ones(xs.shape), self.log_gammas(s, xs)
+        return np.ones(xs.shape), self.row("gamma", s, xs, _RUN)
 
     def end_sum(self, m, f):
         """(sign, log) arrays of the signed sum over the distinct piece ends y of
         (net/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu, net the end's signed
-        coefficient (see dest_groups), with f(e, ys) returning F as (sign, log)
-        arrays of shape (len(ys), columns) or broadcast to it; one sum per column."""
+        coefficient (see dest_groups), with F > 0 and f(e, ys) returning log F as
+        an array of shape (len(ys), columns) or broadcast to it; one sum per column."""
         nu = self.case.nu
-        signs, logs = [], []
-        for q, ys, log_rel, sign, log_coef in self.dest_groups:
-            fs, fl = f((q + 1.0) / nu, ys)
-            signs.append(sign[:, None] * fs)
-            logs.append((log_coef + (nu * m + q + 1.0) * log_rel)[:, None] + fl)
-        logs = np.concatenate(logs)          # (ends, columns)
-        signs = np.concatenate(signs)
-        top = logs.max(axis=0)
-        vals = np.sum(signs * np.exp(logs - top[None, :]), axis=0)
+        logs = np.concatenate([(log_coef + (nu * m + q + 1.0) * log_rel)[:, None]
+                               + f((q + 1.0) / nu, ys)
+                               for q, ys, log_rel, _, log_coef in self.dest_groups])
+        signs = np.concatenate([sign for *_, sign, _ in self.dest_groups])
+        top = logs.max(axis=0)          # logs is (ends, columns)
+        vals = np.sum(signs[:, None] * np.exp(logs - top[None, :]), axis=0)
         with np.errstate(divide="ignore"):
             return np.sign(vals), top + np.log(np.abs(vals)) + (nu * m + 1.0) * self.log_y_max
 
@@ -176,8 +182,8 @@ class _Work:
 
         def upper(e, ys):
             xs = omega * ys ** self.case.nu
-            return 1.0, (s1 * np.log(xs) + self.log_gammas(-s1, xs)
-                         - math.log(n + e + s1))[:, None]
+            return (s1 * np.log(xs) + self.row("gamma", -s1, xs, _RUN)
+                    - math.log(n + e + s1))[:, None]
 
         up_s, up_l = self.end_sum(n, upper)
         es, signs, logs = self._piece_dgammas(n, omega)
@@ -185,14 +191,12 @@ class _Work:
                                 np.append(signs, up_s))
 
     @_memo
-    def g2113_nodes(self, s2, s3, cst):
+    def g2113_nodes(self, s2, s3, cst, run):
         """(sign, log) on the CGQ nodes of the G2113 destination bracket at
         argument cst y^nu w^2: end_sum of G2113((1 - s2 - e, s3, -s3, -s2 - e) | .)."""
         def meijer(e, ys):
             xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
-            gs, gl = meijer_g_log("G2113", (1.0 - s2 - e, s3, -s3, -s2 - e), xs.ravel(),
-                                  tables=self.k_seeds)
-            return gs.reshape(xs.shape), gl.reshape(xs.shape)
+            return self.row((s3, e), s2, xs.ravel(), run).reshape(xs.shape)
 
         return self.end_sum(s2, meijer)
 
@@ -200,7 +204,7 @@ class _Work:
     def pieces_moment(self, r):
         """(sign, log) of sum over pieces of coeff (hi^p - lo^p)/p, p = nu r + q + 1:
         end_sum with F = nu/p = 1/(r + e), in log space, where no power overflows."""
-        sign, log = self.end_sum(r, lambda e, ys: (1.0, np.full((1, 1), -math.log(r + e))))
+        sign, log = self.end_sum(r, lambda e, ys: np.full((1, 1), -math.log(r + e)))
         return float(sign[0]), float(log[0])
 
     @_memo
@@ -327,18 +331,19 @@ def _series(work, top_n, k2_top, term, noise=0.0):
     return acc
 
 
-def _g2113_terms(work, c, taylor):
+def _g2113_terms(work, c, taylor, k2_top):
     """Terms of the G2113 blocks: the CGQ integral of the destination bracket
     with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3,
-    times the Taylor scale as taylor^k2."""
+    times the Taylor scale as taylor^k2, for a block of k2 extent k2_top."""
     case = work.case
+    run = _RUN if k2_top else 2     # with no k2, (n + 1, k1 + 1) asks for s2 + 1 next
     log_a, log_b, log_bb, log_c, log_t = (
         math.log(v) for v in (case.a_lin, case.b_lin, work.beta_bar, c, taylor))
     cst = work.beta_bar * c / case.a_lin
 
     def term(k, n, k1, k2):
         s3 = (k1 - n + 1) / 2.0
-        i_s, i_l = work.cgq(2 * k + n - k1 + 2, work.g2113_nodes(n + k2 + s3, s3, cst))
+        i_s, i_l = work.cgq(2 * k + n - k1 + 2, work.g2113_nodes(n + k2 + s3, s3, cst, run))
         return i_s, ((k - k1) * log_b + (n + s3) * log_c - s3 * log_bb
                      + (s3 - k - 1.0) * log_a + k2 * log_t + i_l)
 
@@ -397,9 +402,9 @@ def _blocks(work):
     case = work.case
     if case.p_sat <= 0.0:
         return [[("sat-below-knee", 1.0, 1, _K2_CAP,
-                  _g2113_terms(work, work.c_eff * case.b_lin, work.c_eff))]]
+                  _g2113_terms(work, work.c_eff * case.b_lin, work.c_eff, _K2_CAP))]]
     # the no-saturation probability, a finite Bessel-K route with no Taylor index
-    linear = ("linear", 1.0, 0, 0, _g2113_terms(work, case.dest_c, 1.0))
+    linear = ("linear", 1.0, 0, 0, _g2113_terms(work, case.dest_c, 1.0, 0))
     if math.isinf(case.p_sat):
         routes = [[linear]]
     else:

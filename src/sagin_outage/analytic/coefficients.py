@@ -142,9 +142,9 @@ def settled_outage(case):
 
 
 def checked_outage(val, path, details):
-    """val clamped into [0, 1]; NumericError naming the path beyond _RANGE_TOL."""
+    """val clamped into [0, 1]; NumericError naming the path beyond _RANGE_TOL or at a NaN."""
     clamped = min(max(val, 0.0), 1.0)
-    if abs(clamped - val) > _RANGE_TOL:
+    if not abs(clamped - val) <= _RANGE_TOL:
         raise NumericError(f"{path} outage outside [0, 1] by {abs(clamped - val):.3e}",
                            {"outage": val, **details})
     return float(clamped)

@@ -7,14 +7,14 @@ orders costs each step once; the downward recurrence once per fractional part
 of the order over every x < 1; the ascending series per point), its
 cancellation-safe differences, ln I0 through scipy's scaled ``i0e``, Meijer-G
 in the one family b3 = a1 - 1 the series use (G2113 by a downward recurrence
-in c over Bessel K, every term positive, its K orders from two kve seeds per
-argument grid by the upward ratio recurrence, kept only in a dict the caller
-passes, with the row at c + 1 a sweep passes for the call that asks for it;
-G2123, which the closed path takes apart itself, as two incomplete gammas for
-the oracle table and tests; G0110 and G2002 by identities the oracle table
-checks), and the Gauss-Legendre and Chebyshev-Gauss rules.  The heavy
-machinery is evaluated in the log domain with explicit signs because the
-series couple enormous and tiny factors whose product is O(1).
+in c over Bessel K, every term positive, one sweep giving the rows of a run
+of c, its K orders from two kve seeds per argument grid by the upward ratio
+recurrence, kept only in a dict the caller passes; G2123, which the closed
+path takes apart itself, as two incomplete gammas for the oracle table and
+tests; G0110 and G2002 by identities the oracle table checks), and the
+Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery is evaluated in
+the log domain with explicit signs because the series couple enormous and tiny
+factors whose product is O(1).
 """
 
 import math
@@ -307,8 +307,7 @@ _LADDER_CHUNK = 64
 
 
 def _k_ratios(xs, nu, seeds):
-    """(X, log kve_nu(X), (K_(nu-1) + K_(nu+1)) / K_nu) arrays at X = 2 sqrt(xs), nu >= 0,
-    and the entry's dict of ladder rows kept for a later call (_g2113_ladder_log).
+    """(X, log kve_nu(X), (K_(nu-1) + K_(nu+1)) / K_nu) arrays at X = 2 sqrt(xs), nu >= 0.
 
     The orders are nu0 + j, nu0 = nu - floor(nu), with K_(nu0-1) = K_(1-nu0):
     kve seeds K_(nu0-1) and K_nu0, and the ratios r_j = K_(nu0+j+1) / K_(nu0+j)
@@ -325,15 +324,15 @@ def _k_ratios(xs, nu, seeds):
         big_x = 2.0 * np.sqrt(xs)
         k0 = kve(nu0, big_x)
         # X, log kve_(nu0+j) for j = 0..J, and r_(j-1) for j = 0..J
-        ladder = (big_x, [np.log(k0)], [k0 / kve(1.0 - nu0, big_x)], {})
+        ladder = (big_x, [np.log(k0)], [k0 / kve(1.0 - nu0, big_x)])
         if seeds is not None:
             seeds[key] = ladder
-    big_x, logk, ratios, kept = ladder
+    big_x, logk, ratios = ladder
     while len(ratios) < m + 2:
         j = len(ratios) - 1
         ratios.append(1.0 / ratios[-1] + 2.0 * (nu0 + j) / big_x)
         logk.append(logk[-1] + np.log(ratios[-1]))
-    return big_x, logk[m], 1.0 / ratios[m] + ratios[m + 1], kept
+    return big_x, logk[m], 1.0 / ratios[m] + ratios[m + 1]
 
 
 def _ladder_rungs(c, s3, x_max):
@@ -347,28 +346,25 @@ def _ladder_rungs(c, s3, x_max):
     return j
 
 
-def _g2113_ladder_log(s3, c, xs, seeds):
-    """G2113 of the family, G_c(x) = 4 X^-2c int_0^X t^(2c-1) K_nu(t) dt with
-    X = 2 sqrt(x), nu = 2 s3, by the downward recurrence in c
+def _g2113_ladder_log(s3, c, xs, seeds, run):
+    """log G2113 of the family, G_c(x) = 4 X^-2c int_0^X t^(2c-1) K_nu(t) dt with
+    X = 2 sqrt(x), nu = 2 s3, at the run c, c + 1, ..., c + run - 1, as rows of
+    a (run, len(xs)) array, by one sweep of the downward recurrence in c
 
         G_c = [X^2 G_(c+1) + 2X (K_(nu-1) + K_(nu+1)) + 8c K_nu] / (4 (c^2 - s3^2))
 
-    from G = 0 at the rung _ladder_rungs above c.  Every term is positive, so
-    nothing cancels, and the start's error damps by the product that picks the
-    rung.  The ladder carries H = G / kve_nu(X) per point, so its inhomogeneous
-    term is e^-X (2X rho + 8c) with rho = (K_(nu-1) + K_(nu+1)) / K_nu (e^-X
-    stops at e^-_LADDER_CLAMP and the rest goes to the log); a point is rescaled
-    to 1, with its inhomogeneous term, only at a rung where the bound on the
-    largest H, grown at X_max^2 / (4 (c'^2 - s3^2)) per rung, says it could
-    overflow.  The terms of _LADDER_CHUNK rungs are built at once.  Returns
-    (sign, log|G|) arrays.  With seeds, the sweep keeps its row at c + 1 in the
-    grid's entry if a call at c + 1 would start at the same rung and step the
-    same rung values, so would return that row; such a call pops it."""
+    from G = 0 at the rung _ladder_rungs puts above the run's top rung.  Every
+    term is positive, so nothing cancels, and the start's error damps by the
+    product that picks the rung, for lower rows by more.  The ladder carries
+    H = G / kve_nu(X) per point, so its inhomogeneous term is e^-X (2X rho + 8c)
+    with rho = (K_(nu-1) + K_(nu+1)) / K_nu (e^-X stops at e^-_LADDER_CLAMP and
+    the rest goes to the log); a point is rescaled to 1, with its inhomogeneous
+    term, only at a rung where the bound on the largest H, grown at
+    X_max^2 / (4 (c'^2 - s3^2)) per rung, says it could overflow.  The terms of
+    _LADDER_CHUNK rungs are built at once.  A row is a one-rung call at its c to
+    rounding: that call may start lower, and steps (c + i) + j, not c + (i + j)."""
     nu = abs(2.0 * s3)
-    big_x, logk, rho, kept = _k_ratios(xs, nu, seeds)
-    row = kept.pop((nu, c), None)
-    if row is not None:
-        return np.ones(xs.shape), row
+    big_x, logk, rho = _k_ratios(xs, nu, seeds)
     x4 = big_x * big_x
     scale = np.exp(-np.minimum(big_x, _LADDER_CLAMP))
     inhom = 2.0 * big_x * rho * scale
@@ -377,10 +373,8 @@ def _g2113_ladder_log(s3, c, xs, seeds):
     h = np.zeros(xs.shape)
     shift = logk - np.maximum(big_x - _LADDER_CLAMP, 0.0)
     bound = 0.0
-    top = _ladder_rungs(c, s3, 0.25 * x4_max)
-    c1 = c + 1.0
-    keep = (seeds is not None and top > 1 and _ladder_rungs(c1, s3, 0.25 * x4_max) == top - 1
-            and np.array_equal(c + np.arange(1.0, top), c1 + np.arange(top - 1.0)))
+    logs = np.empty((run,) + xs.shape)
+    top = run - 1 + _ladder_rungs(c + (run - 1), s3, 0.25 * x4_max)
     while top > 0:
         cs = c + np.arange(top - 1, max(top - _LADDER_CHUNK, 0) - 1, -1.0)
         rows = inhom + np.multiply.outer(cs, eight)
@@ -398,35 +392,36 @@ def _g2113_ladder_log(s3, c, xs, seeds):
             h *= x4
             h += rows[i]
             h *= inv
-            if keep and cj == c1:
-                kept[nu, c1] = np.log(h) + shift
+            if top - i <= run:
+                logs[top - 1 - i] = np.log(h) + shift
         top -= len(cs)
-    return np.ones(xs.shape), np.log(h) + shift
+    return logs
 
 
 def _g2123_log(s1, c, xs):
-    """G2123 of the family: Gamma(s) / ((s + s1)(c - s)) is (Gamma(s) / (s + s1)
+    """log G2123 of the family: Gamma(s) / ((s + s1)(c - s)) is (Gamma(s) / (s + s1)
     + Gamma(s) / (c - s)) / (c + s1), the Mellin transforms of x^s1 Gamma(-s1, x)
     and x^-c gamma(c, x) (DLMF 8.14.4-5), both positive."""
     lnx = np.log(xs)
     upper = s1 * lnx + log_gamma_upper(-s1, xs)
     lower = np.array([_log_gamma_pair(c, x)[0] for x in xs]) - c * lnx
-    return np.ones(lnx.shape), np.logaddexp(upper, lower) - np.log(c + s1)
+    return np.logaddexp(upper, lower) - np.log(c + s1)
 
 
-def meijer_g_log(instance, params, xs, tables=None):
-    """(sign, log|G|) arrays of G2123 or G2113 where b3 = a1 - 1 =: -c, the one
-    family the outage series use: Gamma(1 - a1 - s) / Gamma(1 - b3 - s) in the
+def meijer_g_log(instance, params, xs, seeds=None, run=1):
+    """log G, every such G positive, of G2123 or G2113 where b3 = a1 - 1 =: -c,
+    the one family the outage series use, as rows of a (run, len(xs)) array at
+    c, c + 1, ..., c + run - 1: Gamma(1 - a1 - s) / Gamma(1 - b3 - s) in the
     Mellin-Barnes integrand is 1 / (c - s), with c read as 1 - a1.
 
     G2123 (a1, a2, b1, b2, b3) = (1 - c, s1 + 1, s1, 0, -c) is two incomplete
-    gammas (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c) runs the
-    Bessel-K ladder in c (_g2113_ladder_log).  Other parameters raise
-    DomainError, and an empty strip max(-b1, -b2) < Re s < c, c not above |s3|
-    or max(-s1, 0), raises NumericError.  G2113 calls that pass one dict as
-    tables share the ladder's Bessel-K seeds and ratios, one entry per argument
-    grid (see _k_ratios); with None, nothing is kept.  An entry is a pure
-    function of its key, so the values do not depend on the dict.
+    gammas per row (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c)
+    takes the run from one sweep of the Bessel-K ladder (_g2113_ladder_log).
+    Other parameters raise DomainError, and an empty strip max(-b1, -b2) < Re s
+    < c, c not above |s3| or max(-s1, 0), raises NumericError.  G2113 calls that
+    pass one dict as seeds share the ladder's Bessel-K seeds and ratios, one
+    entry per argument grid (see _k_ratios), a pure function of its key; nothing
+    else is kept, and with None nothing is.
     """
     p = tuple(float(v) for v in params)
     xs = np.asarray(xs, dtype=float)
@@ -444,8 +439,8 @@ def meijer_g_log(instance, params, xs, tables=None):
         raise NumericError(f"{instance} needs c = 1 - a1 above {bound}",
                            {"instance": instance, "params": p})
     if instance == "G2123":
-        return _g2123_log(p[2], hi, xs)
-    return _g2113_ladder_log(p[1], hi, xs, tables)
+        return np.array([_g2123_log(p[2], hi + j, xs) for j in range(run)])
+    return _g2113_ladder_log(p[1], hi, xs, seeds, run)
 
 
 def meijer_g(instance, params, x):
@@ -461,8 +456,7 @@ def meijer_g(instance, params, x):
         v = b1 - b2
         z = 2.0 * np.sqrt(x)
         return float(2.0 * x ** ((b1 + b2) / 2.0) * kve(v, z) * np.exp(-z))
-    sign, lg = meijer_g_log(instance, params, np.array([x]))
-    return float(sign[0] * np.exp(lg[0]))
+    return float(np.exp(meijer_g_log(instance, params, np.array([x]))[0, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -363,8 +363,7 @@ class TestTaylorBracket:
         for n, s1 in visited:
             def g2123(e, ys):
                 params = (1.0 - n - e, s1 + 1.0, s1, 0.0, -n - e)
-                gs, gl = meijer_g_log("G2123", params, omega * ys ** case.nu)
-                return gs[:, None], gl[:, None]
+                return meijer_g_log("G2123", params, omega * ys ** case.nu)[0][:, None]
 
             sign, log = work.end_sum(n, g2123)
             got_sign, got_log = work.g2123_pieces(n, s1)
@@ -490,10 +489,11 @@ class TestDestinationEnds:
             sign, log = work.pieces_moment(r)
             ref_sign, ref_log = ref.pieces_moment(r)
             assert sign == ref_sign and abs(math.expm1(log - ref_log)) <= 1e-13, r
-        # the first bracket of the linear route: n = k1 = 0, s3 = 1/2, s2 = 1/2
+        # the first bracket of the linear route: n = k1 = 0, s3 = 1/2, s2 = 1/2,
+        # its rows fetched 2 rungs at a time
         cst = work.beta_bar * case.dest_c / case.a_lin
-        sign, log = work.g2113_nodes(0.5, 0.5, cst)
-        ref_sign, ref_log = ref.g2113_nodes(0.5, 0.5, cst)
+        sign, log = work.g2113_nodes(0.5, 0.5, cst, 2)
+        ref_sign, ref_log = ref.g2113_nodes(0.5, 0.5, cst, 2)
         assert np.array_equal(sign, ref_sign)
         assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
 
@@ -753,6 +753,15 @@ class TestRandomConfigs:
         assert "op_s2g_closed:" in row["diagnostics"]
         assert "outside [0, 1] by" in row["diagnostics"]
         assert float(row["op_s2g_integral"]) > 0.0
+
+    @pytest.mark.parametrize("val", [math.nan, math.inf, -math.inf, -2e-6, 1.0 + 2e-6])
+    def test_an_outage_not_within_the_tolerance_of_the_unit_interval_raises(self, val):
+        with pytest.raises(NumericError, match=r"closed-form outage outside \[0, 1\] by"):
+            coefficients.checked_outage(val, "closed-form", {})
+
+    @pytest.mark.parametrize("val,want", [(-1e-6, 0.0), (0.25, 0.25), (1.0 + 1e-6, 1.0)])
+    def test_an_outage_within_the_tolerance_is_clamped(self, val, want):
+        assert coefficients.checked_outage(val, "closed-form", {}) == want
 
     @pytest.mark.parametrize("mapping, network, mode", [
         (KNEE_1, "a2a", P_IC), (KNEE_14, "a2a", P_IC), (KNEE_21, "s2g", IM_IC),

@@ -12,22 +12,23 @@ _SPEC.loader.exec_module(closed_scan)
 CASES = ("s2g", "a2a-im-ic", "a2a-p-ic")
 
 
-def _write_scan(path, closed):
+def _write_scan(path, closed, cpu=(0.01, 0.01, 0.01)):
     """A scan of config 0 whose closed cells are closed, each a value or an
-    error text, in CASES order."""
+    error text, and took cpu seconds, in CASES order."""
     lines = [{"index": 0, "case": case, "below_knee": False,
               "closed": None if isinstance(cell, str) else cell,
               "closed_error": cell if isinstance(cell, str) else None,
-              "integral": 0.5, "integral_error": None, "closed_cpu_s": 0.01}
-             for case, cell in zip(CASES, closed)]
+              "integral": 0.5, "integral_error": None, "closed_cpu_s": seconds}
+             for case, cell, seconds in zip(CASES, closed, cpu)]
     lines.append({"cells": 3})
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     return path
 
 
-def _compare(tmp_path, old, new):
-    return closed_scan.compare(closed_scan.read_scan(_write_scan(tmp_path / "old.jsonl", old)),
-                               closed_scan.read_scan(_write_scan(tmp_path / "new.jsonl", new)))
+def _compare(tmp_path, old, new, old_cpu=(0.01, 0.01, 0.01), new_cpu=(0.01, 0.01, 0.01)):
+    return closed_scan.compare(
+        closed_scan.read_scan(_write_scan(tmp_path / "old.jsonl", old, old_cpu)),
+        closed_scan.read_scan(_write_scan(tmp_path / "new.jsonl", new, new_cpu)))
 
 
 def test_compare_counts_each_kind_of_change(tmp_path, capsys):
@@ -40,7 +41,9 @@ def test_compare_counts_each_kind_of_change(tmp_path, capsys):
         ("a2a-p-ic", "message_changed")]
     assert summary == {"cells": 3, **kinds, "max_abs_moved": {
         "all": {"value": 2.0 ** -20, "index": 0, "case": "s2g"},
-        "not_below_knee": {"value": 2.0 ** -20, "index": 0, "case": "s2g"}}}
+        "not_below_knee": {"value": 2.0 ** -20, "index": 0, "case": "s2g"}},
+        "closed_cpu_s": {"old": 0.01 + 0.01 + 0.01, "new": 0.01 + 0.01 + 0.01},
+        "median_cpu_ratio": {"value": 1.0, "cells": 1}}
 
 
 def test_compare_of_unchanged_cells_prints_only_the_counts(tmp_path, capsys):
@@ -49,6 +52,27 @@ def test_compare_of_unchanged_cells_prints_only_the_counts(tmp_path, capsys):
                      "filled_to_blank": 0, "message_changed": 0}
     summary, = map(json.loads, capsys.readouterr().out.splitlines())
     assert summary["max_abs_moved"] == {"all": None, "not_below_knee": None}
+
+
+def _cpu_summary(capsys, tmp_path, old, new, old_cpu, new_cpu):
+    _compare(tmp_path, old, new, old_cpu, new_cpu)
+    *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    return summary["closed_cpu_s"], summary["median_cpu_ratio"]
+
+
+def test_compare_gives_the_cpu_totals_and_the_median_ratio(tmp_path, capsys):
+    # only cells filled in both scans that took at least 1 ms in each give a
+    # ratio; the others count in the totals alone
+    filled = [0.25, 0.5, "lost"]
+    assert _cpu_summary(capsys, tmp_path, filled, filled, (0.5, 0.25, 1.0),
+                        (0.25, 0.0625, 2.0)) == ({"old": 1.75, "new": 2.3125},
+                                                 {"value": 0.375, "cells": 2})
+    assert _cpu_summary(capsys, tmp_path, filled, [0.25, 0.5, 0.75], (0.5, 0.0005, 1.0),
+                        (0.25, 0.5, 2.0)) == ({"old": 1.5005, "new": 2.75},
+                                              {"value": 0.5, "cells": 1})
+    assert _cpu_summary(capsys, tmp_path, ["lost"] * 3, ["lost"] * 3, (0.5, 0.5, 0.5),
+                        (0.25, 0.25, 0.25)) == ({"old": 1.5, "new": 0.75},
+                                                {"value": None, "cells": 0})
 
 
 def test_scan_exits_1_only_when_a_cell_went_blank(tmp_path, monkeypatch, capsys):

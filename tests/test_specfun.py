@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestKRatios:
         seeds = {}
         for order in range(21):
             nu = nu0 + order
-            got_x, logk, rho, _ = sf._k_ratios(xs, nu, seeds)
+            got_x, logk, rho = sf._k_ratios(xs, nu, seeds)
             assert got_x is next(iter(seeds.values()))[0]
             want = (kve(nu - 1.0, big_x) + kve(nu + 1.0, big_x)) / kve(nu, big_x)
             assert np.max(np.abs(np.expm1(logk - np.log(kve(nu, big_x))))) <= 1e-13
@@ -295,9 +296,9 @@ class TestMeijerG:
     ])
     def test_vectorised_log_matches_scalar(self, instance, params):
         xs = np.array([0.02, 1.7, 260.0])
-        sgn, lg = sf.meijer_g_log(instance, params, xs)
+        (lg,) = sf.meijer_g_log(instance, params, xs)
         for i, x in enumerate(xs):
-            assert sgn[i] * np.exp(lg[i]) == pytest.approx(
+            assert np.exp(lg[i]) == pytest.approx(
                 sf.meijer_g(instance, params, float(x)), rel=1e-9)
 
     def test_g2113_against_frozen_oracle(self):
@@ -357,14 +358,13 @@ class TestMeijerG:
         # rescales at 1e100, where each rescale adds the rounding of one log
         xs = np.geomspace(1e-3, 1.5e5, 9)
         params = (0.0, 0.5, -0.5, -1.0)
-        sign, log = sf.meijer_g_log("G2113", params, xs)
-        alone = [sf.meijer_g_log("G2113", params, xs[i:i + 1])[1][0] for i in range(len(xs))]
-        assert np.all(sign == 1.0)
+        (log,) = sf.meijer_g_log("G2113", params, xs)
+        alone = [sf.meijer_g_log("G2113", params, xs[i:i + 1])[0, 0] for i in range(len(xs))]
         assert np.max(np.abs(np.expm1(log - alone))) <= 1e-15
         monkeypatch.setattr(sf, "_LADDER_RESCALE", 1e100)
-        assert np.max(np.abs(np.expm1(log - sf.meijer_g_log("G2113", params, xs)[1]))) <= 5e-14
+        assert np.max(np.abs(np.expm1(log - sf.meijer_g_log("G2113", params, xs)[0]))) <= 5e-14
 
-    def test_g2113_value_does_not_depend_on_the_tables_dict(self):
+    def test_g2113_value_does_not_depend_on_the_seeds_dict(self):
         # no dict, a fresh one, and one that a call of lower order filled on
         # the same grid: the second call extends its ratios in place
         xs = np.array([0.02, 1.7, 260.0])
@@ -373,60 +373,71 @@ class TestMeijerG:
         sf.meijer_g_log("G2113", (-1.5, 0.5, -0.5, -2.5), xs, filled)
         fresh = {}
         want = sf.meijer_g_log("G2113", params, xs)
-        for tables in (fresh, filled):
-            sign, log = sf.meijer_g_log("G2113", params, xs, tables)
-            assert np.array_equal(sign, want[0]) and np.array_equal(log, want[1])
+        for seeds in (fresh, filled):
+            assert np.array_equal(sf.meijer_g_log("G2113", params, xs, seeds), want)
         assert fresh.keys() == filled.keys() and len(fresh) == 1
 
-    # c = 2.5, s3 = 0.5 on a grid whose sqrt(x_max) lies above c + 1: the
-    # ladder at c + 1 starts at the same rung, and c + 1 = 3.5 is exact
-    KEEP_XS = np.array([0.02, 1.7, 260.0])
+    # log G of one-rung calls, frozen as float hex: a run of one rung steps the
+    # rungs a lone call always has, so not one bit of these may move; the last
+    # grid rescales its ladder
+    XS = [0.02, 1.7, 260.0]
+    ONE_RUNG = [
+        ((-1.5, 0.5, -0.5, -2.5), XS,
+         ["0x1.34c8e0ac20eeep+0", "-0x1.1f7dcfd718bb2p+1", "-0x1.a6ac7f839303dp+3"]),
+        ((1.0 - 4.0 / 3.0, 0.5, -0.5, -4.0 / 3.0), XS,
+         ["0x1.0c8e0694cf056p+1", "-0x1.eca9b3ea09067p-1", "-0x1.d6ac7735d4a1bp+2"]),
+        ((-8.5, 4.0, -4.0, -9.5), XS,
+         ["0x1.677518fb4baaep+4", "0x1.1fc38f149378cp+2", "-0x1.b9c2566f1cb3dp+4"]),
+        ((0.0, 0.5, -0.5, -1.0), XS,
+         ["0x1.4f3aef7791c00p+1", "-0x1.abd0b3dfd82b2p-3", "-0x1.46fb7a0f816f5p+2"]),
+        ((0.0, 0.5, -0.5, -1.0), list(np.geomspace(1e-3, 1.5e5, 5)),
+         ["0x1.0940446724482p+2", "0x1.aecd14871f305p+0", "-0x1.0727497b59d66p+1",
+          "-0x1.b0a84964e5990p+2", "-0x1.6ef0170db5680p+3"]),
+    ]
 
-    @staticmethod
-    def _g2113(c, xs, tables=None):
-        return sf.meijer_g_log("G2113", (1.0 - c, 0.5, -0.5, -c), xs, tables)
+    @pytest.mark.parametrize("params,xs,want", ONE_RUNG)
+    def test_a_one_rung_call_keeps_every_bit(self, params, xs, want):
+        for seeds in (None, {}):
+            got = sf.meijer_g_log("G2113", params, np.array(xs), seeds, 1)
+            assert got.shape == (1, len(xs)) and [v.hex() for v in got[0].tolist()] == want
 
-    def test_kept_g2113_row_equals_a_fresh_call(self):
-        tables = {}
-        self._g2113(2.5, self.KEEP_XS, tables)
-        (entry,) = tables.values()
-        assert list(entry[3]) == [(1.0, 3.5)]
-        kept = entry[3][1.0, 3.5]
-        sign, log = self._g2113(3.5, self.KEEP_XS, tables)
-        assert log is kept and np.all(sign == 1.0)
-        assert np.array_equal(log, self._g2113(3.5, self.KEEP_XS)[1])
+    # (s3, c, xs) of 12-rung runs: a grid whose sqrt(x_max) = 16.1 lies above
+    # the run's top rung c + 11, so every row starts where a lone call would;
+    # one whose sqrt(x_max) = 2 lies below c, so the run starts 6 rungs higher
+    # than a lone call at c; c = 4/3, where c + j and (c + i) + (j - i) round
+    # apart; a non-integer nu on a grid that rescales
+    RUNS = [(0.5, 2.5, [0.02, 1.7, 260.0]), (0.5, 2.5, [0.02, 1.7, 4.0]),
+            (0.5, 4.0 / 3.0, [0.02, 1.7, 260.0]), (1.0, 4.0 / 3.0, [0.02, 1.7, 260.0]),
+            (0.35, 1.2, list(np.geomspace(1e-3, 1.5e5, 9)))]
 
-    def test_no_row_is_kept_where_the_tops_differ(self):
-        # sqrt(x_max) below c: the ladders at c and c + 1 start their damping
-        # at their own c, and here both take 7 rungs
-        xs = np.array([0.001, 0.05])
-        x_max = float((2.0 * np.sqrt(xs.max())) ** 2 / 4.0)
-        assert sf._ladder_rungs(3.5, 0.5, x_max) != sf._ladder_rungs(2.5, 0.5, x_max) - 1
-        tables = {}
-        self._g2113(2.5, xs, tables)
-        assert next(iter(tables.values()))[3] == {}
+    @pytest.mark.parametrize("s3,c,xs", RUNS)
+    def test_each_row_of_a_run_equals_a_one_rung_call(self, s3, c, xs):
+        # to 1e-15 relative, or to 2 units in the last place of log G where
+        # those are coarser (|log G| above about 4.5)
+        xs, run = np.array(xs), 12
+        rows = sf._g2113_ladder_log(s3, c, xs, None, run)
+        assert rows.shape == (run, len(xs))
+        for j in range(run):
+            (one,) = sf._g2113_ladder_log(s3, c + j, xs, None, 1)
+            tol = np.maximum(1e-15, 2 * np.spacing(np.abs(one)))
+            assert np.all(np.abs(rows[j] - one) <= tol)
 
-    def test_no_row_is_kept_where_the_rung_values_differ(self):
-        # c = 4/3: the tops agree, but c + j and (c + 1) + (j - 1) round apart
-        # at some rung j, so a call at c + 1 would not step the same values
-        c = 1.0 - (1.0 - 4.0 / 3.0)
-        x_max = float((2.0 * np.sqrt(self.KEEP_XS.max())) ** 2 / 4.0)
-        top = sf._ladder_rungs(c, 0.5, x_max)
-        assert sf._ladder_rungs(c + 1.0, 0.5, x_max) == top - 1
+    def test_the_run_cases_cover_the_tops_and_the_rung_values(self):
+        def tops(s3, c, xs):
+            x_max = float((2.0 * np.sqrt(max(xs))) ** 2 / 4.0)
+            return 11 + sf._ladder_rungs(c + 11.0, s3, x_max), sf._ladder_rungs(c, s3, x_max)
+
+        (run_top, lone_top), (run_top_2, lone_top_2), (top, _) = map(tops, *zip(*self.RUNS[:3]))
+        assert run_top == lone_top and run_top_2 == lone_top_2 + 6
+        c = 4.0 / 3.0
         assert not np.array_equal(c + np.arange(1.0, top), (c + 1.0) + np.arange(top - 1.0))
-        tables = {}
-        self._g2113(c, self.KEEP_XS, tables)
-        assert next(iter(tables.values()))[3] == {}
 
-    def test_a_kept_row_is_read_once(self):
-        tables = {}
-        self._g2113(2.5, self.KEEP_XS, tables)
-        (entry,) = tables.values()
-        first = self._g2113(3.5, self.KEEP_XS, tables)[1]
-        assert entry[3] == {}           # popped, and the read swept nothing
-        again = self._g2113(3.5, self.KEEP_XS, tables)[1]
-        assert again is not first and np.array_equal(again, first)
-        assert list(entry[3]) == [(1.0, 4.5)]   # the second call swept
+    def test_g2123_rows_step_c(self):
+        xs = np.array([0.02, 1.7, 260.0])
+        rows = sf.meijer_g_log("G2123", (-1.0, 3.0, 2.0, 0.0, -2.0), xs, None, 3)
+        for j, c in enumerate((2.0, 3.0, 4.0)):
+            (one,) = sf.meijer_g_log("G2123", (1.0 - c, 3.0, 2.0, 0.0, -c), xs)
+            assert np.array_equal(rows[j], one)
 
     def test_a_closed_case_seeds_each_grid_once(self, monkeypatch):
         # the 88 dB a2a im-IC case of the acceptance grid: every argument grid
@@ -448,6 +459,36 @@ class TestMeijerG:
         assert seeded and len(seeded) == len(set(seeded)) == len(seeds)
         assert {grid for grid, _ in seeds} == set(seeded)
 
+    def test_a_below_knee_case_sweeps_a_ladder_once_per_run(self, monkeypatch):
+        # the below-knee a2a case of test_negative_saturation_point_branch_a2a:
+        # its k2 sums step each G2113 ladder up a rung per term, and a sweep
+        # serves _RUN of those rungs
+        cfg = config_from_mapping({
+            "noise.sigma_r_dbm": 8.0, "noise.sigma_rb_dbm": 8.0,
+            "rates.threshold_mode": "fixed", "rates.gamma_a_db": -4.56,
+            "swipt.p_th_dbm": 15.0, "link.eta_s_db": 124.0})
+        served, swept, runs = {}, Counter(), []
+        real_row, real_meijer = cf._Work.row, cf.meijer_g_log
+
+        def row(work, ladder, at, xs, run):
+            if ladder != "gamma":
+                key = (xs.tobytes(), ladder)
+                swept[key] += at not in work.rows.get(key, {})
+                served.setdefault(key, set()).add(at)
+            return real_row(work, ladder, at, xs, run)
+
+        def meijer(instance, params, xs, seeds=None, run=1):
+            runs.append(run)
+            return real_meijer(instance, params, xs, seeds, run)
+
+        monkeypatch.setattr(cf._Work, "row", row)
+        monkeypatch.setattr(cf, "meijer_g_log", meijer)
+        cf.op_a2a_closed(cfg.gamma_a, cfg)
+        assert max(len(ats) for ats in served.values()) > cf._RUN
+        assert sum(swept.values()) == len(runs) and set(runs) == {cf._RUN}
+        for key, ats in served.items():
+            assert swept[key] <= math.ceil(len(ats) / cf._RUN), key[1]
+
     @pytest.mark.parametrize("network,eta_db", [("a2a", 88.0), ("s2g", 103.0)])
     def test_a_higher_ladder_top_moves_nothing(self, network, eta_db, monkeypatch):
         # every G2113 call of one closed case on the acceptance-grid thresholds,
@@ -456,10 +497,10 @@ class TestMeijerG:
                                    "swipt.p_th_dbm": 35.0, "link.eta_s_db": eta_db})
         calls = []
 
-        def recording(instance, params, xs, tables=None):
-            got = sf.meijer_g_log(instance, params, xs, tables)
+        def recording(instance, params, xs, seeds=None, run=1):
+            got = sf.meijer_g_log(instance, params, xs, seeds, run)
             if instance == "G2113":
-                calls.append((params, np.array(xs), got))
+                calls.append((params, np.array(xs), run, got))
             return got
 
         monkeypatch.setattr(cf, "meijer_g_log", recording)
@@ -470,7 +511,6 @@ class TestMeijerG:
         assert calls
         real = sf._ladder_rungs
         monkeypatch.setattr(sf, "_ladder_rungs", lambda *args: real(*args) + 10)
-        for params, xs, (sign, log) in calls:
-            ref_sign, ref_log = sf.meijer_g_log("G2113", params, xs)
-            assert np.array_equal(sign, ref_sign)
+        for params, xs, run, log in calls:
+            ref_log = sf.meijer_g_log("G2113", params, xs, None, run)
             assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-15

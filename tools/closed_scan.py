@@ -32,14 +32,19 @@ its message changed.  A last line counts each kind over the cells both scans
 have, and gives ``max_abs_moved``: the largest |new - old| over the
 ``value_moved`` cells, ``all`` of them and those ``not_below_knee``, each as
 ``{"value", "index", "case"}`` of the cell that reached it (null when no such
-cell moved).  The time fields, which vary from run to run, and ``settled`` are
-not compared.  The scan exits 1 when a cell went from filled to blank, and 0
-otherwise.
+cell moved).  It also gives ``closed_cpu_s``, the ``old`` and ``new`` totals
+over those cells, and ``median_cpu_ratio``: the median new/old ``closed_cpu_s``
+over the ``cells`` that are filled in both scans and took at least 1 ms in
+each (``value`` null when there is none); a total varies by up to a fifth from
+run to run, and one slow cell can carry it.  No time field, and not
+``settled``, counts as a change.  The scan exits 1 when a cell went from filled
+to blank, and 0 otherwise.
 """
 
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from collections import Counter
@@ -88,15 +93,22 @@ def read_scan(path):
 
 def compare(old, cells):
     """One line per cell of cells whose closed cell differs from old's, both as
-    read_scan returns them, then the counts by kind of change; returns the counts."""
+    read_scan returns them, then the counts by kind of change and the CPU times;
+    returns the counts."""
     kinds = dict.fromkeys(("compared", "value_moved", "blank_to_filled", "filled_to_blank",
                            "message_changed"), 0)
     moved = {"all": None, "not_below_knee": None}
+    cpu, ratios = {"old": 0.0, "new": 0.0}, []
     for key, new in cells.items():
         was = old.get(key)
         if was is None:
             continue
         kinds["compared"] += 1
+        cpu["old"] += was["closed_cpu_s"]
+        cpu["new"] += new["closed_cpu_s"]
+        if (was["closed"] is not None and new["closed"] is not None
+                and min(was["closed_cpu_s"], new["closed_cpu_s"]) >= 1e-3):
+            ratios.append(new["closed_cpu_s"] / was["closed_cpu_s"])
         if (was["closed"] is None) != (new["closed"] is None):
             kind = "filled_to_blank" if new["closed"] is None else "blank_to_filled"
         elif was["closed"] != new["closed"]:
@@ -114,7 +126,9 @@ def compare(old, cells):
         print(json.dumps({"index": key[0], "case": key[1], "change": kind,
                           "old_closed": was["closed"], "old_closed_error": was["closed_error"],
                           "closed": new["closed"], "closed_error": new["closed_error"]}))
-    print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved}))
+    print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved, "closed_cpu_s": cpu,
+                      "median_cpu_ratio": {"value": statistics.median(ratios) if ratios else None,
+                                           "cells": len(ratios)}}))
     return kinds
 
 
