@@ -24,13 +24,13 @@ Every block is one call of the loop nest `_series`, which adds the factors
 the blocks share, over its row's k2 extent (0 for `linear`, which has no Taylor
 index, else `_K2_CAP`) and with a term function of its own that returns (sign,
 log), a zero as (0, -inf): `_taylor_terms` takes an incomplete-gamma difference
-times a G2123 destination bracket, `_g2113_terms` integrate a G2113 bracket by
-CGQ and `_gamma_terms` Gamma(s, .) at the saturation point times a destination
-factor.  `_Work.row` keeps the Gamma(s, .) and G2113 rows a k2 sum steps
-through, a run of them per call.  `_Work.end_sum` is the one signed sum over the
-ends of the destination pieces, each distinct end once and in log space so no
-power of an end overflows; `_piece_dgammas` takes both limits of a piece at
-once, so its incomplete-gamma differences do not cancel to rounding noise.
+times a G2123 destination bracket; `_g2113_terms` and `_gamma_terms` read from
+`_Work.row` the CGQ integral of a G2113 bracket or of Gamma(s, .) at the
+saturation point, which a miss there fetches for a run of rungs and every k at
+once.  `_Work.end_sum` is the one signed sum over the ends of the destination
+pieces, each distinct end once and in log space so no power of an end
+overflows; `_piece_dgammas` takes both limits of a piece at once, so its
+incomplete-gamma differences do not cancel to rounding noise.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -40,6 +40,7 @@ noise estimate passes 1e-5; no series parameter is bounded.
 """
 
 import math
+from itertools import takewhile
 
 import numpy as np
 from scipy.special import gammaln
@@ -53,7 +54,7 @@ from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
 _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
-_RUN = 12                   # rungs one Gamma or G2113 call takes along a k2 sum
+_RUN = 12                   # rungs one row fetch takes along a k2 sum
 
 
 def _memo(build):
@@ -68,7 +69,7 @@ def _memo(build):
 
 
 class _Work:
-    """Per-evaluation memo, Gamma and G2113 rows, Bessel-K seeds and CGQ nodes."""
+    """Per-evaluation memo, row store, Bessel-K seeds and CGQ nodes."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -113,56 +114,62 @@ class _Work:
         # Bessel-K seeds and ratios of the G2113 ladder, one entry per argument
         # grid: a case's calls share grids, and none recurs in another (cst moves)
         self.k_seeds = {}
-        # the rows of both ladders, {(xs bytes, ladder): {rung: row}}, kept by row
+        # what the k2 sums read, {ladder: {rung: row}}: CGQ integrals over k on "gamma"
+        # and (cst, s3); raw log Gamma rows at group e's piece ends on ("ends", e)
         self.rows = {}
 
-    def cgq(self, w_pow, f):
-        """(sign, log) of int w^w_pow e^(-bb b w^2/a) f(w) dw, f given as
-        (sign, log) on the CGQ nodes."""
-        sign_f, log_f = f
-        expo = self.log_wts + w_pow * self.log_w - self.sat_decay + log_f
-        return logsumexp_signed(expo, sign_f * self.wt_sign)
+    def cgq(self, x, sign_f, log_f):
+        """Per rung, (sign, log) lists over k < m_sr of the CGQ integral of
+        w^(2k + 3 - 2x) e^(-bb b w^2/a) f(w), x a number or one per rung, f given as
+        sign_f and log_f of shape (rungs, nodes) on the nodes: one contraction."""
+        w_pow = 2.0 * np.arange(self.case.sr.m_sr) + 3.0 - 2.0 * x
+        expo = self.log_wts + w_pow[..., None] * self.log_w - self.sat_decay + log_f[:, None, :]
+        signs, logs = logsumexp_signed(expo, (sign_f * self.wt_sign)[..., None, :])
+        return zip(signs.tolist(), logs.tolist())
 
-    def row(self, ladder, at, xs, run):
-        """Row `at` of a ladder on the grid xs, kept by (xs bytes, ladder) and at:
-        log Gamma(at, xs) on "gamma", whose k2 sums step at down by one, and log
-        G2113((1 - at - e, s3, -s3, -at - e) | xs) on (s3, e), stepped up.  A miss
-        fetches up to run rungs from at that way, short of the first held, at once."""
-        rows = self.rows.setdefault((xs.tobytes(), ladder), {})
+    def row(self, ladder, at, step, run, fetch):
+        """Row `at` of a ladder whose k2 sums step its rungs by step, kept by ladder
+        and rung.  A miss calls fetch(ladder, rungs) once, rungs up to run from at that
+        way, short of the first held, and keeps the row it returns for each."""
+        rows = self.rows.setdefault(ladder, {})
         if at not in rows:
-            step = -1 if ladder == "gamma" else 1
-            ats = [at]
-            while len(ats) < run and at + len(ats) * step not in rows:
-                ats.append(at + len(ats) * step)
-            if ladder == "gamma":
-                got = log_gamma_upper(np.array(ats, dtype=float)[:, None], xs)
-            else:
-                s3, e = ladder
-                got = meijer_g_log("G2113", (1.0 - at - e, s3, -s3, -at - e), xs,
-                                   self.k_seeds, len(ats))
-            rows.update(zip(ats, got))
+            ats = list(takewhile(lambda r: r not in rows, (at + j * step for j in range(run))))
+            rows.update(zip(ats, fetch(ladder, ats)))
         return rows[at]
 
-    @_memo
-    def gamma_nodes(self, s):
-        """(sign, log) of Gamma(s, bb w^2 p_sat/a) on the CGQ nodes."""
+    def gamma_rows(self, _ladder, ss):
+        """cgq rows at x = s of Gamma(s, bb w^2 p_sat/a) per s of ss: one log_gamma_upper call."""
+        orders = np.array(ss, dtype=float)[:, None]
         xs = self.beta_bar * self.w_nodes ** 2 * self.case.p_sat / self.case.a_lin
-        return np.ones(xs.shape), self.row("gamma", s, xs, _RUN)
+        return self.cgq(orders, 1.0, log_gamma_upper(orders, xs))
+
+    def g2113_rows(self, ladder, s2s):
+        """cgq rows at x = s3 of the bracket at argument cst y^nu w^2, ladder (cst, s3),
+        the end_sum of G2113((1 - s2 - e, s3, -s3, -s2 - e) | .), per s2 of s2s: one
+        ladder sweep per destination group, then one end_sum with s2 per column."""
+        cst, s3 = ladder
+
+        def meijer(e, ys):
+            xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
+            got = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3, -s3, -s2s[0] - e), xs.ravel(),
+                               self.k_seeds, len(s2s))
+            return got.reshape(len(s2s), len(ys), -1).swapaxes(0, 1).reshape(len(ys), -1)
+
+        bracket = self.end_sum(np.repeat(s2s, len(self.w_nodes)), meijer)
+        return self.cgq(s3, *(v.reshape(len(s2s), -1) for v in bracket))
 
     def end_sum(self, m, f):
-        """(sign, log) arrays of the signed sum over the distinct piece ends y of
-        (net/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu, net the end's signed
-        coefficient (see dest_groups), with F > 0 and f(e, ys) returning log F as
-        an array of shape (len(ys), columns) or broadcast to it; one sum per column."""
+        """(sign, log) arrays, an entry per column, of the signed sum over the
+        distinct piece ends y of (net/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu,
+        net the end's signed coefficient (see dest_groups), F > 0, m a number or one
+        per column, and f(e, ys) log F as an array (len(ys), columns) or broadcast."""
         nu = self.case.nu
-        logs = np.concatenate([(log_coef + (nu * m + q + 1.0) * log_rel)[:, None]
+        logs = np.concatenate([log_coef[:, None] + (nu * m + q + 1.0) * log_rel[:, None]
                                + f((q + 1.0) / nu, ys)
                                for q, ys, log_rel, _, log_coef in self.dest_groups])
         signs = np.concatenate([sign for *_, sign, _ in self.dest_groups])
-        top = logs.max(axis=0)          # logs is (ends, columns)
-        vals = np.sum(signs[:, None] * np.exp(logs - top[None, :]), axis=0)
-        with np.errstate(divide="ignore"):
-            return np.sign(vals), top + np.log(np.abs(vals)) + (nu * m + 1.0) * self.log_y_max
+        sign, log = logsumexp_signed(logs.T, signs)     # logs is (ends, columns)
+        return sign, log + (nu * m + 1.0) * self.log_y_max
 
     @_memo
     def taylor_dgamma(self, order):
@@ -182,23 +189,13 @@ class _Work:
 
         def upper(e, ys):
             xs = omega * ys ** self.case.nu
-            return (s1 * np.log(xs) + self.row("gamma", -s1, xs, _RUN)
-                    - math.log(n + e + s1))[:, None]
+            lg = self.row(("ends", e), -s1, -1, _RUN, lambda _, a: log_gamma_upper(np.c_[a], xs))
+            return (s1 * np.log(xs) + lg - math.log(n + e + s1))[:, None]
 
         up_s, up_l = self.end_sum(n, upper)
         es, signs, logs = self._piece_dgammas(n, omega)
         return logsumexp_signed(np.append(logs - n * math.log(omega) - np.log(n + es + s1), up_l),
                                 np.append(signs, up_s))
-
-    @_memo
-    def g2113_nodes(self, s2, s3, cst, run):
-        """(sign, log) on the CGQ nodes of the G2113 destination bracket at
-        argument cst y^nu w^2: end_sum of G2113((1 - s2 - e, s3, -s3, -s2 - e) | .)."""
-        def meijer(e, ys):
-            xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
-            return self.row((s3, e), s2, xs.ravel(), run).reshape(xs.shape)
-
-        return self.end_sum(s2, meijer)
 
     @_memo
     def pieces_moment(self, r):
@@ -245,14 +242,10 @@ class _SignedSum:
         self.peak = max(self.peak, log)
 
     def value(self):
-        if not self.logs:
-            return 0.0
         sgn, lg = logsumexp_signed(np.array(self.logs), np.array(self.signs))
         return sgn * math.exp(lg) if lg > -700 else 0.0
 
     def noise_estimate(self):
-        if not self.logs:
-            return 0.0
         return len(self.logs) * 1e-15 * math.exp(min(self.peak, 700.0))
 
 
@@ -343,9 +336,9 @@ def _g2113_terms(work, c, taylor, k2_top):
 
     def term(k, n, k1, k2):
         s3 = (k1 - n + 1) / 2.0
-        i_s, i_l = work.cgq(2 * k + n - k1 + 2, work.g2113_nodes(n + k2 + s3, s3, cst, run))
-        return i_s, ((k - k1) * log_b + (n + s3) * log_c - s3 * log_bb
-                     + (s3 - k - 1.0) * log_a + k2 * log_t + i_l)
+        i_s, i_l = work.row((cst, s3), n + k2 + s3, 1, run, work.g2113_rows)
+        return i_s[k], ((k - k1) * log_b + (n + s3) * log_c - s3 * log_bb
+                        + (s3 - k - 1.0) * log_a + k2 * log_t + i_l[k])
 
     return term
 
@@ -361,9 +354,9 @@ def _gamma_terms(work, dest, scale):
     def term(k, n, k1, k2):
         d_s, d_l = dest(n + k2)
         s = k1 - n - k2 + 1
-        g_s, g_l = work.cgq(2 * k + 3 - 2 * s, work.gamma_nodes(s))
-        return d_s * g_s, ((k - k1) * log_b - (k + 1.0) * log_a + s * log_a_bb
-                           + (n + k2) * log_scale + d_l + g_l)
+        g_s, g_l = work.row("gamma", s, -1, _RUN, work.gamma_rows)
+        return d_s * g_s[k], ((k - k1) * log_b - (k + 1.0) * log_a + s * log_a_bb
+                              + (n + k2) * log_scale + d_l + g_l[k])
 
     return term
 

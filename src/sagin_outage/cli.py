@@ -11,7 +11,7 @@ from importlib import resources
 from .config import (FIGURE_PRESETS, apply_preset, default_config, load_config)
 from .errors import ConfigError, NumericError
 from .specfun import run_oracle_suite
-from .sweep import emit_csv, run_sweep
+from .sweep import emit_csv, point_configs, run_sweep
 
 
 def _load(args):
@@ -54,16 +54,15 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     cfg = _load(args)
-    sweep = cfg.raw["sweep.variable"]
-    vals = cfg.sweep_values
+    points = point_configs(cfg)     # as run builds them: a value its key rejects exits 2
     print("configuration valid")
     print(f"  eta_s            : {cfg.eta_s:.6g}")
     print(f"  gamma_s / gamma_a: {cfg.gamma_s:.6g} / {cfg.gamma_a:.6g}")
     print(f"  networks         : {', '.join(cfg.networks)}")
     print(f"  methods          : {', '.join(cfg.methods)}")
-    if sweep:
-        print(f"  sweep            : {sweep} over {len(vals)} points "
-              f"[{vals[0]:g} .. {vals[-1]:g}]")
+    if cfg.sweep_values:
+        print(f"  sweep            : {cfg.raw['sweep.variable']} over {len(points)} points "
+              f"[{points[0][0]:g} .. {points[-1][0]:g}]")
     return 0
 
 

@@ -135,7 +135,7 @@ def _sweep_grid(raw):
     """Grid for the configured sweep variable, or None for a single point.
 
     A start/stop/step grid is counted before it is built, so a mistyped step
-    raises instead of filling memory.
+    raises instead of filling memory, and its last point must land on sweep.stop.
     """
     if raw["sweep.variable"] is None:
         return None
@@ -152,9 +152,9 @@ def _sweep_grid(raw):
         n = int(round((stop - start) / step)) + 1
     except (TypeError, ValueError, ArithmeticError):
         n = 0
-    if n < 1:
-        raise ConfigError("sweep: start/stop/step must be finite, with a nonzero "
-                          "step that leads from sweep.start to sweep.stop")
+    if n < 1 or abs(start + (n - 1) * step - stop) > 1e-9 * abs(step):
+        raise ConfigError("sweep.step: start/stop/step must be finite, with a nonzero step "
+                          "that leads from sweep.start to sweep.stop in whole steps")
     if n > MAX_GRID_POINTS:
         raise ConfigError(f"sweep: start/stop/step give {n} points, more than "
                           f"{MAX_GRID_POINTS}; check sweep.step")
@@ -283,6 +283,10 @@ class ScenarioConfig:
             if g("sweep.variable") is not None and g("sweep.variable") not in SWEEPABLE:
                 raise ConfigError(f"sweep.variable: {g('sweep.variable')!r} is not sweepable "
                                   f"(choose from {sorted(SWEEPABLE)})")
+            if threshold_mode == "from_rate" and g("sweep.variable") in ("rates.gamma_s_db",
+                                                                         "rates.gamma_a_db"):
+                raise ConfigError(f"sweep.variable: {g('sweep.variable')} sets no threshold under "
+                                  "rates.threshold_mode = from_rate, so its sweep would be flat")
             _set("sweep_values", _sweep_grid(raw))
             # grid point i draws from seed run.seed + i, a 64-bit Philox key
             if not 0 <= g("run.seed") <= 2 ** 64 - len(self.sweep_values or [None]):

@@ -31,18 +31,17 @@ from .errors import ConfigError, DomainError, NumericError
 # ---------------------------------------------------------------------------
 
 def logsumexp_signed(logs, signs):
-    """Sum of signs*exp(logs) returned as (sign, log|sum|).  A -inf log adds
-    nothing (all -inf, or none, is (0, -inf)); a NaN or +inf log raises NumericError."""
+    """Sum of signs*exp(logs) over the last axis, (sign, log|sum|), floats for 1-D logs.
+    A -inf log adds nothing (all -inf or none: (0, -inf)); NaN or +inf raises NumericError."""
     logs = np.asarray(logs, dtype=float)
-    m = logs.max(initial=-np.inf)
-    if m == -np.inf:
-        return 0.0, -np.inf
-    if not m < np.inf:
-        raise NumericError("signed log sum of a NaN or +inf log", {"max_log": float(m)})
-    s = float(np.sum(signs * np.exp(logs - m)))
-    if s == 0.0:
-        return 0.0, -np.inf
-    return float(np.sign(s)), m + np.log(abs(s))
+    m = logs.max(axis=-1, initial=-np.inf, keepdims=True)
+    if not (m < np.inf).all():
+        raise NumericError("signed log sum of a NaN or +inf log", {"max_log": float(m.max())})
+    m[m == -np.inf] = 0.0           # an all -inf sum is 0 below
+    s = np.sum(signs * np.exp(logs - m), axis=-1)
+    with np.errstate(divide="ignore"):
+        sign, log = np.sign(s), m[..., 0] + np.log(np.abs(s))
+    return (float(sign), float(log)) if logs.ndim == 1 else (sign, log)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def avg_throughput(cfg, method="closed", ic_mode=IM_IC):
 
 def _evaluate_point(cfg, variable, value, seed, pool):
     row = {c: "" for c in SCHEMA_COLUMNS}
-    row["sweep_variable"] = variable or ""
+    row["sweep_variable"] = variable
     row["sweep_value"] = value if value is not None else ""
     diags = []
     ops = {}
@@ -156,20 +156,26 @@ def _evaluate_point(cfg, variable, value, seed, pool):
     return row
 
 
+def point_configs(cfg):
+    """[(value, config)] of the grid points, each config carrying no sweep, or [(None, cfg)];
+    a value the swept key rejects raises ConfigError naming both."""
+    variable, points = cfg.raw["sweep.variable"], []
+    for val in cfg.sweep_values if variable else [None]:
+        try:
+            points.append((val, cfg if val is None else
+                           cfg.with_overrides({variable: val, "sweep.variable": None})))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {variable} = {val!r}: {exc}") from exc
+    return points
+
+
 def run_sweep(cfg):
     """Evaluate every requested method on the configured grid."""
-    variable = cfg.raw["sweep.variable"]
-    values = cfg.sweep_values if variable else [None]
-    seeds = [cfg.seed + i for i in range(len(values))]
-    points = []
-    for val in values:
-        # a point config carries no sweep, so building it does not rebuild the grid
-        points.append(cfg if val is None else
-                      cfg.with_overrides({variable: val, "sweep.variable": None}))
-    result = SweepResult(variable=variable or "")
+    points = point_configs(cfg)
+    result = SweepResult(variable=cfg.raw["sweep.variable"] or "")
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futs = [pool.submit(_evaluate_point, c, variable, v, s, pool)
-                for c, v, s in zip(points, values, seeds)]
+        futs = [pool.submit(_evaluate_point, c, result.variable, v, cfg.seed + i, pool)
+                for i, (v, c) in enumerate(points)]
         result.rows = [f.result() for f in futs]   # grid order regardless of finish
     return result
 

@@ -16,7 +16,7 @@ from sagin_outage.config import METHODS, config_from_mapping
 from sagin_outage.errors import ConfigError, NumericError
 from sagin_outage.geometry import arx_distance_pdf, gu_distance_pdf
 from sagin_outage.mc import simulate_op
-from sagin_outage.specfun import meijer_g_log
+from sagin_outage.specfun import log_gamma_upper, logsumexp_signed, meijer_g_log
 from sagin_outage.sweep import (avg_throughput, run_sweep, simulate_throughput,
                                 throughput_from_ops)
 from sagin_outage.swipt import IM_IC, P_IC
@@ -489,11 +489,22 @@ class TestDestinationEnds:
             sign, log = work.pieces_moment(r)
             ref_sign, ref_log = ref.pieces_moment(r)
             assert sign == ref_sign and abs(math.expm1(log - ref_log)) <= 1e-13, r
-        # the first bracket of the linear route: n = k1 = 0, s3 = 1/2, s2 = 1/2,
-        # its rows fetched 2 rungs at a time
+        # the first bracket of the linear route, n = k1 = 0, s3 = 1/2, s2 = 1/2, on
+        # every CGQ node ...
         cst = work.beta_bar * case.dest_c / case.a_lin
-        sign, log = work.g2113_nodes(0.5, 0.5, cst, 2)
-        ref_sign, ref_log = ref.g2113_nodes(0.5, 0.5, cst, 2)
+
+        def meijer(e, ys):
+            xs = cst * ys[:, None] ** case.nu * (work.w_nodes ** 2)[None, :]
+            return meijer_g_log("G2113", (0.5 - e, 0.5, -0.5, -0.5 - e), xs.ravel()).reshape(
+                xs.shape)
+
+        sign, log = work.end_sum(0.5, meijer)
+        ref_sign, ref_log = ref.end_sum(0.5, meijer)
+        assert len(sign) == len(work.w_nodes) and np.array_equal(sign, ref_sign)
+        assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
+        # ... and its row of CGQ integrals over k, fetched 2 rungs at a time
+        sign, log = (np.array(v) for v in work.row((cst, 0.5), 0.5, 1, 2, work.g2113_rows))
+        ref_sign, ref_log = (np.array(v) for v in ref.row((cst, 0.5), 0.5, 1, 2, ref.g2113_rows))
         assert np.array_equal(sign, ref_sign)
         assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
 
@@ -512,6 +523,67 @@ class TestDestinationEnds:
             p = nu * r + 2.0
             sign, log = work.pieces_moment(r)
             assert sign * math.exp(log) == pytest.approx(a * (3.0 ** p - 1.0) / p, rel=1e-13)
+
+
+class TestRowStore:
+    """_Work.row holds, per rung, the CGQ integrals over k that a k2 term reads:
+    each equals the 1-D CGQ of that rung's bracket, bit for bit, at every k."""
+
+    @staticmethod
+    def _cgq(work, k, x, sign_f, log_f):
+        expo = work.log_wts + (2 * k + 3 - 2 * x) * work.log_w - work.sat_decay + log_f
+        return logsumexp_signed(expo, sign_f * work.wt_sign)
+
+    @pytest.mark.parametrize("mapping, route", [
+        # a2a im-IC at 118 dB: linear - tail + sat-above-knee is the first route
+        ({"rates.threshold_mode": "from_rate", "swipt.p_th_dbm": 35.0,
+          "link.eta_s_db": 118.0}, ["linear", "tail", "sat-above-knee"]),
+        # the below-knee a2a case of test_negative_saturation_point_branch_a2a
+        ({"noise.sigma_r_dbm": 8.0, "noise.sigma_rb_dbm": 8.0,
+          "rates.threshold_mode": "fixed", "rates.gamma_a_db": -4.56,
+          "swipt.p_th_dbm": 15.0, "link.eta_s_db": 124.0}, ["sat-below-knee"]),
+    ], ids=["linear", "below-knee"])
+    def test_rows_equal_the_1d_cgq_of_their_bracket(self, mapping, route, monkeypatch):
+        cfg = config_from_mapping(mapping)
+        work = cf._Work(build_case(cfg, "a2a", IM_IC, cfg.gamma_a), cfg.cgq_n)
+        fetched, real = [], cf._Work.g2113_rows
+
+        def g2113_rows(self, ladder, s2s):
+            fetched.append((*ladder, list(s2s)))
+            return real(self, ladder, s2s)
+
+        monkeypatch.setattr(cf._Work, "g2113_rows", g2113_rows)
+        blocks = cf._blocks(work)[0]
+        assert [name for name, *_ in blocks] == route
+        for _, _, top_n, k2_top, term in blocks:
+            cf._series(work, top_n, k2_top, term)
+        case, m_sr = work.case, cfg.sr.m_sr
+        held = {ladder: rows for ladder, rows in work.rows.items()
+                if ladder != "gamma" and ladder[0] != "ends"}
+        assert fetched and set(held) == {(cst, s3) for cst, s3, _ in fetched}
+        assert sum(len(rows) for rows in held.values()) == sum(len(r) for *_, r in fetched)
+        for cst, s3, s2s in fetched:
+            # the run's G2113 rows, one sweep per destination group as the fetch takes them
+            g = {}
+            for q, ys, *_ in work.dest_groups:
+                e = (q + 1.0) / case.nu
+                xs = cst * ys[:, None] ** case.nu * (work.w_nodes ** 2)[None, :]
+                g[e] = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3, -s3, -s2s[0] - e),
+                                    xs.ravel(), None, len(s2s)).reshape(len(s2s), *xs.shape)
+            for j, s2 in enumerate(s2s):
+                sign_f, log_f = work.end_sum(s2, lambda e, ys: g[e][j])
+                i_s, i_l = held[cst, s3][s2]
+                assert len(i_s) == len(i_l) == m_sr
+                for k in range(m_sr):
+                    assert (i_s[k], i_l[k]) == self._cgq(work, k, s3, sign_f, log_f), (s2, k)
+        # the Gamma rows of the tail and saturated blocks, on the saturation-point grid
+        gammas = work.rows.get("gamma", {})
+        assert bool(gammas) == ("tail" in route)
+        xs = work.beta_bar * work.w_nodes ** 2 * case.p_sat / case.a_lin
+        for s, (g_s, g_l) in gammas.items():
+            log_f = log_gamma_upper(float(s), xs)
+            for k in range(m_sr):
+                assert (g_s[k], g_l[k]) == self._cgq(work, k, s, 1.0, log_f), (s, k)
 
 
 # A random config whose preferred (Taylor) route loses too much precision for

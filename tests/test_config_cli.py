@@ -132,6 +132,59 @@ class TestValidation:
         assert "configuration valid" not in out.out
         assert "sweep" in out.err
 
+    @pytest.mark.parametrize("variable, start, stop, step", [
+        ("link.eta_s_db", 80.0, 140.0, 7.0),       # would end at 143
+        ("swipt.rho", 0.1, 0.8, 0.3),              # would end at 0.7
+        ("swipt.rho", 0.1, 0.8, 0.45),             # would end at 1.0, outside swipt.rho
+    ], ids=["overshoots", "stops-short", "leaves-the-key-range"])
+    def test_grid_that_misses_its_stop_is_a_config_error(self, variable, start, stop, step,
+                                                         tmp_path, capsys):
+        mapping = {"sweep.variable": variable, "sweep.start": start, "sweep.stop": stop,
+                   "sweep.step": step}
+        with pytest.raises(ConfigError, match="sweep.step"):
+            config_from_mapping(mapping)
+        path = tmp_path / "grid.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "configuration valid" not in out.out and "sweep.step" in out.err
+
+    @pytest.mark.parametrize("start, stop, step, n", [
+        (0.05, 0.90, 0.05, 18), (0.05, 0.95, 0.05, 19), (80.0, 140.0, 4.0, 16),
+        (0.6, 0.8, 0.1, 3), (0.1, 0.5, 0.1, 5), (110.0, 118.0, 4.0, 3)])
+    def test_grid_that_lands_on_its_stop_is_kept(self, start, stop, step, n):
+        cfg = config_from_mapping({"sweep.variable": "swipt.mu", "sweep.start": start,
+                                   "sweep.stop": stop, "sweep.step": step})
+        assert cfg.sweep_values == [start + i * step for i in range(n)]
+
+    def test_validate_builds_every_grid_point(self, tmp_path, capsys):
+        # 0.6, 0.8, 1.0: the grid lands on its stop, but swipt.rho rejects 1.0
+        path = tmp_path / "rho.cfg"
+        path.write_text("sweep.variable = swipt.rho\nsweep.start = 0.6\n"
+                        "sweep.stop = 1.0\nsweep.step = 0.2\n")
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "o.csv")]):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+            out = capsys.readouterr()
+            assert "configuration valid" not in out.out
+            assert "swipt.rho = 1.0" in out.err and "[0, 1)" in out.err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("variable", ["rates.gamma_s_db", "rates.gamma_a_db"])
+    def test_threshold_sweep_under_from_rate_is_a_config_error(self, variable, tmp_path,
+                                                               capsys):
+        mapping = {"sweep.variable": variable, "sweep.values": "0,5,10"}
+        with pytest.raises(ConfigError, match="sweep.variable"):
+            config_from_mapping({**mapping, "rates.threshold_mode": "from_rate"})
+        path = tmp_path / "flat.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items())
+                        + "rates.threshold_mode = from_rate\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "sweep.variable" in capsys.readouterr().err
+        # under fixed thresholds the key sets gamma; the rates feed throughput in both modes
+        assert config_from_mapping(mapping).sweep_values == [0.0, 5.0, 10.0]
+        for rate in ("rates.r_s", "rates.r_a"):
+            config_from_mapping({"sweep.variable": rate, "sweep.values": "0.1,0.2"})
+
     @pytest.mark.parametrize("text", ["12.5", "inf"])
     @pytest.mark.parametrize("key", ["fading.m_sr", "run.trials", "run.seed", "run.cgq_n"])
     def test_non_integral_text_for_integer_key(self, key, text, tmp_path, capsys):

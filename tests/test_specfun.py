@@ -181,6 +181,32 @@ class TestLogsumexpSigned:
         with pytest.raises(NumericError, match="NaN or \\+inf"):
             sf.logsumexp_signed(np.array([0.5, bad, -np.inf]), np.ones(3))
 
+    def test_each_row_of_an_array_is_the_1d_sum_bit_for_bit(self):
+        # the last axis is reduced, as the CGQ contracts its (rung, k, node) array
+        rng = np.random.default_rng(11)
+        logs = rng.uniform(-800.0, 700.0, (3, 4, 102))
+        signs = rng.choice([-1.0, 1.0], (3, 4, 102))
+        logs[1, 2] = -np.inf
+        logs[2, 0, ::3] = -np.inf
+        sign, log = sf.logsumexp_signed(logs, signs)
+        assert sign.shape == log.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            one = sf.logsumexp_signed(logs[i, j], signs[i, j])
+            assert [type(v) for v in one] == [float, float]
+            assert (sign[i, j], log[i, j]) == one
+        assert (sign[1, 2], log[1, 2]) == (0.0, -np.inf)
+        # signs broadcast against the logs
+        sign, log = sf.logsumexp_signed(logs, signs[0, 0])
+        assert (sign[2, 3], log[2, 3]) == sf.logsumexp_signed(logs[2, 3], signs[0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nan_or_plus_inf_row_raises(self, bad):
+        logs = np.zeros((3, 5))
+        logs[1, 2] = bad
+        logs[2] = -np.inf
+        with pytest.raises(NumericError, match="NaN or \\+inf"):
+            sf.logsumexp_signed(logs, np.ones(5))
+
 
 class TestGaussLegendre:
     def test_exact_for_degree_up_to_2n_minus_1(self):
@@ -461,21 +487,21 @@ class TestMeijerG:
 
     def test_a_below_knee_case_sweeps_a_ladder_once_per_run(self, monkeypatch):
         # the below-knee a2a case of test_negative_saturation_point_branch_a2a:
-        # its k2 sums step each G2113 ladder up a rung per term, and a sweep
-        # serves _RUN of those rungs
+        # its k2 sums step each G2113 ladder (cst, s3) up a rung per term, and a
+        # fetch serves _RUN of those rungs by one sweep per destination group
         cfg = config_from_mapping({
             "noise.sigma_r_dbm": 8.0, "noise.sigma_rb_dbm": 8.0,
             "rates.threshold_mode": "fixed", "rates.gamma_a_db": -4.56,
             "swipt.p_th_dbm": 15.0, "link.eta_s_db": 124.0})
-        served, swept, runs = {}, Counter(), []
+        served, swept, runs, groups = {}, Counter(), [], set()
         real_row, real_meijer = cf._Work.row, cf.meijer_g_log
 
-        def row(work, ladder, at, xs, run):
-            if ladder != "gamma":
-                key = (xs.tobytes(), ladder)
-                swept[key] += at not in work.rows.get(key, {})
-                served.setdefault(key, set()).add(at)
-            return real_row(work, ladder, at, xs, run)
+        def row(work, ladder, at, step, run, fetch):
+            if ladder != "gamma" and ladder[0] != "ends":
+                swept[ladder] += at not in work.rows.get(ladder, {})
+                served.setdefault(ladder, set()).add(at)
+                groups.add(len(work.dest_groups))
+            return real_row(work, ladder, at, step, run, fetch)
 
         def meijer(instance, params, xs, seeds=None, run=1):
             runs.append(run)
@@ -484,10 +510,11 @@ class TestMeijerG:
         monkeypatch.setattr(cf._Work, "row", row)
         monkeypatch.setattr(cf, "meijer_g_log", meijer)
         cf.op_a2a_closed(cfg.gamma_a, cfg)
+        (n_groups,) = groups
         assert max(len(ats) for ats in served.values()) > cf._RUN
-        assert sum(swept.values()) == len(runs) and set(runs) == {cf._RUN}
+        assert sum(swept.values()) * n_groups == len(runs) and set(runs) == {cf._RUN}
         for key, ats in served.items():
-            assert swept[key] <= math.ceil(len(ats) / cf._RUN), key[1]
+            assert swept[key] <= math.ceil(len(ats) / cf._RUN), key
 
     @pytest.mark.parametrize("network,eta_db", [("a2a", 88.0), ("s2g", 103.0)])
     def test_a_higher_ladder_top_moves_nothing(self, network, eta_db, monkeypatch):
