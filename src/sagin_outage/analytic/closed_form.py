@@ -27,7 +27,10 @@ log), a zero as (0, -inf): `_taylor_terms` takes an incomplete-gamma difference
 times a G2123 destination bracket; `_g2113_terms` and `_gamma_terms` read from
 `_Work.row` the CGQ integral of a G2113 bracket or of Gamma(s, .) at the
 saturation point, which a miss there fetches for a run of rungs and every k at
-once.  `_Work.end_sum` is the one signed sum over the ends of the destination
+once.  The below-knee block's G2113 runs step c at a fixed s3; at fixed k1 the
+`linear` terms lie on one diagonal, s2 + s3 = k1 + 1 as n steps, so one
+diagonal run of meijer_g_log per destination group serves the whole n
+extent.  `_Work.end_sum` is the one signed sum over the ends of the destination
 pieces, each distinct end once and in log space so no power of an end
 overflows; `_piece_dgammas` takes both limits of a piece at once, so its
 incomplete-gamma differences do not cancel to rounding noise.
@@ -143,20 +146,26 @@ class _Work:
         xs = self.beta_bar * self.w_nodes ** 2 * self.case.p_sat / self.case.a_lin
         return self.cgq(orders, 1.0, log_gamma_upper(orders, xs))
 
-    def g2113_rows(self, ladder, s2s):
-        """cgq rows at x = s3 of the bracket at argument cst y^nu w^2, ladder (cst, s3),
-        the end_sum of G2113((1 - s2 - e, s3, -s3, -s2 - e) | .), per s2 of s2s: one
-        ladder sweep per destination group, then one end_sum with s2 per column."""
-        cst, s3 = ladder
+    def g2113_rows(self, ladder, rungs):
+        """cgq rows at x = s3 of the bracket at argument cst y^nu w^2, the end_sum of
+        G2113((1 - s2 - e, s3, -s3, -s2 - e) | .), per rung: s2 at a fixed s3 on a
+        c-ladder (cst, s3), n on the linear block's ("diagonal", cst, k1), where
+        s3 = (k1 - n + 1)/2 and s2 = n + s3 keep s2 + s3 = k1 + 1.  One meijer_g_log
+        run per destination group, then one end_sum with s2 per column."""
+        diagonal = ladder[0] == "diagonal"
+        *_, cst, fixed = ladder             # k1 on a diagonal, s3 on a c-ladder
+        rungs = np.array(rungs, dtype=float)
+        s3s = (fixed + 1.0 - rungs) / 2.0 if diagonal else np.full(len(rungs), fixed)
+        s2s = rungs + s3s if diagonal else rungs
 
         def meijer(e, ys):
             xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
-            got = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3, -s3, -s2s[0] - e), xs.ravel(),
-                               self.k_seeds, len(s2s))
+            got = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3s[0], -s3s[0], -s2s[0] - e),
+                               xs.ravel(), self.k_seeds, len(s2s), diagonal)
             return got.reshape(len(s2s), len(ys), -1).swapaxes(0, 1).reshape(len(ys), -1)
 
         bracket = self.end_sum(np.repeat(s2s, len(self.w_nodes)), meijer)
-        return self.cgq(s3, *(v.reshape(len(s2s), -1) for v in bracket))
+        return self.cgq(s3s[:, None], *(v.reshape(len(s2s), -1) for v in bracket))
 
     def end_sum(self, m, f):
         """(sign, log) arrays, an entry per column, of the signed sum over the
@@ -329,14 +338,17 @@ def _g2113_terms(work, c, taylor, k2_top):
     with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3,
     times the Taylor scale as taylor^k2, for a block of k2 extent k2_top."""
     case = work.case
-    run = _RUN if k2_top else 2     # with no k2, (n + 1, k1 + 1) asks for s2 + 1 next
     log_a, log_b, log_bb, log_c, log_t = (
         math.log(v) for v in (case.a_lin, case.b_lin, work.beta_bar, c, taylor))
     cst = work.beta_bar * c / case.a_lin
 
     def term(k, n, k1, k2):
         s3 = (k1 - n + 1) / 2.0
-        i_s, i_l = work.row((cst, s3), n + k2 + s3, 1, run, work.g2113_rows)
+        if k2_top:
+            i_s, i_l = work.row((cst, s3), n + k2 + s3, 1, _RUN, work.g2113_rows)
+        else:       # the whole n extent of diagonal k1 in one fetch
+            i_s, i_l = work.row(("diagonal", cst, k1), n, 1, len(case.dest_logw),
+                                work.g2113_rows)
         return i_s[k], ((k - k1) * log_b + (n + s3) * log_c - s3 * log_bb
                         + (s3 - k - 1.0) * log_a + k2 * log_t + i_l[k])
 

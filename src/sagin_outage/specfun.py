@@ -8,8 +8,9 @@ of the order over every x < 1; the ascending series per point), its
 cancellation-safe differences, ln I0 through scipy's scaled ``i0e``, Meijer-G
 in the one family b3 = a1 - 1 the series use (G2113 by a downward recurrence
 in c over Bessel K, every term positive, one sweep giving the rows of a run
-of c, its K orders from two kve seeds per argument grid by the upward ratio
-recurrence, kept only in a dict the caller passes; G2123, which the closed
+of c, or along the diagonal c + s3 = const from one such row, its K orders
+from two kve seeds per argument grid by the upward ratio recurrence, kept
+only in a dict the caller passes; G2123, which the closed
 path takes apart itself, as two incomplete gammas for the oracle table and
 tests; G0110 and G2002 by identities the oracle table checks), and the
 Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery is evaluated in
@@ -397,6 +398,31 @@ def _g2113_ladder_log(s3, c, xs, seeds, run):
     return logs
 
 
+def _g2113_diagonal_log(s3, c, xs, seeds, run):
+    """log G2113 of the family at (s3 - j/2, c + j/2), j < run, as rows of a
+    (run, len(xs)) array: the top row by a one-rung _g2113_ladder_log call, the
+    rows below it by meijer_g_log's diagonal link, on the linear scale (the log
+    scale would add the rounding of a log per row) as H = G / (4 kve_|2 s3|(X)),
+    which stays in range where G tracks K (small X) or falls as a power of X
+    (large X), with e^-X as the inhomogeneous term.  The K orders come from the
+    lists _k_ratios keeps in seeds, a local dict when None is given."""
+    top = run - 1
+    logs = np.empty((run,) + xs.shape)
+    logs[top] = _g2113_ladder_log(s3 - 0.5 * top, c + 0.5 * top, xs, seeds, 1)[0]
+    seeds, grid = {} if seeds is None else seeds, xs.tobytes()
+    nus = np.abs(2.0 * s3 - np.arange(run)).tolist()
+    for nu in {nu - math.floor(nu): nu for nu in sorted(nus)}.values():   # top order per nu0
+        big_x, _, _ = _k_ratios(xs, nu, seeds)
+    frame = math.log(4.0) + np.array([seeds[grid, nu - math.floor(nu)][1][math.floor(nu)]
+                                      for nu in nus])
+    steps, scale = big_x * np.exp(frame[1:] - frame[:-1]), np.exp(-big_x)
+    h = np.exp(logs[top] - frame[top])
+    for j in range(top - 1, -1, -1):
+        h = (steps[j] * h + scale) / (2.0 * (c - s3 + j))
+        logs[j] = np.log(h) + frame[j]
+    return logs
+
+
 def _g2123_log(s1, c, xs):
     """log G2123 of the family: Gamma(s) / ((s + s1)(c - s)) is (Gamma(s) / (s + s1)
     + Gamma(s) / (c - s)) / (c + s1), the Mellin transforms of x^s1 Gamma(-s1, x)
@@ -407,7 +433,7 @@ def _g2123_log(s1, c, xs):
     return np.logaddexp(upper, lower) - np.log(c + s1)
 
 
-def meijer_g_log(instance, params, xs, seeds=None, run=1):
+def meijer_g_log(instance, params, xs, seeds=None, run=1, diagonal=False):
     """log G, every such G positive, of G2123 or G2113 where b3 = a1 - 1 =: -c,
     the one family the outage series use, as rows of a (run, len(xs)) array at
     c, c + 1, ..., c + run - 1: Gamma(1 - a1 - s) / Gamma(1 - b3 - s) in the
@@ -416,6 +442,13 @@ def meijer_g_log(instance, params, xs, seeds=None, run=1):
     G2123 (a1, a2, b1, b2, b3) = (1 - c, s1 + 1, s1, 0, -c) is two incomplete
     gammas per row (_g2123_log); G2113 (a1, b1, b2, b3) = (1 - c, s3, -s3, -c)
     takes the run from one sweep of the Bessel-K ladder (_g2113_ladder_log).
+    With diagonal, a G2113 run has its rows at (s3 - j/2, c + j/2) instead,
+    where c + s3 stays fixed: the ladder gives the top row, and the link
+    G_(s3, c) = [X G_(s3 - 1/2, c + 1/2) + 4 K_(2 s3)(X)] / (2 (c - s3)),
+    X = 2 sqrt(x), the rows below it (_g2113_diagonal_log).  It holds where
+    c > |s3|, so on every row of a run whose first row is in the family, as
+    c + s3 stays and c - s3 grows; every term is positive and c - s3 > 0, so
+    the downward direction never amplifies a relative error.
     Other parameters raise DomainError, and an empty strip max(-b1, -b2) < Re s
     < c, c not above |s3| or max(-s1, 0), raises NumericError.  G2113 calls that
     pass one dict as seeds share the ladder's Bessel-K seeds and ratios, one
@@ -438,7 +471,11 @@ def meijer_g_log(instance, params, xs, seeds=None, run=1):
         raise NumericError(f"{instance} needs c = 1 - a1 above {bound}",
                            {"instance": instance, "params": p})
     if instance == "G2123":
+        if diagonal:
+            raise DomainError("a diagonal run is a G2113 run")
         return np.array([_g2123_log(p[2], hi + j, xs) for j in range(run)])
+    if diagonal and run > 1:
+        return _g2113_diagonal_log(p[1], hi, xs, seeds, run)
     return _g2113_ladder_log(p[1], hi, xs, seeds, run)
 
 

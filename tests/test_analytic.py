@@ -110,6 +110,18 @@ class TestCrossPathAgreement:
                 assert abs(closed - integral) <= 1e-4 * integral, (eta_db, network, mode)
         assert deep >= 10
 
+    # K_rt = 5 gives the destination series 34 terms, so the linear block's
+    # diagonals are 34 rows long, the longest of the acceptance-grid cases
+    @pytest.mark.parametrize("mode", [IM_IC, P_IC])
+    @pytest.mark.parametrize("eta_db", [88.0, 103.0, 118.0])
+    def test_a2a_on_the_longest_diagonal(self, eta_db, mode):
+        cfg = _cfg(**{"link.eta_s_db": eta_db, "fading.K_rt": 5.0})
+        case = build_case(cfg, "a2a", mode, cfg.gamma_a)
+        assert len(case.dest_logw) == 34
+        assert cf._blocks(cf._Work(case, cfg.cgq_n))[0][0][0] == "linear"
+        assert abs(op_a2a_closed(cfg.gamma_a, cfg, ic_mode=mode)
+                   - op_a2a_integral(cfg.gamma_a, cfg, ic_mode=mode)) <= self.TOL
+
     def test_moderate_saturation_threshold(self):
         cfg = _cfg(**{"swipt.p_th_dbm": 5.0, "link.eta_s_db": 112.0})
         assert abs(op_s2g_closed(cfg.gamma_s, cfg)
@@ -502,9 +514,11 @@ class TestDestinationEnds:
         ref_sign, ref_log = ref.end_sum(0.5, meijer)
         assert len(sign) == len(work.w_nodes) and np.array_equal(sign, ref_sign)
         assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
-        # ... and its row of CGQ integrals over k, fetched 2 rungs at a time
-        sign, log = (np.array(v) for v in work.row((cst, 0.5), 0.5, 1, 2, work.g2113_rows))
-        ref_sign, ref_log = (np.array(v) for v in ref.row((cst, 0.5), 0.5, 1, 2, ref.g2113_rows))
+        # ... and its row of CGQ integrals over k, rung n = 0 of diagonal k1 = 0,
+        # fetched 2 rungs at a time
+        diagonal = ("diagonal", cst, 0)
+        sign, log = (np.array(v) for v in work.row(diagonal, 0, 1, 2, work.g2113_rows))
+        ref_sign, ref_log = (np.array(v) for v in ref.row(diagonal, 0, 1, 2, ref.g2113_rows))
         assert np.array_equal(sign, ref_sign)
         assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
 
@@ -548,9 +562,9 @@ class TestRowStore:
         work = cf._Work(build_case(cfg, "a2a", IM_IC, cfg.gamma_a), cfg.cgq_n)
         fetched, real = [], cf._Work.g2113_rows
 
-        def g2113_rows(self, ladder, s2s):
-            fetched.append((*ladder, list(s2s)))
-            return real(self, ladder, s2s)
+        def g2113_rows(self, ladder, rungs):
+            fetched.append((ladder, list(rungs)))
+            return real(self, ladder, rungs)
 
         monkeypatch.setattr(cf._Work, "g2113_rows", g2113_rows)
         blocks = cf._blocks(work)[0]
@@ -560,19 +574,32 @@ class TestRowStore:
         case, m_sr = work.case, cfg.sr.m_sr
         held = {ladder: rows for ladder, rows in work.rows.items()
                 if ladder != "gamma" and ladder[0] != "ends"}
-        assert fetched and set(held) == {(cst, s3) for cst, s3, _ in fetched}
-        assert sum(len(rows) for rows in held.values()) == sum(len(r) for *_, r in fetched)
-        for cst, s3, s2s in fetched:
-            # the run's G2113 rows, one sweep per destination group as the fetch takes them
+        assert fetched and set(held) == {ladder for ladder, _ in fetched}
+        assert sum(len(rows) for rows in held.values()) == sum(len(r) for _, r in fetched)
+        # the linear block reads diagonals, the below-knee block c-ladders
+        assert {ladder[0] == "diagonal" for ladder in held} == {"linear" in route}
+        for ladder, rungs in fetched:
+            # a c-ladder (cst, s3) steps s2 at its s3; a diagonal ("diagonal", cst, k1)
+            # steps n at s3 = (k1 - n + 1)/2 and s2 = n + s3
+            diagonal = ladder[0] == "diagonal"
+            if diagonal:
+                _, cst, k1 = ladder
+                s3s = [(k1 - n + 1) / 2.0 for n in rungs]
+                s2s = [n + s3 for n, s3 in zip(rungs, s3s)]
+            else:
+                cst, s3 = ladder
+                s3s, s2s = [s3] * len(rungs), rungs
+            # the run's G2113 rows, one call per destination group as the fetch takes them
             g = {}
             for q, ys, *_ in work.dest_groups:
                 e = (q + 1.0) / case.nu
                 xs = cst * ys[:, None] ** case.nu * (work.w_nodes ** 2)[None, :]
-                g[e] = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3, -s3, -s2s[0] - e),
-                                    xs.ravel(), None, len(s2s)).reshape(len(s2s), *xs.shape)
-            for j, s2 in enumerate(s2s):
+                g[e] = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3s[0], -s3s[0], -s2s[0] - e),
+                                    xs.ravel(), None, len(s2s), diagonal
+                                    ).reshape(len(s2s), *xs.shape)
+            for j, (at, s2, s3) in enumerate(zip(rungs, s2s, s3s)):
                 sign_f, log_f = work.end_sum(s2, lambda e, ys: g[e][j])
-                i_s, i_l = held[cst, s3][s2]
+                i_s, i_l = held[ladder][at]
                 assert len(i_s) == len(i_l) == m_sr
                 for k in range(m_sr):
                     assert (i_s[k], i_l[k]) == self._cgq(work, k, s3, sign_f, log_f), (s2, k)
@@ -584,6 +611,25 @@ class TestRowStore:
             log_f = log_gamma_upper(float(s), xs)
             for k in range(m_sr):
                 assert (g_s[k], g_l[k]) == self._cgq(work, k, s, 1.0, log_f), (s, k)
+
+    def test_the_linear_block_sweeps_one_diagonal_per_k1_and_group(self, monkeypatch):
+        # the 88 dB a2a im-IC case of the acceptance grid: the linear block reads
+        # the diagonals k1 < m_sr, each fetched once for the whole n extent of the
+        # destination series, by one G2113 run per destination group
+        cfg = _cfg(**{"link.eta_s_db": 88.0})
+        work = cf._Work(build_case(cfg, "a2a", IM_IC, cfg.gamma_a), cfg.cgq_n)
+        runs = []
+
+        def counted(instance, params, xs, seeds=None, run=1, diagonal=False):
+            runs.append((instance, run, diagonal))
+            return meijer_g_log(instance, params, xs, seeds, run, diagonal)
+
+        monkeypatch.setattr(cf, "meijer_g_log", counted)
+        name, _, top_n, k2_top, term = cf._blocks(work)[0][0]
+        assert name == "linear"
+        cf._series(work, top_n, k2_top, term)
+        sweeps = cfg.sr.m_sr * len(work.dest_groups)
+        assert sweeps == 4 and runs == [("G2113", len(work.case.dest_logw), True)] * sweeps
 
 
 # A random config whose preferred (Taylor) route loses too much precision for

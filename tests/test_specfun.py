@@ -503,9 +503,9 @@ class TestMeijerG:
                 groups.add(len(work.dest_groups))
             return real_row(work, ladder, at, step, run, fetch)
 
-        def meijer(instance, params, xs, seeds=None, run=1):
+        def meijer(instance, params, xs, seeds=None, run=1, diagonal=False):
             runs.append(run)
-            return real_meijer(instance, params, xs, seeds, run)
+            return real_meijer(instance, params, xs, seeds, run, diagonal)
 
         monkeypatch.setattr(cf._Work, "row", row)
         monkeypatch.setattr(cf, "meijer_g_log", meijer)
@@ -519,15 +519,16 @@ class TestMeijerG:
     @pytest.mark.parametrize("network,eta_db", [("a2a", 88.0), ("s2g", 103.0)])
     def test_a_higher_ladder_top_moves_nothing(self, network, eta_db, monkeypatch):
         # every G2113 call of one closed case on the acceptance-grid thresholds,
-        # against the same calls started 10 rungs higher
+        # against the same calls started 10 rungs higher; a diagonal run's top row
+        # is such a call, and the rows below it follow from that row
         cfg = config_from_mapping({"rates.threshold_mode": "from_rate",
                                    "swipt.p_th_dbm": 35.0, "link.eta_s_db": eta_db})
         calls = []
 
-        def recording(instance, params, xs, seeds=None, run=1):
-            got = sf.meijer_g_log(instance, params, xs, seeds, run)
+        def recording(instance, params, xs, seeds=None, run=1, diagonal=False):
+            got = sf.meijer_g_log(instance, params, xs, seeds, run, diagonal)
             if instance == "G2113":
-                calls.append((params, np.array(xs), run, got))
+                calls.append((params, np.array(xs), run, diagonal, got))
             return got
 
         monkeypatch.setattr(cf, "meijer_g_log", recording)
@@ -535,9 +536,77 @@ class TestMeijerG:
             cf.op_s2g_closed(cfg.gamma_s, cfg)
         else:
             cf.op_a2a_closed(cfg.gamma_a, cfg)
-        assert calls
+        assert calls and any(diagonal for *_, diagonal, _ in calls)
         real = sf._ladder_rungs
         monkeypatch.setattr(sf, "_ladder_rungs", lambda *args: real(*args) + 10)
-        for params, xs, run, log in calls:
-            ref_log = sf.meijer_g_log("G2113", params, xs, None, run)
+        for params, xs, run, diagonal, log in calls:
+            ref_log = sf.meijer_g_log("G2113", params, xs, None, run, diagonal)
             assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-15
+
+
+class TestG2113Diagonal:
+    """G2113 runs along the diagonal c + s3 = const, rows (s3 - j/2, c + j/2):
+    the top row by the c-ladder, the rows below it by the downward link
+    G_(s3, c) = [X G_(s3 - 1/2, c + 1/2) + 4 K_(2 s3)(X)] / (2 (c - s3))."""
+
+    @staticmethod
+    def _run(s3, c, xs, run, seeds=None):
+        return sf.meijer_g_log("G2113", (1.0 - c, s3, -s3, -c), np.asarray(xs, dtype=float),
+                               seeds, run, True)
+
+    # the linear block's diagonals k1 = 0 and 1 at e = 1/2, over the 81 rows of
+    # the destination series at its cap; on the log scale the link would read
+    # 4e-13 here, so the rows are carried on the linear scale
+    @pytest.mark.parametrize("s3,c", [(0.5, 1.0), (1.0, 1.5)])
+    def test_each_row_of_an_81_row_run_equals_a_one_rung_call(self, s3, c):
+        xs, run = np.geomspace(1e-3, 1.5e4, 41), 81
+        rows = self._run(s3, c, xs, run)
+        assert rows.shape == (run, len(xs))
+        for j in range(run):
+            s3_j, c_j = s3 - 0.5 * j, c + 0.5 * j
+            (one,) = sf.meijer_g_log("G2113", (1.0 - c_j, s3_j, -s3_j, -c_j), xs)
+            assert np.max(np.abs(np.expm1(rows[j] - one))) <= 2e-13, j
+        assert np.array_equal(rows[-1], one)
+
+    def test_a_long_run_stays_in_range_at_extreme_arguments(self):
+        # at x = 1e-9 log G falls by over 1000 along the run: scaled by the top
+        # row, the bottom rows would underflow to 0; scaled by their own kve,
+        # each stays within a few units in the last place of log G
+        xs = np.geomspace(1e-9, 1e5, 15)
+        rows = self._run(0.5, 1.0, xs, 81)
+        assert rows[-1, 0] - rows[0, 0] > 1000.0
+        for j in (0, 1, 40, 79):
+            s3_j, c_j = 0.5 - 0.5 * j, 1.0 + 0.5 * j
+            (one,) = sf.meijer_g_log("G2113", (1.0 - c_j, s3_j, -s3_j, -c_j), xs)
+            assert np.max(np.abs(np.expm1(rows[j] - one))) <= 5e-13, j
+
+    # mpmath.meijerg([[1 - c], []], [[s3, -s3], [-c]], x) at 50 digits, reached
+    # as row j of a run: (0.2, 1.5) has a non-integer nu and crosses s3 = 0
+    @pytest.mark.parametrize("start,j,x,expected", [
+        ((0.5, 1.0), 17, 1e-3, 8.717480415730765143264574e+35),
+        ((0.5, 1.0), 17, 1e4, 7.589202014034828568304483e-25),
+        ((0.2, 1.5), 7, 400.0, 8.2357741619967942416054e-10),
+    ])
+    def test_rows_against_mpmath(self, start, j, x, expected):
+        rows = self._run(*start, [x], j + 2)
+        assert math.exp(rows[j, 0]) == pytest.approx(expected, rel=1e-13)
+
+    def test_value_does_not_depend_on_the_seeds_dict(self):
+        # no dict, a fresh one, and one that a one-rung call and a shorter run
+        # filled on the same grid: the run extends their ratios in place
+        xs = np.array([0.02, 1.7, 260.0])
+        want = self._run(0.2, 1.5, xs, 12)
+        filled = {}
+        sf.meijer_g_log("G2113", (-1.5, 0.5, -0.5, -2.5), xs, filled)
+        self._run(0.2, 1.5, xs, 4, filled)
+        for seeds in ({}, filled):
+            assert np.array_equal(self._run(0.2, 1.5, xs, 12, seeds), want)
+
+    def test_g2123_has_no_diagonal_run(self):
+        with pytest.raises(DomainError, match="G2113"):
+            sf.meijer_g_log("G2123", (-1.0, 3.0, 2.0, 0.0, -2.0), [1.5], None, 3, True)
+
+    def test_a_one_row_run_is_the_one_rung_call(self):
+        xs = np.array([0.02, 1.7, 260.0])
+        assert np.array_equal(self._run(0.5, 1.0, xs, 1),
+                              sf.meijer_g_log("G2113", (0.0, 0.5, -0.5, -1.0), xs))
