@@ -17,23 +17,21 @@ a row of the route table `_blocks`:
 
 Both unsaturated routes are listed whenever the saturation point is finite
 and positive; `_closed_outage` runs the routes in order and, when one raises
-NumericError, evaluates the next on the same memo.  Every constant comes from
-the `OutageCase` of `build_case`.
+NumericError, evaluates the next on the same `_Work`.  Every constant comes
+from the `OutageCase` of `build_case`.
 
 Every block is one call of the loop nest `_series`, which adds the factors
 the blocks share, over its row's k2 extent (0 for `linear`, which has no Taylor
 index, else `_K2_CAP`) and with a term function of its own that returns (sign,
-log), a zero as (0, -inf): `_taylor_terms` takes an incomplete-gamma difference
-times a G2123 destination bracket; `_g2113_terms` and `_gamma_terms` read from
-`_Work.row` the CGQ integral of a G2113 bracket or of Gamma(s, .) at the
-saturation point, which a miss there fetches for a run of rungs and every k at
-once.  The below-knee block's G2113 runs step c at a fixed s3; at fixed k1 the
-`linear` terms lie on one diagonal, s2 + s3 = k1 + 1 as n steps, so one
-diagonal run of meijer_g_log per destination group serves the whole n
-extent.  `_Work.end_sum` is the one signed sum over the ends of the destination
-pieces, each distinct end once and in log space so no power of an end
-overflows; `_piece_dgammas` takes both limits of a piece at once, so its
-incomplete-gamma differences do not cancel to rounding noise.
+log), a zero as (0, -inf).  Every term reads `_Work.row`, which a miss fills a
+run of rungs at a time by one fetch: the CGQ integral over every k of a G2113
+bracket (`_g2113_terms`) or of Gamma(s, .) at the saturation point times a
+destination moment or incomplete-gamma difference (`_gamma_terms`), or an
+incomplete-gamma difference times a G2123 bracket (`_taylor_terms`); one G2113
+run serves the whole n extent of a `linear` diagonal.  `_Work.end_sum` is the
+one signed sum over the ends of the destination pieces, each distinct end once
+and in log space so no power of an end overflows; `_piece_dgammas` takes both
+limits of a piece at once, so its incomplete-gamma differences do not cancel.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -58,21 +56,11 @@ _ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branc
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
 _RUN = 12                   # rungs one row fetch takes along a k2 sum
-
-
-def _memo(build):
-    """Method decorator: one build per argument tuple, kept in the instance's memo."""
-    def cached(self, *args):
-        key = (build, *args)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = build(self, *args)
-        return hit
-    return cached
+_LOG_REL_TOL = math.log(REL_TOL)
 
 
 class _Work:
-    """Per-evaluation memo, row store, Bessel-K seeds and CGQ nodes."""
+    """Per-evaluation row store, Bessel-K seeds, CGQ nodes and log k! table."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -113,12 +101,15 @@ class _Work:
                     for y, net in ends.items() if net != 0.0]
             if rows:
                 self.dest_groups.append((q, *(np.array(col) for col in zip(*rows))))
-        self.memo = {}
-        # Bessel-K seeds and ratios of the G2113 ladder, one entry per argument
-        # grid: a case's calls share grids, and none recurs in another (cst moves)
+        # every distinct end, sorted: one G2113 argument grid per cst for all groups
+        self.ends = np.unique([y for _, ys, *_ in self.dest_groups for y in ys])
+        # log k! for every k + top_n n (k < m_sr, n < the destination terms) and k2
+        self.log_fact = gammaln(np.arange(1.0, case.sr.m_sr + len(case.dest_logw)
+                                          + _K2_CAP)).tolist()
+        # Bessel-K seeds and ratios of the G2113 ladder, one entry per grid, so per cst
         self.k_seeds = {}
-        # what the k2 sums read, {ladder: {rung: row}}: CGQ integrals over k on "gamma"
-        # and (cst, s3); raw log Gamma rows at group e's piece ends on ("ends", e)
+        # what the terms read, {ladder: {rung: row}}, each ladder filled by one fetch,
+        # a *_rows method (g2123_rows also fills ("ends", e) and "lower")
         self.rows = {}
 
     def cgq(self, x, sign_f, log_f):
@@ -149,71 +140,77 @@ class _Work:
     def g2113_rows(self, ladder, rungs):
         """cgq rows at x = s3 of the bracket at argument cst y^nu w^2, the end_sum of
         G2113((1 - s2 - e, s3, -s3, -s2 - e) | .), per rung: s2 at a fixed s3 on a
-        c-ladder (cst, s3), n on the linear block's ("diagonal", cst, k1), where
+        c-ladder ("c", cst, s3), n on the linear block's ("diagonal", cst, k1), where
         s3 = (k1 - n + 1)/2 and s2 = n + s3 keep s2 + s3 = k1 + 1.  One meijer_g_log
-        run per destination group, then one end_sum with s2 per column."""
-        diagonal = ladder[0] == "diagonal"
-        *_, cst, fixed = ladder             # k1 on a diagonal, s3 on a c-ladder
+        run per destination group on the grid over every end, which seeds its Bessel
+        K once, then one end_sum with s2 per column."""
+        kind, cst, fixed = ladder           # k1 on a diagonal, s3 on a c-ladder
+        diagonal = kind == "diagonal"
         rungs = np.array(rungs, dtype=float)
         s3s = (fixed + 1.0 - rungs) / 2.0 if diagonal else np.full(len(rungs), fixed)
         s2s = rungs + s3s if diagonal else rungs
+        xs = cst * self.ends[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
 
         def meijer(e, ys):
-            xs = cst * ys[:, None] ** self.case.nu * (self.w_nodes ** 2)[None, :]
             got = meijer_g_log("G2113", (1.0 - s2s[0] - e, s3s[0], -s3s[0], -s2s[0] - e),
                                xs.ravel(), self.k_seeds, len(s2s), diagonal)
-            return got.reshape(len(s2s), len(ys), -1).swapaxes(0, 1).reshape(len(ys), -1)
+            got = got.reshape(len(s2s), len(self.ends), -1)[:, np.searchsorted(self.ends, ys)]
+            return got.swapaxes(0, 1).reshape(len(ys), -1)
 
         bracket = self.end_sum(np.repeat(s2s, len(self.w_nodes)), meijer)
         return self.cgq(s3s[:, None], *(v.reshape(len(s2s), -1) for v in bracket))
 
-    def end_sum(self, m, f):
+    def end_sum(self, m, f, pairwise=False):
         """(sign, log) arrays, an entry per column, of the signed sum over the
         distinct piece ends y of (net/nu) y^(nu m + q + 1) F(e, y), e = (q + 1)/nu,
         net the end's signed coefficient (see dest_groups), F > 0, m a number or one
-        per column, and f(e, ys) log F as an array (len(ys), columns) or broadcast."""
+        per column, and f(e, ys) log F as an array (len(ys), columns) or broadcast;
+        with pairwise, a column is summed alone, to the bits of a one-column call."""
         nu = self.case.nu
         logs = np.concatenate([log_coef[:, None] + (nu * m + q + 1.0) * log_rel[:, None]
                                + f((q + 1.0) / nu, ys)
-                               for q, ys, log_rel, _, log_coef in self.dest_groups])
+                               for q, ys, log_rel, _, log_coef in self.dest_groups]).T
         signs = np.concatenate([sign for *_, sign, _ in self.dest_groups])
-        sign, log = logsumexp_signed(logs.T, signs)     # logs is (ends, columns)
+        sign, log = logsumexp_signed(np.ascontiguousarray(logs) if pairwise else logs, signs)
         return sign, log + (nu * m + 1.0) * self.log_y_max
 
-    @_memo
-    def taylor_dgamma(self, order):
-        """(sign, log) of DeltaGamma(order, bb b w_min^2/a, bb b w_max^2/a)."""
-        case, bb = self.case, self.beta_bar
-        return log_delta_gamma(order, bb * case.b_lin * case.w_min_m ** 2 / case.a_lin,
-                               bb * case.b_lin * case.w_max_m ** 2 / case.a_lin)
+    def taylor_rows(self, _ladder, orders):
+        """(sign, log) per order of DeltaGamma(order, sat_decay at w_min, at w_max)."""
+        hi, lo = self.sat_decay[-2:].tolist()
+        return [log_delta_gamma(order, lo, hi) for order in orders]
 
-    @_memo
-    def g2123_pieces(self, n, s1):
-        """(sign, log) of the Taylor route's destination bracket, the end_sum of
-        G2123 at x = omega y^nu, omega = dest_c / p_sat, c = n + e, taken as its
-        halves [x^s1 Gamma(-s1, x) + x^-c gamma(c, x)] / (c + s1).  The lower half
-        runs per piece, (coeff/nu) omega^-c DeltaGamma(c, omega lo^nu, omega hi^nu)
-        / (c + s1), since the power of y cancels in it."""
+    def g2123_rows(self, ladder, s1s):
+        """(sign, log) per s1 of the Taylor route's bracket on ("g2123", n), the end_sum
+        of G2123 at x = omega y^nu, omega = dest_c / p_sat, c = n + e, as its halves
+        [x^s1 Gamma(-s1, x) + x^-c gamma(c, x)] / (c + s1): the upper one end_sum with a
+        column per s1 over the Gamma rows ("ends", e) that every n reads; the lower per
+        piece, (coeff/nu) omega^-c DeltaGamma(c, omega lo^nu, omega hi^nu) / (c + s1),
+        kept on "lower" by n, as the power of y cancels in it; one 2-D sum joins them."""
+        _, n = ladder
         omega = self.case.dest_c / self.case.p_sat
+        cols = np.array(s1s, dtype=float)
 
         def upper(e, ys):
             xs = omega * ys ** self.case.nu
-            lg = self.row(("ends", e), -s1, -1, _RUN, lambda _, a: log_gamma_upper(np.c_[a], xs))
-            return (s1 * np.log(xs) + lg - math.log(n + e + s1))[:, None]
+            lg = [self.row(("ends", e), -s1, -1, _RUN, lambda _, a: log_gamma_upper(np.c_[a], xs))
+                  for s1 in s1s]
+            return (np.log(xs)[:, None] * cols + np.array(lg).T
+                    - np.array([math.log(n + e + s1) for s1 in s1s]))
 
-        up_s, up_l = self.end_sum(n, upper)
-        es, signs, logs = self._piece_dgammas(n, omega)
-        return logsumexp_signed(np.append(logs - n * math.log(omega) - np.log(n + es + s1), up_l),
-                                np.append(signs, up_s))
+        up_s, up_l = self.end_sum(n, upper, pairwise=True)
+        es, signs, logs = self.row("lower", n, 1, 1, lambda _, a: [self._piece_dgammas(n, omega)])
+        lower = logs - n * math.log(omega) - np.log(n + es + cols[:, None])
+        sign, log = logsumexp_signed(np.c_[lower, up_l],
+                                     np.c_[np.broadcast_to(signs, lower.shape), up_s])
+        return zip(sign.tolist(), log.tolist())
 
-    @_memo
-    def pieces_moment(self, r):
-        """(sign, log) of sum over pieces of coeff (hi^p - lo^p)/p, p = nu r + q + 1:
-        end_sum with F = nu/p = 1/(r + e), in log space, where no power overflows."""
-        sign, log = self.end_sum(r, lambda e, ys: np.full((1, 1), -math.log(r + e)))
-        return float(sign[0]), float(log[0])
+    def moment_rows(self, _ladder, rs):
+        """(sign, log) per r of rs of the sum over pieces of coeff (hi^p - lo^p)/p with
+        p = nu r + q + 1: one end_sum, F = nu/p = 1/(r + e), a column per r, in log space."""
+        sign, log = self.end_sum(np.array(rs, dtype=float), lambda e, ys: -np.array(
+            [[math.log(r + e) for r in rs]]), pairwise=True)
+        return zip(sign.tolist(), log.tolist())
 
-    @_memo
     def _piece_dgammas(self, order, scale):
         """Per destination piece: arrays e = (q+1)/nu and (sign, log) of (coeff/nu)
         scale^-e DeltaGamma(order + e, scale lo^nu, scale hi^nu), the difference taken
@@ -228,11 +225,11 @@ class _Work:
             signs.append(np.sign(coeff) * dg_s)
         return np.array(es), np.array(signs), np.array(logs)
 
-    @_memo
-    def pieces_dgamma(self, order):
-        """(sign, log) of the sum over pieces of _piece_dgammas at scale c_eff."""
-        _, signs, logs = self._piece_dgammas(order, self.c_eff)
-        return logsumexp_signed(logs, signs)
+    def dgamma_rows(self, _ladder, orders):
+        """(sign, log) per order of the sum over pieces of _piece_dgammas at scale
+        c_eff: one 2-D logsumexp_signed."""
+        signs, logs = zip(*(self._piece_dgammas(order, self.c_eff)[1:] for order in orders))
+        return zip(*(v.tolist() for v in logsumexp_signed(np.array(logs), np.array(signs))))
 
 
 class _SignedSum:
@@ -272,7 +269,7 @@ def _converge(acc, indices, term):
     for i in indices:
         lt = term(i)
         peak = max(peak, lt)
-        if lt < acc.peak + math.log(REL_TOL):
+        if lt < acc.peak + _LOG_REL_TOL:
             small += 1
             if small >= _CONSECUTIVE:
                 return peak, False
@@ -299,7 +296,7 @@ def _series(work, top_n, k2_top, term, noise=0.0):
     past 1e-5; an estimate never falls as terms are added, so a route that ends
     under 1e-5 never trips it.
     """
-    logw_n = work.case.dest_logw
+    logw_n, log_fact = work.case.dest_logw, work.log_fact
     acc = _SignedSum()
     base = math.log(work.case.sr.alpha) - math.log(work.case.w_norm_m2)
     for k, log_zeta in work.sr_terms:
@@ -308,12 +305,12 @@ def _series(work, top_n, k2_top, term, noise=0.0):
             kn = k + top_n * n
 
             def k1_sum(k1):
-                log_binom = float(gammaln(kn + 1) - gammaln(k1 + 1) - gammaln(kn - k1 + 1))
+                log_binom = log_fact[kn] - log_fact[k1] - log_fact[kn - k1]
                 pref = base + log_zeta + log_binom + logw_n[n]
 
                 def k2_term(k2):
                     sign, log = term(k, n, k1, k2)
-                    lt = pref + log - float(gammaln(k2 + 1.0))
+                    lt = pref + log - log_fact[k2]
                     acc.add((-1.0) ** k2 * sign, lt)
                     total = noise + acc.noise_estimate()
                     if total > 1e-5:
@@ -345,7 +342,7 @@ def _g2113_terms(work, c, taylor, k2_top):
     def term(k, n, k1, k2):
         s3 = (k1 - n + 1) / 2.0
         if k2_top:
-            i_s, i_l = work.row((cst, s3), n + k2 + s3, 1, _RUN, work.g2113_rows)
+            i_s, i_l = work.row(("c", cst, s3), n + k2 + s3, 1, _RUN, work.g2113_rows)
         else:       # the whole n extent of diagonal k1 in one fetch
             i_s, i_l = work.row(("diagonal", cst, k1), n, 1, len(case.dest_logw),
                                 work.g2113_rows)
@@ -355,17 +352,19 @@ def _g2113_terms(work, c, taylor, k2_top):
     return term
 
 
-def _gamma_terms(work, dest, scale):
+def _gamma_terms(work, dest, fetch, scale):
     """Terms of the saturation-point blocks: the CGQ integral of
     Gamma(s, bb w^2 p_sat / a), s = k1 - n - k2 + 1, times the destination
-    factor dest(n + k2) scale^(n + k2)."""
+    factor scale^(n + k2) and rung n + k2 of ladder dest, which fetch fills."""
     case = work.case
     log_a, log_b, log_scale = math.log(case.a_lin), math.log(case.b_lin), math.log(scale)
     log_a_bb = log_a - math.log(work.beta_bar)
 
     def term(k, n, k1, k2):
-        d_s, d_l = dest(n + k2)
+        d_s, d_l = work.row(dest, n + k2, 1, _RUN, fetch)
         s = k1 - n - k2 + 1
+        if "gamma" not in work.rows:    # start the first run at the top s, m_sr, not k = 0's
+            work.row("gamma", case.sr.m_sr, -1, _RUN, work.gamma_rows)
         g_s, g_l = work.row("gamma", s, -1, _RUN, work.gamma_rows)
         return d_s * g_s[k], ((k - k1) * log_b - (k + 1.0) * log_a + s * log_a_bb
                               + (n + k2) * log_scale + d_l + g_l[k])
@@ -384,8 +383,8 @@ def _taylor_terms(work):
 
     def term(k, n, k1, k2):
         s1 = 1 + k1 + k2 - n
-        g_s, g_l = work.g2123_pieces(n, s1)
-        dg_s, dg_l = work.taylor_dgamma(k + k2 + 2.0)
+        g_s, g_l = work.row(("g2123", n), s1, 1, _RUN, work.g2123_rows)
+        dg_s, dg_l = work.row("taylor", k + k2 + 2.0, 1, _RUN, work.taylor_rows)
         return dg_s * g_s, (log_half_a - (k1 + k2 + 2.0) * log_b - (k + 2.0) * log_bb
                             + dg_l + n * log_c + s1 * log_p + g_l)
 
@@ -416,20 +415,21 @@ def _blocks(work):
         param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
         param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
         # the unsaturated integrand carried past the saturation point
-        tail = ("tail", -1.0, 0, _K2_CAP, _gamma_terms(work, work.pieces_moment, case.dest_c))
+        tail = ("tail", -1.0, 0, _K2_CAP,
+                _gamma_terms(work, "moment", work.moment_rows, case.dest_c))
         routes = [[("direct", 1.0, 0, _K2_CAP, _taylor_terms(work))], [linear, tail]]
         if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
             routes.reverse()        # the tail route is preferred
     if "saturated" in case.branches:
         sat = ("sat-above-knee", 1.0, 1, _K2_CAP,
-               _gamma_terms(work, work.pieces_dgamma, case.b_lin))
+               _gamma_terms(work, "dgamma", work.dgamma_rows, case.b_lin))
         routes = [r + [sat] for r in routes]
     return routes
 
 
 def _closed_outage(case, cgq_n):
     """Outage by the first route that succeeds, 1 minus the signed sum of its
-    blocks, each one _series on the shared memo, given the noise estimate of
+    blocks, each one _series on the shared _Work, given the noise estimate of
     the blocks before it.  A route fails when a block raises NumericError, as
     _series does at its k2 cap or when the route's noise passes 1e-5, or when
     checked_outage rejects its value; with no route left, the first route's

@@ -404,8 +404,9 @@ def _g2113_diagonal_log(s3, c, xs, seeds, run):
     rows below it by meijer_g_log's diagonal link, on the linear scale (the log
     scale would add the rounding of a log per row) as H = G / (4 kve_|2 s3|(X)),
     which stays in range where G tracks K (small X) or falls as a power of X
-    (large X), with e^-X as the inhomogeneous term.  The K orders come from the
-    lists _k_ratios keeps in seeds, a local dict when None is given."""
+    (large X), with e^-X as the inhomogeneous term; the rows' logs are taken in
+    one call at the end.  The K orders come from the lists _k_ratios keeps in
+    seeds, a local dict when None is given."""
     top = run - 1
     logs = np.empty((run,) + xs.shape)
     logs[top] = _g2113_ladder_log(s3 - 0.5 * top, c + 0.5 * top, xs, seeds, 1)[0]
@@ -416,10 +417,13 @@ def _g2113_diagonal_log(s3, c, xs, seeds, run):
     frame = math.log(4.0) + np.array([seeds[grid, nu - math.floor(nu)][1][math.floor(nu)]
                                       for nu in nus])
     steps, scale = big_x * np.exp(frame[1:] - frame[:-1]), np.exp(-big_x)
+    hs = np.empty((top,) + xs.shape)
     h = np.exp(logs[top] - frame[top])
     for j in range(top - 1, -1, -1):
-        h = (steps[j] * h + scale) / (2.0 * (c - s3 + j))
-        logs[j] = np.log(h) + frame[j]
+        h = np.multiply(steps[j], h, out=hs[j])
+        h += scale
+        h /= 2.0 * (c - s3 + j)
+    logs[:top] = np.log(hs) + frame[:top]
     return logs
 
 
@@ -448,7 +452,9 @@ def meijer_g_log(instance, params, xs, seeds=None, run=1, diagonal=False):
     X = 2 sqrt(x), the rows below it (_g2113_diagonal_log).  It holds where
     c > |s3|, so on every row of a run whose first row is in the family, as
     c + s3 stays and c - s3 grows; every term is positive and c - s3 > 0, so
-    the downward direction never amplifies a relative error.
+    the downward direction never amplifies a relative error.  Diagonal rows are
+    checked against one-rung calls for x in 1e-9..1e5, where every argument of
+    the closed path lies (both are tests); at 1e8 the two part by about 1e-11.
     Other parameters raise DomainError, and an empty strip max(-b1, -b2) < Re s
     < c, c not above |s3| or max(-s1, 0), raises NumericError.  G2113 calls that
     pass one dict as seeds share the ladder's Bessel-K seeds and ratios, one

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.special import gammaln
 
 from sagin_outage import cli
@@ -358,7 +358,8 @@ class TestSeriesSkeleton:
 
 
 class TestTaylorBracket:
-    """_Work.g2123_pieces against its reference form, the end_sum of G2123 values."""
+    """The rows of the ladders ("g2123", n) against their reference form, the
+    end_sum of G2123 values."""
 
     @pytest.mark.parametrize("eta_db", [131.05, 148.19])
     @pytest.mark.parametrize("network, mode", [("s2g", IM_IC), ("a2a", IM_IC), ("a2a", P_IC)])
@@ -369,7 +370,8 @@ class TestTaylorBracket:
         name, _, top_n, k2_top, term = cf._blocks(work)[0][0]
         assert name == "direct"
         cf._series(work, top_n, k2_top, term)
-        visited = [key[1:] for key in work.memo if key[0].__name__ == "g2123_pieces"]
+        visited = [(ladder[1], s1) for ladder, rows in work.rows.items()
+                   if ladder[:1] == ("g2123",) for s1 in rows]
         assert len(visited) >= 20
         omega = case.dest_c / case.p_sat
         for n, s1 in visited:
@@ -378,7 +380,7 @@ class TestTaylorBracket:
                 return meijer_g_log("G2123", params, omega * ys ** case.nu)[0][:, None]
 
             sign, log = work.end_sum(n, g2123)
-            got_sign, got_log = work.g2123_pieces(n, s1)
+            got_sign, got_log = work.rows["g2123", n][s1]
             assert got_sign == sign[0] and abs(got_log - log[0]) <= 1e-12, (n, s1)
 
 
@@ -432,8 +434,13 @@ OVERFLOW_A2A = {
 }
 
 
+def _moment(work, r):
+    """Rung r of the tail block's ladder "moment", read as its terms read it."""
+    return work.row("moment", r, 1, cf._RUN, work.moment_rows)
+
+
 class TestPiecesMoment:
-    """_Work.pieces_moment(r), the sum over pieces of coeff (hi^p - lo^p)/p with
+    """Rung r of "moment", the sum over pieces of coeff (hi^p - lo^p)/p with
     p = nu r + q + 1, taken in log space over the piece ends."""
 
     @staticmethod
@@ -449,7 +456,7 @@ class TestPiecesMoment:
         nu = work.case.nu
         want = sum(coeff * (hi ** (nu * r + q + 1) - lo ** (nu * r + q + 1)) / (nu * r + q + 1)
                    for lo, hi, coeff, q in work.case.dest_pieces)
-        sign, log = work.pieces_moment(r)
+        sign, log = _moment(work, r)
         assert sign * math.exp(log) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("network, mapping, r, expected", [
@@ -463,7 +470,7 @@ class TestPiecesMoment:
         work = self._work(network, mapping)
         with pytest.raises(OverflowError):
             math.pow(work.case.dest_hi, work.case.nu * r + 2.0)
-        assert work.pieces_moment(r) == (1.0, pytest.approx(expected, rel=1e-13))
+        assert _moment(work, r) == (1.0, pytest.approx(expected, rel=1e-13))
 
 
 class TestDestinationEnds:
@@ -498,8 +505,8 @@ class TestDestinationEnds:
         work, ref = cf._Work(case, 100), cf._Work(case, 100)
         ref.dest_groups = self._per_piece_end_rows(case)
         for r in range(6):
-            sign, log = work.pieces_moment(r)
-            ref_sign, ref_log = ref.pieces_moment(r)
+            sign, log = _moment(work, r)
+            ref_sign, ref_log = _moment(ref, r)
             assert sign == ref_sign and abs(math.expm1(log - ref_log)) <= 1e-13, r
         # the first bracket of the linear route, n = k1 = 0, s3 = 1/2, s2 = 1/2, on
         # every CGQ node ...
@@ -535,7 +542,7 @@ class TestDestinationEnds:
         nu = case.nu
         for r in range(4):
             p = nu * r + 2.0
-            sign, log = work.pieces_moment(r)
+            sign, log = _moment(work, r)
             assert sign * math.exp(log) == pytest.approx(a * (3.0 ** p - 1.0) / p, rel=1e-13)
 
 
@@ -572,24 +579,26 @@ class TestRowStore:
         for _, _, top_n, k2_top, term in blocks:
             cf._series(work, top_n, k2_top, term)
         case, m_sr = work.case, cfg.sr.m_sr
+        # the G2113 ladders by their kind: c-ladders and diagonals
         held = {ladder: rows for ladder, rows in work.rows.items()
-                if ladder != "gamma" and ladder[0] != "ends"}
+                if ladder[:1] in (("c",), ("diagonal",))}
         assert fetched and set(held) == {ladder for ladder, _ in fetched}
         assert sum(len(rows) for rows in held.values()) == sum(len(r) for _, r in fetched)
         # the linear block reads diagonals, the below-knee block c-ladders
         assert {ladder[0] == "diagonal" for ladder in held} == {"linear" in route}
         for ladder, rungs in fetched:
-            # a c-ladder (cst, s3) steps s2 at its s3; a diagonal ("diagonal", cst, k1)
-            # steps n at s3 = (k1 - n + 1)/2 and s2 = n + s3
+            # a c-ladder ("c", cst, s3) steps s2 at its s3; a diagonal ("diagonal",
+            # cst, k1) steps n at s3 = (k1 - n + 1)/2 and s2 = n + s3
             diagonal = ladder[0] == "diagonal"
             if diagonal:
                 _, cst, k1 = ladder
                 s3s = [(k1 - n + 1) / 2.0 for n in rungs]
                 s2s = [n + s3 for n, s3 in zip(rungs, s3s)]
             else:
-                cst, s3 = ladder
+                _, cst, s3 = ladder
                 s3s, s2s = [s3] * len(rungs), rungs
-            # the run's G2113 rows, one call per destination group as the fetch takes them
+            # the run's G2113 rows, one call per destination group on its own ends; the
+            # fetch takes one grid over every end, and its rows keep these bits
             g = {}
             for q, ys, *_ in work.dest_groups:
                 e = (q + 1.0) / case.nu
@@ -630,6 +639,79 @@ class TestRowStore:
         cf._series(work, top_n, k2_top, term)
         sweeps = cfg.sr.m_sr * len(work.dest_groups)
         assert sweeps == 4 and runs == [("G2113", len(work.case.dest_logw), True)] * sweeps
+
+    def test_a_closed_case_seeds_each_grid_once(self, monkeypatch):
+        # the same case through its whole first route: both destination groups
+        # hold the same four ends, in different orders, and every G2113 run takes
+        # one argument grid over the distinct ends, so kve seeds one grid
+        cfg = _cfg(**{"link.eta_s_db": 88.0})
+        work = cf._Work(build_case(cfg, "a2a", IM_IC, cfg.gamma_a), cfg.cgq_n)
+        ends = [ys for _, ys, *_ in work.dest_groups]
+        assert len(ends) == 2 and sorted(ends[0]) == sorted(ends[1])
+        assert not np.array_equal(ends[0], ends[1])
+        runs = []
+
+        def counted(instance, params, xs, seeds=None, run=1, diagonal=False):
+            runs.append((instance, run, diagonal))
+            return meijer_g_log(instance, params, xs, seeds, run, diagonal)
+
+        monkeypatch.setattr(cf, "meijer_g_log", counted)
+        for _, _, top_n, k2_top, term in cf._blocks(work)[0]:
+            cf._series(work, top_n, k2_top, term)
+        assert len({grid for grid, _ in work.k_seeds}) == 1
+        sweeps = cfg.sr.m_sr * len(work.dest_groups)
+        assert runs == [("G2113", len(work.case.dest_logw), True)] * sweeps
+
+    def test_the_gamma_ladder_starts_at_its_top_order(self, monkeypatch):
+        # the 118 dB a2a im-IC case: tail and sat-above-knee read Gamma(s, .) for s
+        # from m_sr (at k1 = k = m_sr - 1) down; the k = 0 terms come first and reach
+        # s = 1 only, so the first run starts at m_sr, and one fetch serves both blocks
+        cfg = _cfg()
+        work = cf._Work(build_case(cfg, "a2a", IM_IC, cfg.gamma_a), cfg.cgq_n)
+        fetched, real = [], work.gamma_rows
+
+        def gamma_rows(ladder, ss):
+            fetched.append(list(ss))
+            return real(ladder, ss)
+
+        monkeypatch.setattr(work, "gamma_rows", gamma_rows)
+        blocks = cf._blocks(work)[0]
+        assert [name for name, *_ in blocks] == ["linear", "tail", "sat-above-knee"]
+        for _, _, top_n, k2_top, term in blocks:
+            cf._series(work, top_n, k2_top, term)
+        m_sr = cfg.sr.m_sr
+        assert fetched == [list(range(m_sr, m_sr - cf._RUN, -1))]
+        assert max(work.rows["gamma"]) == m_sr
+
+
+# closed on the acceptance grid, frozen as float hex: the first route is
+# linear - tail at 88 dB, with sat-above-knee at 118 dB, and the Taylor route
+# with sat-above-knee at 131.05 and 148.19 dB
+CLOSED_BITS = {
+    88.0: (["linear", "tail"],
+           "0x1.ffddd43771513p-1", "0x1.fff64a532a17dp-1", "0x1.ff5a27680f0c2p-1"),
+    118.0: (["linear", "tail", "sat-above-knee"],
+            "0x1.1e7f1981727acp-3", "0x1.09d0e40f1ea32p-2", "0x1.1f9e145d921e9p-3"),
+    131.05: (["direct", "sat-above-knee"],
+             "0x1.20e8a40b1c510p-7", "0x1.dc515d29cb588p-6", "0x1.b9fe5d002de90p-7"),
+    148.19: (["direct", "sat-above-knee"],
+             "0x1.71a61c6661000p-13", "0x1.cd9ed18107000p-10", "0x1.8026c7a394400p-11"),
+}
+
+
+class TestClosedBits:
+    @pytest.mark.parametrize("network, mode, column", [
+        ("s2g", IM_IC, 1), ("a2a", IM_IC, 2), ("a2a", P_IC, 3)])
+    @pytest.mark.parametrize("eta_db", list(CLOSED_BITS))
+    def test_closed_keeps_every_bit(self, eta_db, network, mode, column):
+        cfg = _cfg(**{"link.eta_s_db": eta_db})
+        gamma = cfg.gamma_s if network == "s2g" else cfg.gamma_a
+        route = [name for name, *_ in
+                 cf._blocks(cf._Work(build_case(cfg, network, mode, gamma), cfg.cgq_n))[0]]
+        assert route == CLOSED_BITS[eta_db][0]
+        got = (op_s2g_closed(gamma, cfg) if network == "s2g"
+               else op_a2a_closed(gamma, cfg, ic_mode=mode))
+        assert got.hex() == CLOSED_BITS[eta_db][column]
 
 
 # A random config whose preferred (Taylor) route loses too much precision for
@@ -975,3 +1057,48 @@ class TestRandomConfigs:
         for column in ("op_s2g", "op_a2a_im", "op_a2a_p"):
             closed, integral = row[f"{column}_closed"], row[f"{column}_integral"]
             assert closed != "" and abs(float(closed) - float(integral)) <= 1e-6, column
+
+
+def _g2113_arguments(monkeypatch, evaluate):
+    """Every argument of the G2113 calls the closed path makes while evaluate runs."""
+    seen = []
+
+    def recording(instance, params, xs, seeds=None, run=1, diagonal=False):
+        if instance == "G2113":
+            seen.append(np.asarray(xs, dtype=float))
+        return meijer_g_log(instance, params, xs, seeds, run, diagonal)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cf, "meijer_g_log", recording)
+        evaluate()
+    return np.concatenate(seen) if seen else np.empty(0)
+
+
+class TestG2113ArgumentRange:
+    """The closed path passes G2113 only arguments in 1e-9..1e5, where
+    tests/test_specfun.py checks diagonal rows against one-rung calls."""
+
+    @staticmethod
+    def _closed(cfg):
+        try:
+            op_s2g_closed(cfg.gamma_s, cfg)
+        except NumericError:
+            pass
+        for mode in (IM_IC, P_IC):
+            try:
+                op_a2a_closed(cfg.gamma_a, cfg, ic_mode=mode)
+            except NumericError:
+                pass
+
+    def test_on_the_acceptance_grid(self, monkeypatch):
+        xs = _g2113_arguments(monkeypatch, lambda: [
+            self._closed(_cfg(**{"link.eta_s_db": float(eta_db)}))
+            for eta_db in np.linspace(88.0, 148.0, 15)])
+        assert len(xs) and 1e-9 <= xs.min() and xs.max() <= 1e5
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(RANDOM_CONFIG)
+    def test_on_random_configs(self, monkeypatch, mapping):
+        xs = _g2113_arguments(monkeypatch, lambda: self._closed(config_from_mapping(mapping)))
+        assert not len(xs) or (1e-9 <= xs.min() and xs.max() <= 1e5)

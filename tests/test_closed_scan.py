@@ -42,6 +42,9 @@ def test_compare_counts_each_kind_of_change(tmp_path, capsys):
     assert summary == {"cells": 3, **kinds, "max_abs_moved": {
         "all": {"value": 2.0 ** -20, "index": 0, "case": "s2g"},
         "not_below_knee": {"value": 2.0 ** -20, "index": 0, "case": "s2g"}},
+        "max_rel_moved": {
+        "all": {"value": 2.0 ** -18, "index": 0, "case": "s2g"},
+        "not_below_knee": {"value": 2.0 ** -18, "index": 0, "case": "s2g"}},
         "closed_cpu_s": {"old": 0.01 + 0.01 + 0.01, "new": 0.01 + 0.01 + 0.01},
         "median_cpu_ratio": {"value": 1.0, "cells": 1}}
 
@@ -52,6 +55,28 @@ def test_compare_of_unchanged_cells_prints_only_the_counts(tmp_path, capsys):
                      "filled_to_blank": 0, "message_changed": 0}
     summary, = map(json.loads, capsys.readouterr().out.splitlines())
     assert summary["max_abs_moved"] == {"all": None, "not_below_knee": None}
+    assert summary["max_rel_moved"] == {"all": None, "not_below_knee": None}
+
+
+def test_compare_gives_the_largest_relative_move(tmp_path, capsys):
+    # moves of 2^-20 at 0.5, 2^-30 at 2^-12 and 2^-40 at 1 - 2^-24: the first is
+    # the largest absolute move; relative to min(OP, 1 - OP) they are 2^-19,
+    # 2^-18 and 2^-16, so the third is the largest
+    old = [0.5, 2.0 ** -12, 1.0 - 2.0 ** -24]
+    new = [0.5 + 2.0 ** -20, 2.0 ** -12 + 2.0 ** -30, 1.0 - 2.0 ** -24 + 2.0 ** -40]
+    _compare(tmp_path, old, new)
+    *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["max_abs_moved"]["all"] == {"value": 2.0 ** -20, "index": 0, "case": "s2g"}
+    assert summary["max_rel_moved"]["all"] == {"value": 2.0 ** -16, "index": 0,
+                                               "case": "a2a-p-ic"}
+
+
+def test_a_move_from_0_or_1_is_infinitely_large_relative_to_it(tmp_path, capsys):
+    # both moves from an end are infinite; the first cell keeps the maximum
+    _compare(tmp_path, [0.0, 0.25, 1.0], [2.0 ** -30, 0.5, 1.0 - 2.0 ** -40])
+    *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["max_abs_moved"]["all"]["case"] == "a2a-im-ic"
+    assert summary["max_rel_moved"]["all"] == {"value": float("inf"), "index": 0, "case": "s2g"}
 
 
 def _cpu_summary(capsys, tmp_path, old, new, old_cpu, new_cpu):

@@ -487,7 +487,7 @@ class TestMeijerG:
 
     def test_a_below_knee_case_sweeps_a_ladder_once_per_run(self, monkeypatch):
         # the below-knee a2a case of test_negative_saturation_point_branch_a2a:
-        # its k2 sums step each G2113 ladder (cst, s3) up a rung per term, and a
+        # its k2 sums step each G2113 c-ladder ("c", cst, s3) up a rung per term, and a
         # fetch serves _RUN of those rungs by one sweep per destination group
         cfg = config_from_mapping({
             "noise.sigma_r_dbm": 8.0, "noise.sigma_rb_dbm": 8.0,

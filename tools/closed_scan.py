@@ -32,17 +32,20 @@ its message changed.  A last line counts each kind over the cells both scans
 have, and gives ``max_abs_moved``: the largest |new - old| over the
 ``value_moved`` cells, ``all`` of them and those ``not_below_knee``, each as
 ``{"value", "index", "case"}`` of the cell that reached it (null when no such
-cell moved).  It also gives ``closed_cpu_s``, the ``old`` and ``new`` totals
-over those cells, and ``median_cpu_ratio``: the median new/old ``closed_cpu_s``
-over the ``cells`` that are filled in both scans and took at least 1 ms in
-each (``value`` null when there is none); a total varies by up to a fifth from
-run to run, and one slow cell can carry it.  No time field, and not
-``settled``, counts as a change.  The scan exits 1 when a cell went from filled
-to blank, and 0 otherwise.
+cell moved), and ``max_rel_moved``, the same for |new - old| / min(OP, 1 - OP)
+with OP the old value (Infinity where OP is 0 or 1).  It also gives
+``closed_cpu_s``, the ``old`` and ``new`` totals over those cells, and
+``median_cpu_ratio``: the median new/old ``closed_cpu_s`` over the ``cells``
+that are filled in both scans and took at least 1 ms in each (``value`` null
+when there is none); a total varies by up to a fifth from run to run, and one
+slow cell can carry it.  No time field, and not ``settled``, counts as a
+change.  The scan exits 1 when a cell went from filled to blank, and 0
+otherwise.
 """
 
 import argparse
 import json
+import math
 import random
 import statistics
 import sys
@@ -97,7 +100,8 @@ def compare(old, cells):
     returns the counts."""
     kinds = dict.fromkeys(("compared", "value_moved", "blank_to_filled", "filled_to_blank",
                            "message_changed"), 0)
-    moved = {"all": None, "not_below_knee": None}
+    moved = {"abs": {"all": None, "not_below_knee": None},
+             "rel": {"all": None, "not_below_knee": None}}
     cpu, ratios = {"old": 0.0, "new": 0.0}, []
     for key, new in cells.items():
         was = old.get(key)
@@ -114,10 +118,12 @@ def compare(old, cells):
         elif was["closed"] != new["closed"]:
             kind = "value_moved"
             by = abs(new["closed"] - was["closed"])
+            op = min(was["closed"], 1.0 - was["closed"])
             scopes = ("all",) if new["below_knee"] else ("all", "not_below_knee")
-            for scope in scopes:
-                if moved[scope] is None or by > moved[scope]["value"]:
-                    moved[scope] = {"value": by, "index": key[0], "case": key[1]}
+            for size, value in (("abs", by), ("rel", by / op if op > 0.0 else math.inf)):
+                for scope in scopes:
+                    if moved[size][scope] is None or value > moved[size][scope]["value"]:
+                        moved[size][scope] = {"value": value, "index": key[0], "case": key[1]}
         elif was["closed_error"] != new["closed_error"]:
             kind = "message_changed"
         else:
@@ -126,7 +132,8 @@ def compare(old, cells):
         print(json.dumps({"index": key[0], "case": key[1], "change": kind,
                           "old_closed": was["closed"], "old_closed_error": was["closed_error"],
                           "closed": new["closed"], "closed_error": new["closed_error"]}))
-    print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved, "closed_cpu_s": cpu,
+    print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved["abs"],
+                      "max_rel_moved": moved["rel"], "closed_cpu_s": cpu,
                       "median_cpu_ratio": {"value": statistics.median(ratios) if ratios else None,
                                            "cells": len(ratios)}}))
     return kinds
