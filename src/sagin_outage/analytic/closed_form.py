@@ -5,20 +5,20 @@ through the collapsed tail series (weights w_n, scale c) and the monomial
 pieces of its distance measure.  Five series blocks cover every regime, each
 a row of the route table `_blocks`:
 
-  direct           unsaturated branch, Taylor series in the satellite
-                   exponential (usable while beta_bar w_max^2 p_sat / a stays
-                   moderate);
   linear minus tail
-                   the same probability written as the no-saturation value
-                   minus the overshoot beyond the saturation point (usable
-                   everywhere the Taylor parameter is large);
+                   unsaturated branch as the no-saturation value minus the
+                   overshoot beyond the saturation point;
+  direct           the same probability as a Taylor series in the satellite
+                   exponential, which takes no CGQ;
   sat-above-knee   saturated branch above a positive saturation point;
   sat-below-knee   saturated branch when the saturation point is negative.
 
 Both unsaturated routes are listed whenever the saturation point is finite
-and positive; `_closed_outage` runs the routes in order and, when one raises
-NumericError, evaluates the next on the same `_Work`.  Every constant comes
-from the `OutageCase` of `build_case`.
+and positive, linear minus tail first.  `_closed_outage` runs the routes in
+order on the same `_Work` and stops at the first that succeeds with a noise
+estimate of at most _REL_NOISE * min(OP, 1 - OP); a route that raises
+NumericError, or is noisier, hands over to the next, and the quietest value
+wins.  Every constant comes from the `OutageCase` of `build_case`.
 
 Every block is one call of the loop nest `_series`, which adds the factors
 the blocks share, over its row's k2 extent (0 for `linear`, which has no Taylor
@@ -52,10 +52,10 @@ from ..specfun import (cgq_points, log_delta_gamma, log_gamma_upper, logsumexp_s
 from ..swipt import IM_IC
 from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
 
-_ROUTE_SWITCH = 25.0        # Taylor parameter above which the unsaturated branch switches route
 _CONSECUTIVE = 3            # how many small terms in a row stop a sum
 _K2_CAP = 200               # last Taylor index over the exponential expansions
 _RUN = 12                   # rungs one row fetch takes along a k2 sum
+_REL_NOISE = 1e-5           # route noise, relative to min(OP, 1 - OP), that ends the search
 _LOG_REL_TOL = math.log(REL_TOL)
 
 
@@ -396,13 +396,13 @@ def _taylor_terms(work):
 # ---------------------------------------------------------------------------
 
 def _blocks(work):
-    """Routes in preference order for a case settled_outage leaves open, each a
-    list of block rows (name, sign, top_n, k2_top, term) with term bound to work:
-    the route's success probability is the signed sum over its rows of
-    _series(work, top_n, k2_top, term).  Both unsaturated routes are listed, the
-    Taylor one first unless its parameter is past both _ROUTE_SWITCH and the tail
-    route's, each with the saturated block when case.branches lists it; below
-    the knee, the saturated block alone."""
+    """Routes in the order _closed_outage tries them, for a case settled_outage
+    leaves open, each a list of block rows (name, sign, top_n, k2_top, term) with
+    term bound to work: the route's success probability is the signed sum over
+    its rows of _series(work, top_n, k2_top, term).  Both unsaturated routes are
+    listed, linear - tail first and the Taylor one second, each with the
+    saturated block when case.branches lists it; below the knee, the saturated
+    block alone."""
     case = work.case
     if case.p_sat <= 0.0:
         return [[("sat-below-knee", 1.0, 1, _K2_CAP,
@@ -412,14 +412,10 @@ def _blocks(work):
     if math.isinf(case.p_sat):
         routes = [[linear]]
     else:
-        param_direct = case.sr.beta_bar * case.w_max_m ** 2 * case.p_sat / case.a_lin
-        param_tail = case.dest_c * case.dest_hi ** case.nu / case.p_sat
         # the unsaturated integrand carried past the saturation point
         tail = ("tail", -1.0, 0, _K2_CAP,
                 _gamma_terms(work, "moment", work.moment_rows, case.dest_c))
-        routes = [[("direct", 1.0, 0, _K2_CAP, _taylor_terms(work))], [linear, tail]]
-        if param_direct > _ROUTE_SWITCH and param_direct > param_tail:
-            routes.reverse()        # the tail route is preferred
+        routes = [[linear, tail], [("direct", 1.0, 0, _K2_CAP, _taylor_terms(work))]]
     if "saturated" in case.branches:
         sat = ("sat-above-knee", 1.0, 1, _K2_CAP,
                _gamma_terms(work, "dgamma", work.dgamma_rows, case.b_lin))
@@ -428,19 +424,21 @@ def _blocks(work):
 
 
 def _closed_outage(case, cgq_n):
-    """Outage by the first route that succeeds, 1 minus the signed sum of its
+    """Outage by the routes of _blocks, each 1 minus the signed sum of its
     blocks, each one _series on the shared _Work, given the noise estimate of
     the blocks before it.  A route fails when a block raises NumericError, as
     _series does at its k2 cap or when the route's noise passes 1e-5, or when
-    checked_outage rejects its value; with no route left, the first route's
-    NumericError is raised."""
+    checked_outage rejects its value.  The first route that succeeds with noise
+    at most _REL_NOISE * min(OP, 1 - OP) gives the outage; when none does, the
+    successful route with the least noise; with no route left, the first
+    route's NumericError is raised."""
     if case.dest_logw is None:
         raise ConfigError("fading.m_rd: the closed-form series requires an integer order")
     settled = settled_outage(case)
     if settled is not None:
         return settled
     work = _Work(case, cgq_n)
-    first = None
+    first, quietest = None, None
     for blocks in _blocks(work):
         names = [name for name, *_ in blocks]
         val, noise = 1.0, 0.0
@@ -449,10 +447,17 @@ def _closed_outage(case, cgq_n):
                 acc = _series(work, top_n, k2_top, term, noise)
                 val -= sign * acc.value()
                 noise += acc.noise_estimate()
-            return checked_outage(val, "closed-form", {"routes": names})
+            val = checked_outage(val, "closed-form", {"routes": names})
         except NumericError as exc:
             first = first or exc
-    raise first
+            continue
+        if noise <= _REL_NOISE * min(val, 1.0 - val):
+            return val
+        if quietest is None or noise < quietest[0]:
+            quietest = noise, val
+    if quietest is None:
+        raise first
+    return quietest[1]
 
 
 def op_s2g_closed(gamma_s, cfg):

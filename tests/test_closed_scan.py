@@ -45,6 +45,7 @@ def test_compare_counts_each_kind_of_change(tmp_path, capsys):
         "max_rel_moved": {
         "all": {"value": 2.0 ** -18, "index": 0, "case": "s2g"},
         "not_below_knee": {"value": 2.0 ** -18, "index": 0, "case": "s2g"}},
+        "toward_integral": {"closer": 1, "further": 0},
         "closed_cpu_s": {"old": 0.01 + 0.01 + 0.01, "new": 0.01 + 0.01 + 0.01},
         "median_cpu_ratio": {"value": 1.0, "cells": 1}}
 
@@ -79,6 +80,16 @@ def test_a_move_from_0_or_1_is_infinitely_large_relative_to_it(tmp_path, capsys)
     assert summary["max_rel_moved"]["all"] == {"value": float("inf"), "index": 0, "case": "s2g"}
 
 
+def test_compare_counts_the_moves_toward_the_integral(tmp_path, capsys):
+    # every integral is 0.5: the first cell moves closer to it, the second
+    # further, and the third crosses it at the same distance, so counts in neither
+    old = [0.25, 0.75, 0.5 - 2.0 ** -10]
+    new = [0.375, 0.875, 0.5 + 2.0 ** -10]
+    assert _compare(tmp_path, old, new)["value_moved"] == 3
+    *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["toward_integral"] == {"closer": 1, "further": 1}
+
+
 def _cpu_summary(capsys, tmp_path, old, new, old_cpu, new_cpu):
     _compare(tmp_path, old, new, old_cpu, new_cpu)
     *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
@@ -109,6 +120,25 @@ def test_scan_exits_1_only_when_a_cell_went_blank(tmp_path, monkeypatch, capsys)
     assert closed_scan.main(["1", "--compare", str(went_blank)]) == 1
     assert closed_scan.main(["1", "--compare", str(stayed_blank)]) == 0
     assert closed_scan.main(["1"]) == 0
+
+
+def test_summary_counts_the_cells_off_the_integral(monkeypatch, capsys):
+    # config 0's cells, as (closed, integral): 4e-7 off at 0.5 is past 3e-7 but
+    # within 1e-5 of 0.5; 2e-8 off at 1e-3 is within 3e-7 but past 1e-5 of 1e-3;
+    # and any difference from an integral of 1 counts as relative
+    cells = iter([(0.5 + 4e-7, 0.5), (1e-3 + 2e-8, 1e-3), (1.0 - 1e-12, 1.0)])
+    pair = []
+
+    def evaluate(fn, gamma, cfg, kwargs):
+        if not pair:
+            pair.extend(next(cells))
+        return pair.pop(0), None
+
+    monkeypatch.setattr(closed_scan, "_evaluate", evaluate)
+    assert closed_scan.main(["1"]) == 0
+    *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (summary["closed_off_abs"], summary["closed_off_rel"]) == (1, 2)
+    assert summary["closed_off_integral"] == 0
 
 
 def test_each_cell_says_whether_it_is_settled(monkeypatch, capsys):

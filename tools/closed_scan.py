@@ -22,7 +22,10 @@ text, and ``closed_cpu_s``, the thread CPU time (``time.thread_time``) of the
 ``closed`` call.  A summary line follows: the blank ``closed`` cells by message
 and how many of them are below the knee, how many cells are settled, how many
 ``closed`` values lie more than 2e-4 from ``integral``, the largest
-|closed - integral|, ``closed_cpu_s``, the total over every cell and route, and
+|closed - integral|, how many ``closed`` values lie more than 3e-7 from
+``integral`` (``closed_off_abs``) and how many more than 1e-5 of min(OP, 1 - OP),
+OP the ``integral`` value, so that where it is 0 or 1 any difference counts
+(``closed_off_rel``), ``closed_cpu_s``, the total over every cell and route, and
 ``slowest_blank_closed_cpu_s``, the most any blank ``closed`` cell took.
 
 ``--compare OLD.jsonl`` reads the output of an earlier scan (of another tree,
@@ -33,7 +36,9 @@ have, and gives ``max_abs_moved``: the largest |new - old| over the
 ``value_moved`` cells, ``all`` of them and those ``not_below_knee``, each as
 ``{"value", "index", "case"}`` of the cell that reached it (null when no such
 cell moved), and ``max_rel_moved``, the same for |new - old| / min(OP, 1 - OP)
-with OP the old value (Infinity where OP is 0 or 1).  It also gives
+with OP the old value (Infinity where OP is 0 or 1), and ``toward_integral``:
+how many ``value_moved`` cells went ``closer`` to the new scan's ``integral``
+and how many went ``further`` from it.  It also gives
 ``closed_cpu_s``, the ``old`` and ``new`` totals over those cells, and
 ``median_cpu_ratio``: the median new/old ``closed_cpu_s`` over the ``cells``
 that are filled in both scans and took at least 1 ms in each (``value`` null
@@ -60,6 +65,8 @@ from sagin_outage.errors import NumericError
 from sagin_outage.swipt import IM_IC, P_IC
 
 OFF_TOL = 2e-4
+OFF_ABS_TOL = 3e-7
+OFF_REL_TOL = 1e-5
 CASES = (("s2g", op_s2g_closed, op_s2g_integral, {}),
          ("a2a-im-ic", op_a2a_closed, op_a2a_integral, {"ic_mode": IM_IC}),
          ("a2a-p-ic", op_a2a_closed, op_a2a_integral, {"ic_mode": P_IC}))
@@ -102,6 +109,7 @@ def compare(old, cells):
                            "message_changed"), 0)
     moved = {"abs": {"all": None, "not_below_knee": None},
              "rel": {"all": None, "not_below_knee": None}}
+    toward = {"closer": 0, "further": 0}
     cpu, ratios = {"old": 0.0, "new": 0.0}, []
     for key, new in cells.items():
         was = old.get(key)
@@ -124,6 +132,10 @@ def compare(old, cells):
                 for scope in scopes:
                     if moved[size][scope] is None or value > moved[size][scope]["value"]:
                         moved[size][scope] = {"value": value, "index": key[0], "case": key[1]}
+            if new["integral"] is not None:
+                was_off, now_off = (abs(cell["closed"] - new["integral"]) for cell in (was, new))
+                if now_off != was_off:
+                    toward["closer" if now_off < was_off else "further"] += 1
         elif was["closed_error"] != new["closed_error"]:
             kind = "message_changed"
         else:
@@ -133,7 +145,8 @@ def compare(old, cells):
                           "old_closed": was["closed"], "old_closed_error": was["closed_error"],
                           "closed": new["closed"], "closed_error": new["closed_error"]}))
     print(json.dumps({"cells": len(cells), **kinds, "max_abs_moved": moved["abs"],
-                      "max_rel_moved": moved["rel"], "closed_cpu_s": cpu,
+                      "max_rel_moved": moved["rel"], "toward_integral": toward,
+                      "closed_cpu_s": cpu,
                       "median_cpu_ratio": {"value": statistics.median(ratios) if ratios else None,
                                            "cells": len(ratios)}}))
     return kinds
@@ -147,6 +160,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     old = read_scan(args.compare) if args.compare else None
     blank, knee_blank, off, worst, cpu, slowest_blank = Counter(), 0, 0, 0.0, 0.0, 0.0
+    off_abs = off_rel = 0
     cells = {}
     for i in range(args.n):
         cfg = config_from_mapping(scan_config(i, args.knee))
@@ -170,13 +184,18 @@ def main(argv=None):
                 knee_blank += below_knee
                 slowest_blank = max(slowest_blank, closed_cpu)
             elif integral is not None:
-                off += abs(closed - integral) > OFF_TOL
-                worst = max(worst, abs(closed - integral))
+                by = abs(closed - integral)
+                off += by > OFF_TOL
+                off_abs += by > OFF_ABS_TOL
+                off_rel += by > OFF_REL_TOL * min(integral, 1.0 - integral)
+                worst = max(worst, by)
     print(json.dumps({"cells": 3 * args.n, "blank_closed": dict(blank),
                       "below_knee_blank_closed": knee_blank,
                       "settled": sum(line["settled"] for line in cells.values()),
                       "closed_off_integral": off, "off_tol": OFF_TOL,
-                      "max_abs_closed_minus_integral": worst, "closed_cpu_s": cpu,
+                      "max_abs_closed_minus_integral": worst,
+                      "closed_off_abs": off_abs, "off_abs_tol": OFF_ABS_TOL,
+                      "closed_off_rel": off_rel, "off_rel_tol": OFF_REL_TOL, "closed_cpu_s": cpu,
                       "slowest_blank_closed_cpu_s": slowest_blank}))
     if old is not None and compare(old, cells)["filled_to_blank"]:
         return 1
