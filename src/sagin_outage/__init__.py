@@ -2,8 +2,8 @@
 
 Three mutually cross-validating evaluation paths: exact Monte Carlo
 simulation, direct numerical integration of the probability integrals, and
-closed-form series with Chebyshev-Gauss quadrature for the residual
-one-dimensional integrals.
+closed-form series with Gauss-Legendre quadrature for the residual
+one-dimensional integrals over the satellite distance.
 """
 
 from .analytic import (op_a2a_closed, op_a2a_integral, op_s2g_closed,

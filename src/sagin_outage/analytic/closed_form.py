@@ -1,4 +1,5 @@
-"""Closed-form outage series with the residual distance integrals by CGQ.
+"""Closed-form outage series with the residual satellite-distance integrals by
+the `run.cgq_n`-point Gauss-Legendre rule (`specfun.gauss_legendre`).
 
 Both networks share one algebraic skeleton; the destination link enters only
 through the collapsed tail series (weights w_n, scale c) and the monomial
@@ -9,7 +10,7 @@ a row of the route table `_blocks`:
                    unsaturated branch as the no-saturation value minus the
                    overshoot beyond the saturation point;
   direct           the same probability as a Taylor series in the satellite
-                   exponential, which takes no CGQ;
+                   exponential, which takes no quadrature in w;
   sat-above-knee   saturated branch above a positive saturation point;
   sat-below-knee   saturated branch when the saturation point is negative.
 
@@ -24,14 +25,15 @@ Every block is one call of the loop nest `_series`, which adds the factors
 the blocks share, over its row's k2 extent (0 for `linear`, which has no Taylor
 index, else `_K2_CAP`) and with a term function of its own that returns (sign,
 log), a zero as (0, -inf).  Every term reads `_Work.row`, which a miss fills a
-run of rungs at a time by one fetch: the CGQ integral over every k of a G2113
-bracket (`_g2113_terms`) or of Gamma(s, .) at the saturation point times a
-destination moment or incomplete-gamma difference (`_gamma_terms`), or an
-incomplete-gamma difference times a G2123 bracket (`_taylor_terms`); one G2113
-run serves the whole n extent of a `linear` diagonal.  `_Work.end_sum` is the
-one signed sum over the ends of the destination pieces, each distinct end once
-and in log space so no power of an end overflows; `_piece_dgammas` takes both
-limits of a piece at once, so its incomplete-gamma differences do not cancel.
+run of rungs at a time by one fetch: the Gauss-Legendre integral in w over
+every k (`_Work.quad`) of a G2113 bracket (`_g2113_terms`) or of Gamma(s, .)
+at the saturation point times a destination moment or incomplete-gamma
+difference (`_gamma_terms`), or an incomplete-gamma difference times a G2123
+bracket (`_taylor_terms`); one G2113 run serves the whole n extent of a
+`linear` diagonal.  `_Work.end_sum` is the one signed sum over the ends of the
+destination pieces, each distinct end once and in log space so no power of an
+end overflows; `_piece_dgammas` takes both limits of a piece at once, so its
+incomplete-gamma differences do not cancel.
 
 Every truncating index runs through `_converge`: it stops after
 `_CONSECUTIVE` terms in a row fall below REL_TOL of the largest term so far;
@@ -47,7 +49,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import ConfigError, NumericError
-from ..specfun import (cgq_points, log_delta_gamma, log_gamma_upper, logsumexp_signed,
+from ..specfun import (gauss_legendre, log_delta_gamma, log_gamma_upper, logsumexp_signed,
                        meijer_g_log)
 from ..swipt import IM_IC
 from .coefficients import REL_TOL, build_case, checked_outage, settled_outage
@@ -60,7 +62,7 @@ _LOG_REL_TOL = math.log(REL_TOL)
 
 
 class _Work:
-    """Per-evaluation row store, Bessel-K seeds, CGQ nodes and log k! table."""
+    """Per-evaluation row store, Bessel-K seeds, Gauss-Legendre nodes and log k! table."""
 
     def __init__(self, case, cgq_n):
         self.case = case
@@ -69,17 +71,12 @@ class _Work:
         self.c_eff = case.dest_c * case.sat_scale
         # (k, log zeta_k) over the positive coefficients of the satellite-fading series
         self.sr_terms = [(k, math.log(z)) for k, z in enumerate(case.sr.zeta()) if z > 0]
-        # the CGQ rule is the midpoint rule in theta, w = cos(theta) mapped to
-        # [w_min, w_max]; its leading Euler-Maclaurin error, -(w_max - w_min)
-        # pi^2 / (48 n^2) (h(w_max) + h(w_min)), enters as two endpoint nodes
-        nodes, wts = cgq_points(case.w_min_m, case.w_max_m, cgq_n)
-        end_wt = -(case.w_max_m - case.w_min_m) * math.pi ** 2 / (48.0 * cgq_n ** 2)
-        self.w_nodes = np.append(nodes, [case.w_max_m, case.w_min_m])
-        wts = np.append(wts, [end_wt, end_wt])
-        self.wt_sign = np.sign(wts)
+        # the cgq_n-point Gauss-Legendre rule in the satellite distance w on
+        # [w_min, w_max]; every weight is positive
+        self.w_nodes, wts = gauss_legendre(case.w_min_m, case.w_max_m, cgq_n)
         self.log_w = np.log(self.w_nodes)
-        self.log_wts = np.log(np.abs(wts))
-        # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the CGQ nodes
+        self.log_wts = np.log(wts)
+        # exponent of the satellite-fading factor e^(-bb b w^2 / a) on the nodes
         self.sat_decay = self.beta_bar * case.b_lin * self.w_nodes ** 2 / case.a_lin
         # destination pieces grouped by q, one row per distinct end y: pieces of
         # one q that meet at y share its row, with the net coefficient
@@ -112,13 +109,14 @@ class _Work:
         # a *_rows method (g2123_rows also fills ("ends", e) and "lower")
         self.rows = {}
 
-    def cgq(self, x, sign_f, log_f):
-        """Per rung, (sign, log) lists over k < m_sr of the CGQ integral of
+    def quad(self, x, sign_f, log_f):
+        """Per rung, (sign, log) lists over k < m_sr of the Gauss-Legendre integral of
         w^(2k + 3 - 2x) e^(-bb b w^2/a) f(w), x a number or one per rung, f given as
-        sign_f and log_f of shape (rungs, nodes) on the nodes: one contraction."""
+        log_f of shape (rungs, nodes) on the nodes and sign_f broadcast to it: one
+        contraction, signed by f alone."""
         w_pow = 2.0 * np.arange(self.case.sr.m_sr) + 3.0 - 2.0 * x
         expo = self.log_wts + w_pow[..., None] * self.log_w - self.sat_decay + log_f[:, None, :]
-        signs, logs = logsumexp_signed(expo, (sign_f * self.wt_sign)[..., None, :])
+        signs, logs = logsumexp_signed(expo, sign_f[..., None, :])
         return zip(signs.tolist(), logs.tolist())
 
     def row(self, ladder, at, step, run, fetch):
@@ -132,13 +130,13 @@ class _Work:
         return rows[at]
 
     def gamma_rows(self, _ladder, ss):
-        """cgq rows at x = s of Gamma(s, bb w^2 p_sat/a) per s of ss: one log_gamma_upper call."""
+        """quad rows at x = s of Gamma(s, bb w^2 p_sat/a) per s of ss: one log_gamma_upper call."""
         orders = np.array(ss, dtype=float)[:, None]
         xs = self.beta_bar * self.w_nodes ** 2 * self.case.p_sat / self.case.a_lin
-        return self.cgq(orders, 1.0, log_gamma_upper(orders, xs))
+        return self.quad(orders, np.ones(1), log_gamma_upper(orders, xs))
 
     def g2113_rows(self, ladder, rungs):
-        """cgq rows at x = s3 of the bracket at argument cst y^nu w^2, the end_sum of
+        """quad rows at x = s3 of the bracket at argument cst y^nu w^2, the end_sum of
         G2113((1 - s2 - e, s3, -s3, -s2 - e) | .), per rung: s2 at a fixed s3 on a
         c-ladder ("c", cst, s3), n on the linear block's ("diagonal", cst, k1), where
         s3 = (k1 - n + 1)/2 and s2 = n + s3 keep s2 + s3 = k1 + 1.  One meijer_g_log
@@ -158,7 +156,7 @@ class _Work:
             return got.swapaxes(0, 1).reshape(len(ys), -1)
 
         bracket = self.end_sum(np.repeat(s2s, len(self.w_nodes)), meijer)
-        return self.cgq(s3s[:, None], *(v.reshape(len(s2s), -1) for v in bracket))
+        return self.quad(s3s[:, None], *(v.reshape(len(s2s), -1) for v in bracket))
 
     def end_sum(self, m, f, pairwise=False):
         """(sign, log) arrays, an entry per column, of the signed sum over the
@@ -176,7 +174,9 @@ class _Work:
 
     def taylor_rows(self, _ladder, orders):
         """(sign, log) per order of DeltaGamma(order, sat_decay at w_min, at w_max)."""
-        hi, lo = self.sat_decay[-2:].tolist()
+        case = self.case
+        lo, hi = (self.beta_bar * case.b_lin * w ** 2 / case.a_lin
+                  for w in (case.w_min_m, case.w_max_m))
         return [log_delta_gamma(order, lo, hi) for order in orders]
 
     def g2123_rows(self, ladder, s1s):
@@ -331,7 +331,7 @@ def _series(work, top_n, k2_top, term, noise=0.0):
 
 
 def _g2113_terms(work, c, taylor, k2_top):
-    """Terms of the G2113 blocks: the CGQ integral of the destination bracket
+    """Terms of the G2113 blocks: the Gauss-Legendre integral of the destination bracket
     with argument bb c y^nu w^2 / a, s3 = (k1 - n + 1)/2, s2 = n + k2 + s3,
     times the Taylor scale as taylor^k2, for a block of k2 extent k2_top."""
     case = work.case
@@ -353,7 +353,7 @@ def _g2113_terms(work, c, taylor, k2_top):
 
 
 def _gamma_terms(work, dest, fetch, scale):
-    """Terms of the saturation-point blocks: the CGQ integral of
+    """Terms of the saturation-point blocks: the Gauss-Legendre integral of
     Gamma(s, bb w^2 p_sat / a), s = k1 - n - k2 + 1, times the destination
     factor scale^(n + k2) and rung n + k2 of ladder dest, which fetch fills."""
     case = work.case

@@ -13,9 +13,9 @@ from two kve seeds per argument grid by the upward ratio recurrence, kept
 only in a dict the caller passes; G2123, which the closed
 path takes apart itself, as two incomplete gammas for the oracle table and
 tests; G0110 and G2002 by identities the oracle table checks), and the
-Gauss-Legendre and Chebyshev-Gauss rules.  The heavy machinery is evaluated in
-the log domain with explicit signs because the series couple enormous and tiny
-factors whose product is O(1).
+Gauss-Legendre rule both analytic paths integrate with.  The heavy machinery is
+evaluated in the log domain with explicit signs because the series couple
+enormous and tiny factors whose product is O(1).
 """
 
 import math
@@ -248,7 +248,7 @@ def delta_gamma(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre and Chebyshev-Gauss quadrature
+# Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -262,23 +262,6 @@ def gauss_legendre(lo, hi, n):
     x, w = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     return half * (x + 1.0) + lo, w * half
-
-
-def cgq_points(a, b, n):
-    """First-kind Chebyshev-Gauss rule with the circular-weight compensation on [a, b].
-
-    Returns (abscissae, weights): nodes cos((2i-1)pi/(2n)) mapped to [a, b] and
-    weights (pi/n) sqrt(1 - node^2) times the jacobian (b - a)/2, so that the
-    rule approximates an unweighted integral.
-    """
-    if n < 1:
-        raise DomainError("CGQ rule needs n >= 1")
-    i = np.arange(1, n + 1)
-    nodes = np.cos((2 * i - 1) * np.pi / (2 * n))
-    weights = (np.pi / n) * np.sqrt(1.0 - nodes ** 2)
-    b1 = 0.5 * (b - a)
-    b2 = 0.5 * (b + a)
-    return b1 * nodes + b2, b1 * weights
 
 
 # ---------------------------------------------------------------------------

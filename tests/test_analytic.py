@@ -17,7 +17,8 @@ from sagin_outage.config import METHODS, config_from_mapping
 from sagin_outage.errors import ConfigError, NumericError
 from sagin_outage.geometry import arx_distance_pdf, gu_distance_pdf
 from sagin_outage.mc import simulate_op
-from sagin_outage.specfun import log_gamma_upper, logsumexp_signed, meijer_g_log
+from sagin_outage.specfun import (gauss_legendre, log_gamma_upper, logsumexp_signed,
+                                  meijer_g_log)
 from sagin_outage.sweep import (avg_throughput, run_sweep, simulate_throughput,
                                 throughput_from_ops)
 from sagin_outage.swipt import IM_IC, P_IC
@@ -74,7 +75,7 @@ class TestDegenerateBranches:
 
 
 class TestCrossPathAgreement:
-    TOL = 2e-4
+    TOL = 1e-11
 
     @pytest.mark.parametrize("eta_db", [95.0, 112.0, 126.0, 142.0])
     def test_s2g(self, eta_db):
@@ -90,8 +91,9 @@ class TestCrossPathAgreement:
                    - op_a2a_integral(cfg.gamma_a, cfg, ic_mode=mode)) <= self.TOL
 
     def test_deep_outage_is_relatively_accurate(self):
-        # acceptance-grid points with OP < 1e-2, where the absolute TOL would pass a
-        # value off by 100%: closed must match integral to 1e-5 of the outage itself
+        # acceptance-grid points with OP < 1e-2, where an absolute bound says little
+        # about a small outage: closed must match integral to 1e-9 of the outage itself,
+        # and the arbiter's last two levels to 1e-5 of it
         deep = 0
         for eta_db in np.linspace(88.0, 148.0, 15):
             cfg = _cfg(**{"link.eta_s_db": float(eta_db)})
@@ -108,8 +110,29 @@ class TestCrossPathAgreement:
                                 for level in di._LEVELS[-2:])
                 assert abs(fine - coarse) <= 1e-5 * integral, (eta_db, network, mode)
                 closed = cf._closed_outage(case, cfg.cgq_n)
-                assert abs(closed - integral) <= 1e-5 * integral, (eta_db, network, mode)
+                assert abs(closed - integral) <= 1e-9 * integral, (eta_db, network, mode)
         assert deep >= 10
+
+    @pytest.mark.parametrize("eta_db", [131.05, 148.19])
+    def test_closed_is_converged_in_the_node_count(self, eta_db):
+        # s2g acceptance-grid cells on linear - tail: doubling the Gauss-Legendre
+        # nodes in w moves closed by no more than rounding
+        cfg = _cfg(**{"link.eta_s_db": eta_db})
+        case = build_case(cfg, "s2g", IM_IC, cfg.gamma_s)
+        assert abs(cf._closed_outage(case, 100) - cf._closed_outage(case, 200)) <= 1e-13
+
+    @pytest.mark.parametrize("network", ["s2g", "a2a"])
+    def test_closed_takes_the_gauss_legendre_rule_in_w(self, network):
+        # cgq_n nodes and weights of specfun.gauss_legendre on [w_min, w_max],
+        # bit for bit: no endpoint nodes and no negative weights
+        cfg = _cfg()
+        case = build_case(cfg, network, IM_IC,
+                          cfg.gamma_s if network == "s2g" else cfg.gamma_a)
+        work = cf._Work(case, cfg.cgq_n)
+        nodes, wts = gauss_legendre(case.w_min_m, case.w_max_m, cfg.cgq_n)
+        assert len(work.w_nodes) == cfg.cgq_n
+        assert np.array_equal(work.w_nodes, nodes)
+        assert np.array_equal(work.log_wts, np.log(wts))
 
     # K_rt = 5 gives the destination series 34 terms, so the linear block's
     # diagonals are 34 rows long, the longest of the acceptance-grid cases
@@ -510,7 +533,7 @@ class TestDestinationEnds:
             ref_sign, ref_log = _moment(ref, r)
             assert sign == ref_sign and abs(math.expm1(log - ref_log)) <= 1e-13, r
         # the first bracket of the linear route, n = k1 = 0, s3 = 1/2, s2 = 1/2, on
-        # every CGQ node ...
+        # every Gauss-Legendre node ...
         cst = work.beta_bar * case.dest_c / case.a_lin
 
         def meijer(e, ys):
@@ -522,7 +545,7 @@ class TestDestinationEnds:
         ref_sign, ref_log = ref.end_sum(0.5, meijer)
         assert len(sign) == len(work.w_nodes) and np.array_equal(sign, ref_sign)
         assert np.max(np.abs(np.expm1(log - ref_log))) <= 1e-13
-        # ... and its row of CGQ integrals over k, rung n = 0 of diagonal k1 = 0,
+        # ... and its row of Gauss-Legendre integrals over k, rung n = 0 of diagonal k1 = 0,
         # fetched 2 rungs at a time
         diagonal = ("diagonal", cst, 0)
         sign, log = (np.array(v) for v in work.row(diagonal, 0, 1, 2, work.g2113_rows))
@@ -548,13 +571,13 @@ class TestDestinationEnds:
 
 
 class TestRowStore:
-    """_Work.row holds, per rung, the CGQ integrals over k that a k2 term reads:
-    each equals the 1-D CGQ of that rung's bracket, bit for bit, at every k."""
+    """_Work.row holds, per rung, the Gauss-Legendre integrals over k that a k2 term
+    reads: each equals the 1-D rule on that rung's bracket, bit for bit, at every k."""
 
     @staticmethod
-    def _cgq(work, k, x, sign_f, log_f):
+    def _quad(work, k, x, sign_f, log_f):
         expo = work.log_wts + (2 * k + 3 - 2 * x) * work.log_w - work.sat_decay + log_f
-        return logsumexp_signed(expo, sign_f * work.wt_sign)
+        return logsumexp_signed(expo, sign_f)
 
     @pytest.mark.parametrize("mapping, route", [
         # a2a im-IC at 118 dB: linear - tail + sat-above-knee is the first route
@@ -565,7 +588,7 @@ class TestRowStore:
           "rates.threshold_mode": "fixed", "rates.gamma_a_db": -4.56,
           "swipt.p_th_dbm": 15.0, "link.eta_s_db": 124.0}, ["sat-below-knee"]),
     ], ids=["linear", "below-knee"])
-    def test_rows_equal_the_1d_cgq_of_their_bracket(self, mapping, route, monkeypatch):
+    def test_rows_equal_the_1d_quad_of_their_bracket(self, mapping, route, monkeypatch):
         cfg = config_from_mapping(mapping)
         work = cf._Work(build_case(cfg, "a2a", IM_IC, cfg.gamma_a), cfg.cgq_n)
         fetched, real = [], cf._Work.g2113_rows
@@ -612,7 +635,7 @@ class TestRowStore:
                 i_s, i_l = held[ladder][at]
                 assert len(i_s) == len(i_l) == m_sr
                 for k in range(m_sr):
-                    assert (i_s[k], i_l[k]) == self._cgq(work, k, s3, sign_f, log_f), (s2, k)
+                    assert (i_s[k], i_l[k]) == self._quad(work, k, s3, sign_f, log_f), (s2, k)
         # the Gamma rows of the tail and saturated blocks, on the saturation-point grid
         gammas = work.rows.get("gamma", {})
         assert bool(gammas) == ("tail" in route)
@@ -620,7 +643,7 @@ class TestRowStore:
         for s, (g_s, g_l) in gammas.items():
             log_f = log_gamma_upper(float(s), xs)
             for k in range(m_sr):
-                assert (g_s[k], g_l[k]) == self._cgq(work, k, s, 1.0, log_f), (s, k)
+                assert (g_s[k], g_l[k]) == self._quad(work, k, s, 1.0, log_f), (s, k)
 
     def test_the_linear_block_sweeps_one_diagonal_per_k1_and_group(self, monkeypatch):
         # the 88 dB a2a im-IC case of the acceptance grid: the linear block reads
@@ -690,13 +713,13 @@ class TestRowStore:
 # it is quiet enough that the Taylor route never runs
 CLOSED_BITS = {
     88.0: (["linear", "tail"],
-           "0x1.ffddd43771513p-1", "0x1.fff64a532a17dp-1", "0x1.ff5a27680f0c2p-1"),
+           "0x1.ffddd4385cea2p-1", "0x1.fff64a5387b1ep-1", "0x1.ff5a2769d11ebp-1"),
     118.0: (["linear", "tail", "sat-above-knee"],
-            "0x1.1e7f1981727acp-3", "0x1.09d0e40f1ea32p-2", "0x1.1f9e145d921e9p-3"),
+            "0x1.1e7f1988489cbp-3", "0x1.09d0e40bf4195p-2", "0x1.1f9e146900543p-3"),
     131.05: (["linear", "tail", "sat-above-knee"],
-             "0x1.20e8a13bd11f0p-7", "0x1.dc515bd8c1454p-6", "0x1.b9fe5a314e620p-7"),
+             "0x1.20e8a39c32ca0p-7", "0x1.dc515ce54ac10p-6", "0x1.b9fe5c8545ea0p-7"),
     148.19: (["linear", "tail", "sat-above-knee"],
-             "0x1.71a5af769a000p-13", "0x1.cd9ec3fb63800p-10", "0x1.8026ac755f000p-11"),
+             "0x1.71a651f314000p-13", "0x1.cd9ed830bcc00p-10", "0x1.8026d5052b400p-11"),
 }
 
 
@@ -1109,7 +1132,7 @@ class TestRandomConfigs:
         (TAYLOR_CANCELS, "a2a", P_IC), (TAYLOR_WRONG, "a2a", P_IC),
     ], ids=["cancels-s2g", "cancels-a2a-im-ic", "cancels-a2a-p-ic", "wrong-a2a-p-ic"])
     def test_taylor_block_matches_the_unsaturated_integral(self, mapping, network, mode):
-        # the route takes no CGQ, so it must equal the integral's unsaturated
+        # the route takes no quadrature in w, so it must equal the integral's unsaturated
         # branch to within its own noise estimate
         cfg = config_from_mapping(mapping)
         case = build_case(cfg, network, mode, cfg.gamma_s if network == "s2g" else cfg.gamma_a)

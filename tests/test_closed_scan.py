@@ -141,6 +141,31 @@ def test_summary_counts_the_cells_off_the_integral(monkeypatch, capsys):
     assert summary["closed_off_integral"] == 0
 
 
+def test_summary_gives_the_median_difference_over_unsettled_filled_cells(monkeypatch,
+                                                                       capsys):
+    # configs 0 and 1, as (closed, integral) per cell: a blank closed cell, a blank
+    # integral cell and the settled a2a im-IC cell of config 1 (0.25 off) do not count
+    cells = iter([(0.5 + 2.0 ** -30, 0.5), (None, 0.5), (0.5, None),
+                  (0.5 + 2.0 ** -28, 0.5), (0.75, 0.5), (0.5 - 2.0 ** -29, 0.5)])
+    pair = []
+
+    def evaluate(fn, gamma, cfg, kwargs):
+        if not pair:
+            pair.extend(next(cells))
+        value = pair.pop(0)
+        return value, None if value is not None else "lost"
+
+    monkeypatch.setattr(closed_scan, "_evaluate", evaluate)
+    assert closed_scan.main(["2"]) == 0
+    *lines, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert [line["settled"] for line in lines] == [False] * 4 + [True, False]
+    assert summary["median_abs_closed_minus_integral"] == 2.0 ** -29
+    monkeypatch.setattr(closed_scan, "_evaluate", lambda fn, gamma, cfg, kwargs: (None, "lost"))
+    assert closed_scan.main(["1"]) == 0
+    *_, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert summary["median_abs_closed_minus_integral"] is None
+
+
 def test_each_cell_says_whether_it_is_settled(monkeypatch, capsys):
     # configs 0-4 of the scan: every a2a im-IC cell from config 1 on and the
     # s2g cell of config 4 are settled at 1 without a series

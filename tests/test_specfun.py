@@ -182,7 +182,7 @@ class TestLogsumexpSigned:
             sf.logsumexp_signed(np.array([0.5, bad, -np.inf]), np.ones(3))
 
     def test_each_row_of_an_array_is_the_1d_sum_bit_for_bit(self):
-        # the last axis is reduced, as the CGQ contracts its (rung, k, node) array
+        # the last axis is reduced, as _Work.quad contracts its (rung, k, node) array
         rng = np.random.default_rng(11)
         logs = rng.uniform(-800.0, 700.0, (3, 4, 102))
         signs = rng.choice([-1.0, 1.0], (3, 4, 102))
@@ -227,37 +227,20 @@ class TestGaussLegendre:
             sf.gauss_legendre(lo, hi, 9)
         assert calls == [9]
 
-
-def _cgq(f, a, b, n):
-    """The CGQ sum the closed path forms: np.sum(w * f(x)) on cgq_points."""
-    x, w = sf.cgq_points(a, b, n)
-    return float(np.sum(w * f(x)))
-
-
-class TestCgq:
-    def test_constant_on_0_2_with_ten_nodes(self):
-        val = _cgq(np.ones_like, 0.0, 2.0, 10)
-        assert val == pytest.approx(2.008, abs=5e-4)   # within 1% of exact 2
-        assert abs(val - 2.0) / 2.0 < 0.01
-
-    def test_zero_integrand(self):
-        assert _cgq(np.zeros_like, 0.0, 2.0, 16) == 0.0
-
-    def test_odd_integrand_cancels_by_symmetry(self):
-        assert _cgq(lambda x: x, -1.0, 1.0, 24) == pytest.approx(0.0, abs=1e-14)
-
-    def test_error_decreases_as_n_doubles(self):
-        exact = math.e - 1.0
-        errs = [abs(_cgq(np.exp, 0.0, 1.0, n) - exact) for n in (25, 50, 100, 200)]
-        assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
-
-    def test_nodes_symmetric_weights_positive(self):
-        nodes, weights = sf.cgq_points(-1.0, 1.0, 31)
+    def test_nodes_symmetric_inside_weights_positive(self):
+        # the closed path signs its contraction by the integrand alone, which
+        # holds because every weight of the rule is positive
+        nodes, weights = sf.gauss_legendre(-1.0, 1.0, 31)
         assert np.all(weights > 0)
         assert np.all(np.abs(nodes) < 1)
         assert np.allclose(np.sort(nodes), -np.sort(nodes)[::-1])
-        with pytest.raises(DomainError):
-            sf.cgq_points(-1.0, 1.0, 0)
+
+    def test_error_on_exp_falls_as_n_grows(self):
+        exact = math.e - 1.0
+        errs = [abs(float(np.sum(w * np.exp(t))) - exact)
+                for t, w in (sf.gauss_legendre(0.0, 1.0, n) for n in (2, 3, 4, 5))]
+        assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
+        assert errs[3] <= 1e-12
 
 
 class TestBessel:

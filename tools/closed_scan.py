@@ -25,8 +25,11 @@ and how many of them are below the knee, how many cells are settled, how many
 |closed - integral|, how many ``closed`` values lie more than 3e-7 from
 ``integral`` (``closed_off_abs``) and how many more than 1e-5 of min(OP, 1 - OP),
 OP the ``integral`` value, so that where it is 0 or 1 any difference counts
-(``closed_off_rel``), ``closed_cpu_s``, the total over every cell and route, and
-``slowest_blank_closed_cpu_s``, the most any blank ``closed`` cell took.
+(``closed_off_rel``), ``median_abs_closed_minus_integral``, the median
+|closed - integral| over the cells that both methods fill and that are not
+settled (null when there is none), ``closed_cpu_s``, the total over every cell
+and route, and ``slowest_blank_closed_cpu_s``, the most any blank ``closed``
+cell took.
 
 ``--compare OLD.jsonl`` reads the output of an earlier scan (of another tree,
 with the same N and ``--knee``) and then prints one line per cell whose
@@ -161,7 +164,7 @@ def main(argv=None):
     old = read_scan(args.compare) if args.compare else None
     blank, knee_blank, off, worst, cpu, slowest_blank = Counter(), 0, 0, 0.0, 0.0, 0.0
     off_abs = off_rel = 0
-    cells = {}
+    cells, unsettled_off = {}, []
     for i in range(args.n):
         cfg = config_from_mapping(scan_config(i, args.knee))
         for case, closed_fn, integral_fn, kwargs in CASES:
@@ -189,13 +192,18 @@ def main(argv=None):
                 off_abs += by > OFF_ABS_TOL
                 off_rel += by > OFF_REL_TOL * min(integral, 1.0 - integral)
                 worst = max(worst, by)
+                if not line["settled"]:
+                    unsettled_off.append(by)
     print(json.dumps({"cells": 3 * args.n, "blank_closed": dict(blank),
                       "below_knee_blank_closed": knee_blank,
                       "settled": sum(line["settled"] for line in cells.values()),
                       "closed_off_integral": off, "off_tol": OFF_TOL,
                       "max_abs_closed_minus_integral": worst,
                       "closed_off_abs": off_abs, "off_abs_tol": OFF_ABS_TOL,
-                      "closed_off_rel": off_rel, "off_rel_tol": OFF_REL_TOL, "closed_cpu_s": cpu,
+                      "closed_off_rel": off_rel, "off_rel_tol": OFF_REL_TOL,
+                      "median_abs_closed_minus_integral":
+                          statistics.median(unsettled_off) if unsettled_off else None,
+                      "closed_cpu_s": cpu,
                       "slowest_blank_closed_cpu_s": slowest_blank}))
     if old is not None and compare(old, cells)["filled_to_blank"]:
         return 1
