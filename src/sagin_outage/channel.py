@@ -98,24 +98,44 @@ def shadowed_rician_power_tail(x, p):
     return np.clip(out, 0.0, 1.0) if out.ndim else float(np.clip(out, 0.0, 1.0))
 
 
-def sample_shadowed_rician_power(rng, p, size=None):
-    """|A + Z|^2 with A^2 ~ Gamma(m_sr, omega/m_sr) and Z complex with variance 2 b_sr."""
-    a = np.sqrt(rng.gamma(p.m_sr, p.omega_sr / p.m_sr, size)) if p.omega_sr > 0 else 0.0
-    return _los_scatter_power(rng, a, np.sqrt(p.b_sr), size)
+def sample_shadowed_rician_power(rng, p, size=None, out=None, scratch=(None, None)):
+    """|A + Z|^2 with A^2 ~ Gamma(m_sr, omega/m_sr) and Z complex with variance 2 b_sr.
+
+    A is formed in ``scratch[0]`` and the power in ``out`` when they are given
+    (``_los_scatter_power``); a scalar draw returns a float.
+    """
+    a = 0.0
+    if p.omega_sr > 0:
+        a = _gamma(rng, p.m_sr, p.omega_sr / p.m_sr, size, scratch[0])
+        np.sqrt(a, out=a)
+    return _los_scatter_power(rng, a, np.sqrt(p.b_sr), size, out, scratch[0])
 
 
-def _los_scatter_power(rng, los, s, size):
+def _gamma(rng, k, theta, size, out):
+    """``rng.gamma(k, theta, size)`` to the bit, drawn into ``out`` when it is given.
+
+    numpy forms a gamma variate as theta times a standard one, the product
+    taken here in place.  Returns an array, 0-d for a scalar draw.
+    """
+    g = np.asarray(rng.standard_gamma(k, size, out=out))
+    g *= theta
+    return g
+
+
+def _los_scatter_power(rng, los, s, size, out=None, tmp=None):
     """(los + s z1)^2 + (s z2)^2 for standard normals z1, then z2, formed in place.
 
+    z1 is drawn into ``out`` and z2 into ``tmp`` when they are given, else into
+    fresh arrays; ``los`` is added before z2 is drawn, so it may live in ``tmp``.
     The values are those of (los + rng.normal(0, s))^2 + rng.normal(0, s)^2 to
     the bit: ``normal`` draws the same z and returns 0 + s z, which differs
     from s z at most in the sign of a zero, and the square drops that sign.
     """
-    re = np.asarray(rng.standard_normal(size))
+    re = np.asarray(rng.standard_normal(size, out=out))
     re *= s
     re += los
     np.square(re, out=re)
-    im = np.asarray(rng.standard_normal(size))
+    im = np.asarray(rng.standard_normal(size, out=tmp))
     im *= s
     np.square(im, out=im)
     re += im
@@ -157,8 +177,9 @@ def nakagami_power_tail(x, p):
     return out if out.ndim else float(out)
 
 
-def sample_nakagami_power(rng, p, size=None):
-    return rng.gamma(p.m_rd, 1.0 / p.m_rd, size)
+def sample_nakagami_power(rng, p, size=None, out=None):
+    """Unit-mean Gamma(m_rd, 1/m_rd) power, drawn into ``out`` when it is given."""
+    return _gamma(rng, p.m_rd, 1.0 / p.m_rd, size, out)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +221,14 @@ def rician_power_tail(x, p):
     return out if out.ndim else float(out)
 
 
-def sample_rician_power(rng, p, size=None):
-    """|mu_los + Z|^2 with |mu_los|^2 = K/(1+K) and E|Z|^2 = 1/(1+K); unit mean."""
+def sample_rician_power(rng, p, size=None, out=None, scratch=(None, None)):
+    """|mu_los + Z|^2 with |mu_los|^2 = K/(1+K) and E|Z|^2 = 1/(1+K); unit mean.
+
+    Formed in ``out``, with ``scratch[0]`` as its one temporary, when they are given.
+    """
     K = p.K_rt
-    return _los_scatter_power(rng, np.sqrt(K / (1.0 + K)), np.sqrt(0.5 / (1.0 + K)), size)
+    return _los_scatter_power(rng, np.sqrt(K / (1.0 + K)), np.sqrt(0.5 / (1.0 + K)), size,
+                              out, scratch[0])
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,16 @@ def satellite_distance_cdf(w, geom):
     return out if out.ndim else float(out)
 
 
-def sample_satellite_distance(rng, geom, size=None):
-    """Inverse-CDF sampler: sqrt(w_min^2 + 2 w_er w_min U)."""
-    u = rng.random(size)
-    return np.sqrt(geom.w_min ** 2 + 2.0 * geom.w_er * geom.w_min * u)
+def sample_satellite_distance(rng, geom, size=None, out=None):
+    """Inverse-CDF sampler: sqrt(w_min^2 + 2 w_er w_min U), formed in place in U.
+
+    U is drawn into ``out`` when it is given, else into a fresh array; a scalar
+    draw (``size`` None) returns a float.
+    """
+    w = np.asarray(rng.random(size, out=out))
+    w *= 2.0 * geom.w_er * geom.w_min
+    w += geom.w_min ** 2
+    return np.sqrt(w, out=w)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +147,12 @@ def gu_distance_cdf(v, geom):
     return out if out.ndim else float(out)
 
 
-def sample_gu_distance(rng, geom, size=None):
-    u = rng.random(size)
-    return np.sqrt(geom.h_0 ** 2 + geom.l ** 2 * u)
+def sample_gu_distance(rng, geom, size=None, out=None):
+    """Inverse-CDF sampler: sqrt(h_0^2 + l^2 U), formed in place in U (``out`` as above)."""
+    v = np.asarray(rng.random(size, out=out))
+    v *= geom.l ** 2
+    v += geom.h_0 ** 2
+    return np.sqrt(v, out=v)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +210,20 @@ def arx_distance_cdf(u, geom):
     return out if out.ndim else float(out)
 
 
-def sample_arx_distance(rng, geom, size=None):
-    """Constructive sampler: depth z with density ~ z^2, uniform point on its disc."""
-    u1 = rng.random(size)
-    u2 = rng.random(size)
-    z = np.cbrt(geom.h_1 ** 3 + (geom.h_2 ** 3 - geom.h_1 ** 3) * u1)
-    r = z * np.tan(geom.phi) * np.sqrt(u2)
-    return np.hypot(z, r)
+def sample_arx_distance(rng, geom, size=None, out=None, scratch=(None, None)):
+    """Constructive sampler: depth z with density ~ z^2, uniform point on its disc.
+
+    z = cbrt(h_1^3 + (h_2^3 - h_1^3) U1) is formed in place in U1, which is
+    drawn into ``out`` when it is given; sqrt(U2) and the radius
+    (z tan phi) sqrt(U2) go to ``scratch[0]`` and ``scratch[1]`` when they are
+    given.  A scalar draw returns a float.
+    """
+    z = np.asarray(rng.random(size, out=out))
+    s = np.asarray(rng.random(size, out=scratch[0]))
+    z *= geom.h_2 ** 3 - geom.h_1 ** 3
+    z += geom.h_1 ** 3
+    np.cbrt(z, out=z)
+    np.sqrt(s, out=s)
+    r = np.multiply(z, np.tan(geom.phi), out=scratch[1])
+    r *= s
+    return np.hypot(z, r, out=z)[()]

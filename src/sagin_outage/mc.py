@@ -11,8 +11,16 @@ blocks serves every requested case, and one in-place SNR pass
 (``swipt.case_snrs``) counts every case of a block.  A variate that no
 requested case reads is not drawn; the stream is advanced past it instead, so
 every variate that is drawn keeps its value bit for bit.
+
+Each counting thread draws its blocks, forms their SNRs and marks their
+outages in buffers of BLOCK columns that it makes on its first block and keeps
+for its lifetime (``threading.local``): one float row per variate its cases
+read and six for the SNR pass, at most 12 rows (6 MiB), and two bool rows.  A
+block therefore allocates no array, and a threaded sweep does not hand pages
+back to the allocator and fault them in again block after block.
 """
 
+import itertools
 import math
 import threading
 from concurrent.futures import wait
@@ -87,22 +95,56 @@ def _skip_doubles(rng, k):
         bitgen.random_raw((k - held) % 4)
 
 
-def draw_block(cfg, rng, n, networks=NETWORKS):
+def _drawn(networks):
+    """Number of variates ``draw_block`` draws for ``networks``.
+
+    w_sr, X and Y always, w_rd for s2g, and w_rt and Z for a2a.
+    """
+    return 3 + ("s2g" in networks) + 2 * ("a2a" in networks)
+
+
+def draw_block(cfg, rng, n, networks=NETWORKS, out=None):
     """One independent block-fading realisation per trial.
 
     Only the variates that ``networks`` read are drawn; the others are None.
     A skipped uniform draw is stepped over and the trailing Z is not made, but
     Y is drawn for a2a alone: its rejection sampler uses a varying number of
     outputs, and Z follows it.
+
+    ``out``, when given, is a float array of n columns and at least two rows
+    more than the variates drawn (``_drawn``): the variates fill its first
+    rows in draw order, and the samplers work in its last two.  The returned
+    arrays are then views of it.  Without ``out`` every array is a fresh one
+    and n may be any size.
     """
     s2g, a2a = "s2g" in networks, "a2a" in networks
-    w_sr = sample_satellite_distance(rng, cfg.orbit, n)                           # km
-    w_rd = sample_gu_distance(rng, cfg.cone, n) if s2g else _skip_doubles(rng, n)  # m
-    w_rt = sample_arx_distance(rng, cfg.cone, n) if a2a else _skip_doubles(rng, 2 * n)
-    X = sample_shadowed_rician_power(rng, cfg.sr, n)
-    Y = sample_nakagami_power(rng, cfg.nak, n)
-    Z = sample_rician_power(rng, cfg.ric, n) if a2a else None
+    rows = iter(out) if out is not None else itertools.repeat(None)
+    tmp = out[-2:] if out is not None else (None, None)
+    w_sr = sample_satellite_distance(rng, cfg.orbit, n, out=next(rows))             # km
+    w_rd = (sample_gu_distance(rng, cfg.cone, n, out=next(rows)) if s2g            # m
+            else _skip_doubles(rng, n))
+    w_rt = (sample_arx_distance(rng, cfg.cone, n, out=next(rows), scratch=tmp) if a2a
+            else _skip_doubles(rng, 2 * n))
+    X = sample_shadowed_rician_power(rng, cfg.sr, n, out=next(rows), scratch=tmp)
+    Y = sample_nakagami_power(rng, cfg.nak, n, out=next(rows))
+    Z = sample_rician_power(rng, cfg.ric, n, out=next(rows), scratch=tmp) if a2a else None
     return FadingDraw(X=X, Y=Y, Z=Z, w_sr_km=w_sr, w_rd_m=w_rd, w_rt_m=w_rt)
+
+
+_kept = threading.local()
+
+
+def _block_buffers(rows):
+    """This thread's kept (rows, BLOCK) float and (2, BLOCK) bool buffers.
+
+    Made on the thread's first block and kept until the thread ends; a call
+    that needs more float rows than the thread keeps replaces them.
+    """
+    floats = getattr(_kept, "floats", None)
+    if floats is None or len(floats) < rows:
+        _kept.floats = floats = np.empty((rows, BLOCK))
+        _kept.bools = np.empty((2, BLOCK), dtype=bool)
+    return floats, _kept.bools
 
 
 def _estimate(failures, trials, seed):
@@ -139,6 +181,7 @@ def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None, executor=No
     failures = dict.fromkeys(cases, 0)
     gammas = {case: cfg.gamma_s if case[0] == "s2g" else cfg.gamma_a for case in cases}
     networks = {net for net, _ in cases}
+    drawn = _drawn(networks)
     n_blocks = -(-trials // BLOCK)
     blocks = iter(range(n_blocks))
     lock = threading.Lock()
@@ -154,13 +197,16 @@ def simulate_op(cfg, network, ic_mode=IM_IC, trials=None, seed=None, executor=No
                     block_index = next(blocks, None)
                 if block_index is None:
                     return
-                start = block_index * BLOCK
-                draw = draw_block(cfg, _block_rng(seed, block_index),
-                                  min(BLOCK, trials - start), networks)
-                counts = {case: int(np.count_nonzero(snr < gammas[case]))
-                          for case, snr in case_snrs(draw, cfg.eta_s, cfg.sp, cfg.noise,
-                                                     cases, cfg.nak.nu_rd,
-                                                     cfg.ric.nu_rt)}
+                n = min(BLOCK, trials - block_index * BLOCK)
+                floats, bools = _block_buffers(drawn + 6)
+                # the variates, then the SNR pass's six rows, whose last two
+                # the samplers use first
+                rows, outage = floats[:drawn + 6, :n], bools[0, :n]
+                draw = draw_block(cfg, _block_rng(seed, block_index), n, networks, out=rows)
+                snrs = case_snrs(draw, cfg.eta_s, cfg.sp, cfg.noise, cases, cfg.nak.nu_rd,
+                                 cfg.ric.nu_rt, scratch=(rows[drawn:], bools[1, :n]))
+                counts = {case: int(np.count_nonzero(np.less(snr, gammas[case], out=outage)))
+                          for case, snr in snrs}
         except BaseException:
             with lock:
                 for _ in blocks:        # leave nothing for the other threads

@@ -112,7 +112,7 @@ def snr_arx(draw, eta_s, sp, noise, ic_mode=IM_IC, nu_rt=2.0):
     return snr[()]
 
 
-def case_snrs(draw, eta_s, sp, noise, cases, nu_rd=2.0, nu_rt=2.0):
+def case_snrs(draw, eta_s, sp, noise, cases, nu_rd=2.0, nu_rt=2.0, scratch=None):
     """Yield ``(case, snr)`` for every (network, ic_mode) case, in one pass over ``draw``.
 
     Each SINR is  signal chi lin g / (relay noise + interference chi lin g + s2),
@@ -123,7 +123,9 @@ def case_snrs(draw, eta_s, sp, noise, cases, nu_rd=2.0, nu_rt=2.0):
     term and the division once per case.  Every product and sum keeps the
     order of the expression above, so an snr is the same to the bit whichever
     cases share the pass.  Cases come grouped by network, in request order
-    within one.  The work is done in place in a few buffers: a yielded array
+    within one.  The work is done in place in six float buffers and one bool
+    mask of the SNRs' shape: ``scratch``, a pair (six float arrays, mask), when
+    it is given, else fresh ones.  A yielded array is one of those buffers and
     is overwritten by the next case, so read it before asking for the next.
     """
     per_net = {"s2g": (draw.Y, draw.w_rd_m, nu_rd, noise.sigma_d2),
@@ -134,16 +136,19 @@ def case_snrs(draw, eta_s, sp, noise, cases, nu_rd=2.0, nu_rt=2.0):
         by_net.setdefault(network, (signal, []))[1].append((ic_mode, interference))
     X = np.asarray(draw.X, dtype=float)
     w_m = np.asarray(draw.w_sr_km, dtype=float)
-    shape = np.broadcast_shapes(X.shape, w_m.shape, *(
-        np.shape(a) for net in by_net for a in per_net[net][:2]))
+    if scratch is None:
+        shape = np.broadcast_shapes(X.shape, w_m.shape, *(
+            np.shape(a) for net in by_net for a in per_net[net][:2]))
+        scratch = [np.empty(shape) for _ in range(6)], np.empty(shape, dtype=bool)
+    (g_sat, lin, g, relay_noise, num, snr), zero = scratch
     chi, me = sp.chi_rho_eps, noise.mu_eps(sp)
-    g_sat, lin, g, relay_noise, num, snr = (np.empty(shape) for _ in range(6))
     np.multiply(w_m, 1e3, out=lin)
     np.square(lin, out=lin)
     np.multiply(X, eta_s, out=g_sat)
     g_sat /= lin
     np.minimum(g_sat, sp.p_th, out=lin)
-    zero = ~(g_sat > 0)
+    np.greater(g_sat, 0, out=zero)
+    np.logical_not(zero, out=zero)
     for network, (signal, modes) in by_net.items():
         G, dist_m, nu, s2 = per_net[network]
         np.power(np.asarray(dist_m, dtype=float), -nu, out=g)

@@ -41,7 +41,7 @@ class TestSatelliteDistance:
             def __init__(self, u):
                 self.u = u
 
-            def random(self, size=None):
+            def random(self, size=None, out=None):
                 return np.full(size, self.u) if size else self.u
 
         assert geo.sample_satellite_distance(_U(0.0), ORBIT) == pytest.approx(ORBIT.w_min)
@@ -73,7 +73,7 @@ class TestGuDistance:
             def __init__(self, u):
                 self.u = u
 
-            def random(self, size=None):
+            def random(self, size=None, out=None):
                 return self.u
 
         assert geo.sample_gu_distance(_U(0.0), CONE) == pytest.approx(CONE.h_0)
@@ -173,7 +173,7 @@ class TestArxDistance:
             def __init__(self, u1, u2):
                 self.vals = [u1, u2]
 
-            def random(self, size=None):
+            def random(self, size=None, out=None):
                 return self.vals.pop(0)
 
         u = geo.sample_arx_distance(_U(0.3, 0.7), cone)

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -16,7 +17,7 @@ from sagin_outage.mc import (OutageEstimate, _block_rng, _skip_doubles,
                              common_random_numbers_compare, simulate_op)
 from sagin_outage.analytic import op_s2g_integral
 from sagin_outage.sweep import emit_csv, run_sweep, simulate_throughput
-from sagin_outage.swipt import IM_IC, P_IC
+from sagin_outage.swipt import IM_IC, P_IC, case_snrs
 
 
 def _cfg(**over):
@@ -143,9 +144,9 @@ class TestSharedDraws:
         calls = []
         real = mc.draw_block
 
-        def counting(cfg, rng, n, networks=mc.NETWORKS):
+        def counting(cfg, rng, n, networks=mc.NETWORKS, **kwargs):
             calls.append(n)
-            return real(cfg, rng, n, networks)
+            return real(cfg, rng, n, networks, **kwargs)
 
         monkeypatch.setattr(mc, "draw_block", counting)
         simulate_op(_cfg(), CASES, trials=200_001, seed=4)
@@ -208,12 +209,12 @@ class TestBlockSharing:
         caller, helper_failed = threading.get_ident(), threading.Event()
         real = mc.draw_block
 
-        def draw(cfg, rng, n, networks=mc.NETWORKS):
+        def draw(cfg, rng, n, networks=mc.NETWORKS, **kwargs):
             if threading.get_ident() != caller:
                 helper_failed.set()
                 raise RuntimeError("helper failed")
             helper_failed.wait(10.0)    # let the helper claim a block first
-            return real(cfg, rng, n, networks)
+            return real(cfg, rng, n, networks, **kwargs)
 
         monkeypatch.setattr(mc, "draw_block", draw)
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -318,13 +319,96 @@ class TestSkippedDraws:
         calls = dict.fromkeys(("sample_gu_distance", "sample_arx_distance",
                                "sample_rician_power"), 0)
         for name in calls:
-            def spy(*args, _name=name, _real=getattr(mc, name)):
+            def spy(*args, _name=name, _real=getattr(mc, name), **kwargs):
                 calls[_name] += 1
-                return _real(*args)
+                return _real(*args, **kwargs)
             monkeypatch.setattr(mc, name, spy)
         simulate_op(_cfg(), cases, trials=2 * mc.BLOCK + 1, seed=4)
         assert all(calls[name] == 0 for name in unused)
         assert all(calls[name] == 3 for name in calls if name not in unused)
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestBlockBuffers:
+    # (sampler, config attribute of its parameters, takes scratch rows)
+    SAMPLERS = [("sample_satellite_distance", "orbit", False),
+                ("sample_gu_distance", "cone", False),
+                ("sample_arx_distance", "cone", True),
+                ("sample_shadowed_rician_power", "sr", True),
+                ("sample_nakagami_power", "nak", False),
+                ("sample_rician_power", "ric", True)]
+
+    @pytest.mark.parametrize("n", [1, 7, mc.BLOCK - 1, mc.BLOCK])
+    @pytest.mark.parametrize("name, params, takes_scratch", SAMPLERS)
+    def test_sampler_into_buffers_equals_its_allocating_call(self, name, params,
+                                                             takes_scratch, n):
+        sampler, p = getattr(mc, name), getattr(_cfg(), params)
+        fresh_rng, kept_rng = _philox(n), _philox(n)
+        fresh = sampler(fresh_rng, p, n)
+        kept = np.full((3, n), np.nan)   # what a buffer held before does not leak in
+        extra = {"scratch": kept[1:]} if takes_scratch else {}
+        got = sampler(kept_rng, p, n, out=kept[0], **extra)
+        np.testing.assert_array_equal(got, fresh)
+        assert np.shares_memory(got, kept[0])
+        # both leave the stream at the same place
+        np.testing.assert_array_equal(kept_rng.random(4), fresh_rng.random(4))
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 2.5, 3.0])
+    def test_gamma_is_theta_times_a_standard_gamma(self, k):
+        # what the gamma samplers rely on to draw into a buffer and scale in place
+        theta, n = 0.37, 100_000
+        b = np.empty(n)
+        _philox(7).standard_gamma(k, out=b)
+        b *= theta
+        np.testing.assert_array_equal(b, _philox(7).gamma(k, theta, n))
+
+    @pytest.mark.parametrize("networks", [("s2g",), ("a2a",), ("s2g", "a2a")])
+    def test_part_block_in_used_buffers_equals_a_fresh_draw(self, networks):
+        cfg, n = _cfg(**{"link.eta_s_db": 115.0}), 1_000
+        cases = [c for c in CASES if c[0] in networks]
+        drawn = mc._drawn(networks)
+        floats, mask = np.empty((drawn + 6, mc.BLOCK)), np.empty(mc.BLOCK, dtype=bool)
+        full = mc.draw_block(cfg, _block_rng(3, 0), mc.BLOCK, networks, out=floats)
+        list(case_snrs(full, cfg.eta_s, cfg.sp, cfg.noise, cases, scratch=(floats[drawn:],
+                                                                            mask)))
+        rows = floats[:, :n]
+        part = mc.draw_block(cfg, _block_rng(3, 1), n, networks, out=rows)
+        fresh = mc.draw_block(cfg, _block_rng(3, 1), n, networks)
+        for name, value in vars(fresh).items():
+            if value is None:
+                assert getattr(part, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(part, name), value)
+        expected = [(case, snr.copy())
+                    for case, snr in case_snrs(fresh, cfg.eta_s, cfg.sp, cfg.noise, cases)]
+        got = case_snrs(part, cfg.eta_s, cfg.sp, cfg.noise, cases,
+                        scratch=(rows[drawn:], mask[:n]))
+        for (case, snr), (want_case, want) in zip(got, expected, strict=True):
+            assert case == want_case
+            np.testing.assert_array_equal(snr, want)
+
+    def test_a_repeat_call_on_a_thread_allocates_less_than_a_block(self):
+        cfg = _cfg(**{"link.eta_s_db": 115.0})
+        first = simulate_op(cfg, CASES, trials=4 * mc.BLOCK + 3, seed=6)
+        tracemalloc.start()
+        try:
+            again = simulate_op(cfg, CASES, trials=4 * mc.BLOCK + 3, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < mc.BLOCK * 8, f"peak {peak} B, a block of float64 is {mc.BLOCK * 8} B"
+
+    @pytest.mark.parametrize("networks", [("s2g",), ("a2a",), ("s2g", "a2a")])
+    def test_draw_without_buffers_returns_arrays_that_alias_nothing(self, networks):
+        draw = mc.draw_block(_cfg(), _block_rng(2, 0), 1_000, networks)
+        arrays = [v for v in vars(draw).values() if v is not None]
+        assert len(arrays) == mc._drawn(networks)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestSeedRange:
